@@ -29,6 +29,7 @@ from .environments import (
     PeriodicSquareWaveLoad,
     RewardModel,
     SemiPeriodicLoad,
+    TraceData,
     TraceLoad,
     TraceReward,
     UniformLoad,
@@ -304,13 +305,14 @@ class RewardSpec:
             out["path"] = self.path
         return out
 
-    def build(self, ctx: str = "reward") -> RewardModel:
+    def build(self, ctx: str = "reward", trace: TraceData | None = None) -> RewardModel:
+        """``trace``: the already parsed file at ``path``, if there is one."""
         try:
             if self.kind == "dirac":
                 return DiracReward(self.means)
             if self.kind == "bernoulli":
                 return BernoulliReward(self.means)
-            return TraceReward(load_trace(self.path))
+            return TraceReward(trace if trace is not None else load_trace(self.path))
         except (ValueError, OSError) as exc:
             raise ConfigError(ctx, str(exc)) from None
 
@@ -550,7 +552,9 @@ class ExperimentPlan:
 
 def build_plan(cfg: ExperimentConfig) -> ExperimentPlan:
     load_model = cfg.load.build("load")
-    reward_model = cfg.reward.build("reward")
+    # a trace that holds both the loads and the rewards is parsed once
+    shared = isinstance(load_model, TraceLoad) and cfg.reward.path == cfg.load.path
+    reward_model = cfg.reward.build("reward", load_model.data if shared else None)
     bandit = BanditInstance(reward_model.means)
     if cfg.horizon < bandit.n_arms:
         raise ConfigError("horizon", f"must cover the init round of {bandit.n_arms} arms")

@@ -29,6 +29,7 @@ __all__ = [
     "RngStream",
     "derive_stream_id",
     "normalize_load",
+    "normalize_loads",
     "binary_normalize",
 ]
 
@@ -164,6 +165,17 @@ def normalize_load(raw: float, thresholds: Thresholds) -> float:
     if raw >= hi:
         return 1.0
     return (raw - lo) / (hi - lo)
+
+
+def normalize_loads(raw: np.ndarray, lower, upper) -> np.ndarray:
+    """:func:`normalize_load` over an array of raw loads, elementwise and
+    bit-for-bit; ``lower`` and ``upper`` may be scalars or per-element
+    arrays (with ``lower <= upper``)."""
+    if not np.isfinite(raw).all():
+        raise ValueError("raw loads must be finite")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inside = (raw - lower) / (upper - lower)
+    return np.where(raw <= lower, 0.0, np.where(raw >= upper, 1.0, inside))
 
 
 def binary_normalize(raw: float, eps0: float, eps1: float) -> float:

@@ -2,8 +2,8 @@
 
 Every stochastic model consumes exactly one uniform draw per time step, so
 the scalar API (``next_load`` / ``sample_reward``) and the bulk API
-(``sample_loads`` / pre-drawn reward uniforms in the simulator) walk the
-stream identically.  Time indices are 1-based throughout.
+(``sample_loads`` / ``reward_rows``) walk the stream identically.  Time
+indices are 1-based throughout.
 """
 
 from __future__ import annotations
@@ -359,6 +359,17 @@ class RewardModel:
         u = rng.random() if self.uses_rng else None
         return self.reward_at(arm, t, u)
 
+    def reward_rows(self, t0: int, n: int, rng: RngStream | None) -> np.ndarray:
+        """Rewards of every arm at steps t0..t0+n-1 as an (n, K) array,
+        walking the stream exactly as n per-step draws do (one uniform per
+        step, shared by the arms)."""
+        us = rng.random(n).tolist() if self.uses_rng else [None] * n
+        arms = range(len(self.means))
+        rows = np.array([[self.reward_at(k, t0 + j, u) for k in arms] for j, u in enumerate(us)])
+        if not ((rows >= 0.0) & (rows <= 1.0)).all():
+            raise ValueError("nominal rewards must be in [0, 1]")
+        return rows
+
 
 @dataclass(frozen=True)
 class DiracReward(RewardModel):
@@ -378,6 +389,9 @@ class DiracReward(RewardModel):
     def reward_at(self, arm: int, t: int, u: float | None = None) -> float:
         return self.arm_means[arm]
 
+    def reward_rows(self, t0: int, n: int, rng=None) -> np.ndarray:
+        return np.broadcast_to(self.arm_means, (n, len(self.arm_means)))
+
 
 @dataclass(frozen=True)
 class BernoulliReward(RewardModel):
@@ -395,6 +409,9 @@ class BernoulliReward(RewardModel):
 
     def reward_at(self, arm: int, t: int, u: float) -> float:
         return 1.0 if u < self.arm_means[arm] else 0.0
+
+    def reward_rows(self, t0: int, n: int, rng: RngStream) -> np.ndarray:
+        return np.where(rng.random(n)[:, None] < self.arm_means, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -420,6 +437,9 @@ class TraceReward(RewardModel):
 
     def reward_at(self, arm: int, t: int, u: float | None = None) -> float:
         return float(self.data.rewards[(t - 1) % self.data.n_rows, arm])
+
+    def reward_rows(self, t0: int, n: int, rng=None) -> np.ndarray:
+        return self.data.rewards[np.arange(t0 - 1, t0 - 1 + n) % self.data.n_rows]
 
 
 def _check_means(means: tuple[float, ...]) -> None:

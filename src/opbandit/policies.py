@@ -1,6 +1,6 @@
 """Arm-selection strategies behind one stateful interface.
 
-Every policy follows the same per-step protocol driven by the simulator:
+Every policy follows the same per-step protocol:
 
     arm = policy.select(t, raw_load, rng)   # t is 1-based
     ...environment draws the nominal reward x for ``arm``...
@@ -11,6 +11,12 @@ forced initialization round); afterwards it ranks arms by its own index or
 posterior sample, breaking ties toward the lowest arm index.  Policies that
 use the load normalize it themselves, so the simulator always hands over the
 raw value.
+
+The index family (:class:`IndexPolicy`: ucb, adaucb, eadaucb, rr-greedy)
+can also describe a whole run up front, because its exploration coefficient
+depends on the loads and never on rewards: ``exploration_schedule(loads)``
+gives every step's coefficient, a chunk at a time, to the simulator's step
+kernel, which then needs no per-step ``select``/``update`` calls.
 """
 
 from __future__ import annotations
@@ -18,13 +24,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import deque
+from typing import Callable
 
 import numpy as np
 
-from .core import ArmState, LoadSample, RngStream, Thresholds, normalize_load
+from .core import ArmState, LoadSample, RngStream, Thresholds, normalize_load, normalize_loads
 
 __all__ = [
     "Policy",
+    "IndexPolicy",
     "AdaUcbPolicy",
     "EAdaUcbPolicy",
     "UcbPolicy",
@@ -33,6 +41,7 @@ __all__ = [
     "OraclePolicy",
     "RoundRobinGreedyPolicy",
     "LoadQuantileSketch",
+    "RunningQuantiles",
     "adaucb_index",
     "select_arm",
     "POLICY_KINDS",
@@ -100,8 +109,29 @@ class Policy:
         raise NotImplementedError
 
 
-class _IndexPolicy(Policy):
-    """Shared arm-statistics bookkeeping for mean-plus-bonus policies."""
+#: exploration coefficients of the steps in one chunk: ``schedule(i0, i1)``
+#: covers steps i0+1..i1 (a 0-based slice of the load sequence)
+Schedule = Callable[[int, int], list]
+
+
+def _log_steps(t0: int, t1: int) -> np.ndarray:
+    """ln t for t in [t0, t1), with ``math.log`` as in ``select``: ``np.log``
+    is not correctly rounded everywhere (numpy 2.4 on x86-64 differs from
+    ``math.log`` at 8 of the t below 2e5), and one flipped argmax changes a
+    run's output."""
+    return np.fromiter(map(math.log, range(t0, t1)), dtype=float, count=t1 - t0)
+
+
+class IndexPolicy(Policy):
+    """Mean-plus-bonus policies: after the init round each step pulls
+
+        argmax_k  mean_k + sqrt(c_t / pulls_k)     (ties toward the lowest k)
+
+    with an exploration coefficient ``c_t`` that depends on the step and its
+    load but never on rewards.  :meth:`exploration_schedule` hands the whole
+    ``c_t`` sequence to the simulator's step kernel chunk by chunk; ``select``
+    is the same rule one step at a time.
+    """
 
     def __init__(self, n_arms: int):
         super().__init__(n_arms)
@@ -124,8 +154,34 @@ class _IndexPolicy(Policy):
                 arm = k
         return arm
 
+    def _choose(self, t: int, load: float, rng=None) -> int:
+        return self._argmax_index(t, self.alpha * (1.0 - self._normalized(load)) * math.log(t))
 
-class UcbPolicy(_IndexPolicy):
+    def _normalized(self, load: float) -> float:
+        raise NotImplementedError
+
+    def observe_loads(self, loads: np.ndarray) -> None:
+        """Take in a whole run's loads at once, as ``select`` takes in each
+        one: the step kernel calls this after its run."""
+
+    def exploration_schedule(self, loads: np.ndarray) -> Schedule:
+        """``c_t = alpha * (1 - ltil_t) * ln t`` of the steps after the init
+        round, for the raw load sequence ``loads``, as a :data:`Schedule`.
+        Call it on consecutive slices from ``n_arms`` on; a negative integer
+        entry ``-1 - k`` would force a pull of arm k instead."""
+        normalized = self._normalized_chunks(loads)
+        alpha = self.alpha
+
+        def schedule(i0: int, i1: int) -> list:
+            return (alpha * (1.0 - normalized(i0, i1)) * _log_steps(i0 + 1, i1 + 1)).tolist()
+
+        return schedule
+
+    def _normalized_chunks(self, loads: np.ndarray) -> Callable[[int, int], np.ndarray]:
+        raise NotImplementedError
+
+
+class UcbPolicy(IndexPolicy):
     """Plain UCB(alpha); ignores the load entirely.  alpha=2 is classic UCB1."""
 
     kind = "ucb"
@@ -139,8 +195,11 @@ class UcbPolicy(_IndexPolicy):
     def _choose(self, t: int, load: float, rng=None) -> int:
         return self._argmax_index(t, self.alpha * math.log(t))
 
+    def _normalized_chunks(self, loads):
+        return lambda i0, i1: np.zeros(i1 - i0)
 
-class AdaUcbPolicy(_IndexPolicy):
+
+class AdaUcbPolicy(IndexPolicy):
     """UCB with a load-adaptive exploration factor alpha * (1 - normalized
     load): explores like UCB(alpha) when the load sits at the lower
     threshold and turns greedy when it reaches the upper one."""
@@ -154,9 +213,12 @@ class AdaUcbPolicy(_IndexPolicy):
         self.alpha = alpha
         self.thresholds = thresholds
 
-    def _choose(self, t: int, load: float, rng=None) -> int:
-        ltil = normalize_load(load, self.thresholds)
-        return self._argmax_index(t, self.alpha * (1.0 - ltil) * math.log(t))
+    def _normalized(self, load: float) -> float:
+        return normalize_load(load, self.thresholds)
+
+    def _normalized_chunks(self, loads):
+        lower, upper = self.thresholds.lower, self.thresholds.upper
+        return lambda i0, i1: normalize_loads(loads[i0:i1], lower, upper)
 
 
 class LoadQuantileSketch:
@@ -187,6 +249,19 @@ class LoadQuantileSketch:
             self._recent.append(value)
         insort(self._sorted, value)
 
+    def extend(self, values: list[float]) -> None:
+        """Insert ``values`` in order: the same state as one ``insert`` each."""
+        if not all(map(math.isfinite, values)):
+            raise ValueError("loads must be finite")
+        if self._recent is not None:
+            self._recent.extend(values)
+            for _ in range(len(self._recent) - self.window):
+                self._recent.popleft()
+            self._sorted = sorted(self._recent)
+        else:
+            self._sorted.extend(values)
+            self._sorted.sort()
+
     def quantile(self, q: float) -> float:
         if not 0.0 < q < 1.0:
             raise ValueError(f"quantile must be in (0, 1), got {q}")
@@ -197,7 +272,77 @@ class LoadQuantileSketch:
         return self._sorted[rank - 1]
 
 
-class EAdaUcbPolicy(_IndexPolicy):
+def _nearest_rank(q: float, n: np.ndarray) -> np.ndarray:
+    # max(1, ceil(q*n)) as in LoadQuantileSketch.quantile, and 0 for n = 0
+    return np.where(n > 0, np.maximum(1.0, np.ceil(q * n)), 0.0)
+
+
+class RunningQuantiles:
+    """Exact running nearest-rank quantiles of a load sequence known in
+    advance: after each load, the values a :class:`LoadQuantileSketch` fed
+    the same loads one at a time would return, without its O(n) inserts.
+
+    The loads are argsorted once, so each owns a rank in sorted order.  Per
+    probability, a bytearray marks the ranks currently held and a pointer
+    holds the rank of the quantile.  ``k = max(1, ceil(q*n))`` changes by at
+    most one per insert or eviction, so the pointer moves at most one held
+    rank: one ``bytearray.find``/``rfind``.
+    """
+
+    def __init__(self, values: np.ndarray, probs: tuple[float, ...], window: int | None = None):
+        if not np.isfinite(values).all():
+            raise ValueError("loads must be finite")
+        if window is not None and window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+        order = np.argsort(values, kind="stable")
+        self._sorted = values[order]
+        self._ranks = np.empty(len(values), dtype=np.intp)
+        self._ranks[order] = np.arange(len(values))
+        self.probs = probs
+        self.window = len(values) if window is None else window
+        self._held = [bytearray(len(values)) for _ in probs]
+        self._pointer = [-1] * len(probs)
+        self._seen = 0
+
+    def advance(self, stop: int) -> np.ndarray:
+        """Take in the loads up to index ``stop`` (exclusive); one row per
+        probability holds the quantile in effect after each of them."""
+        start, w = self._seen, self.window
+        steps = np.arange(start, stop)
+        before = np.minimum(steps, w)  # loads held before step i
+        after = np.minimum(steps + 1, w + 1)  # after its insert, before its eviction
+        ranks = self._ranks[start:stop].tolist()
+        evicted = np.where(steps >= w, self._ranks[np.maximum(steps - w, 0)], -1).tolist()
+        out = np.empty((len(self.probs), stop - start))
+        for j, q in enumerate(self.probs):
+            # k grows on an insert exactly when it shrinks back on the eviction
+            grows = (_nearest_rank(q, after) > _nearest_rank(q, before)).tolist()
+            held = self._held[j]
+            find, rfind = held.find, held.rfind
+            p = self._pointer[j]
+            at = []
+            for r, up, e in zip(ranks, grows, evicted):
+                held[r] = 1
+                if r < p:
+                    if not up:
+                        p = rfind(1, 0, p)
+                elif up:
+                    p = find(1, p + 1)
+                if e >= 0:
+                    held[e] = 0
+                    if up:
+                        if e >= p:
+                            p = rfind(1, 0, p)
+                    elif e <= p:
+                        p = find(1, p + 1)
+                at.append(p)
+            self._pointer[j] = p
+            out[j] = self._sorted[at]
+        self._seen = stop
+        return out
+
+
+class EAdaUcbPolicy(IndexPolicy):
     """AdaUCB with truncation thresholds tracked online as empirical load
     quantiles (recomputed each step from all loads seen so far, including the
     current one, or from a trailing window when configured)."""
@@ -231,7 +376,7 @@ class EAdaUcbPolicy(_IndexPolicy):
 
     def observe_load(self, load: float) -> Thresholds:
         """Feed one raw load into the sketch and return the thresholds now in
-        effect.  ``select`` calls this automatically."""
+        effect.  ``select`` feeds the sketch itself."""
         self.load_sketch.insert(load)
         return self.thresholds
 
@@ -243,11 +388,22 @@ class EAdaUcbPolicy(_IndexPolicy):
         )
 
     def _observe_load(self, load: float) -> None:
-        self.observe_load(load)
+        self.load_sketch.insert(load)
 
-    def _choose(self, t: int, load: float, rng=None) -> int:
-        ltil = normalize_load(load, self.thresholds)
-        return self._argmax_index(t, self.alpha * (1.0 - ltil) * math.log(t))
+    def observe_loads(self, loads: np.ndarray) -> None:
+        self.load_sketch.extend(loads.tolist())
+
+    def _normalized(self, load: float) -> float:
+        return normalize_load(load, self.thresholds)
+
+    def _normalized_chunks(self, loads):
+        quantiles = RunningQuantiles(loads, (self.lower_quantile, self.upper_quantile), self.window)
+
+        def normalized(i0: int, i1: int) -> np.ndarray:
+            lower, upper = quantiles.advance(i1)[:, i0 - i1 :]
+            return normalize_loads(loads[i0:i1], lower, upper)
+
+        return normalized
 
 
 class ThompsonPolicy(Policy):
@@ -377,7 +533,7 @@ class OraclePolicy(Policy):
         pass
 
 
-class RoundRobinGreedyPolicy(_IndexPolicy):
+class RoundRobinGreedyPolicy(IndexPolicy):
     """Naive opportunistic heuristic: round-robin exploration whenever the
     normalized load is exactly 0, greedy on the empirical means otherwise."""
 
@@ -397,13 +553,21 @@ class RoundRobinGreedyPolicy(_IndexPolicy):
             arm = self._next
             self._next = (arm + 1) % self.n_arms
             return arm
-        best = -math.inf
-        arm = 0
-        for k, state in enumerate(self.arm_states):
-            if state.mean_reward > best:
-                best = state.mean_reward
-                arm = k
-        return arm
+        return self._argmax_index(t, 0.0)  # greedy: mean + sqrt(0) is the mean
+
+    def exploration_schedule(self, loads: np.ndarray) -> Schedule:
+        """Greedy (``c_t = 0``) on loaded slots; on free slots a forced
+        pull, ``-1 - arm``, of the next arm in the round robin."""
+        lower, upper = self.thresholds.lower, self.thresholds.upper
+
+        def schedule(i0: int, i1: int) -> list:
+            out = [0.0] * (i1 - i0)
+            for j in np.flatnonzero(normalize_loads(loads[i0:i1], lower, upper) == 0.0).tolist():
+                out[j] = -1 - self._next
+                self._next = (self._next + 1) % self.n_arms
+            return out
+
+        return schedule
 
 
 def select_arm(policy: Policy, t: int, load, rng: RngStream | None = None) -> int:

@@ -1,6 +1,17 @@
 """The experiment run loop: reveal load, let the policy pick an arm, draw the
 nominal reward, update the policy, accumulate load-weighted regret.
 
+Two loops implement it, and :func:`run_once` picks one by the policy's
+class.  The index family (``ucb``, ``adaucb``, ``eadaucb`` and
+``rr-greedy``, every :class:`~opbandit.policies.IndexPolicy`) takes the step
+kernel: the policy supplies each step's exploration coefficient ``c_t`` and
+the reward model every arm's reward, a chunk of steps at a time, and one
+argmax loop shared by the family picks the arms.  Everything else (``ts``,
+``linucb``, ``oracle``, and any object that only offers ``select`` and
+``update``, such as a proxy that times each call) takes the per-step loop,
+which calls ``select`` and ``update`` at every step.  The per-step loop is
+also the reference: the kernel's traces equal its traces byte for byte.
+
 Regret is expected pseudo-regret by default: each step adds
 ``load * (best_mean - mean[chosen])`` using the true arm means, which is the
 unbiased low-variance estimator of the load-weighted regret.  A realized
@@ -14,13 +25,14 @@ replication count, and reseeding rewards never perturbs the load sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import BanditInstance, RngStream, derive_stream_id
 from .environments import BernoulliReward, DiracReward, LoadModel, RewardModel
-from .policies import Policy
+from .policies import IndexPolicy, Policy
 
 __all__ = [
     "ReplicationTrace",
@@ -134,6 +146,10 @@ def run_once(
         raise ValueError("stochastic reward model needs a reward stream")
 
     loads = load_model.sample_loads(horizon, load_rng)
+    if isinstance(policy, IndexPolicy):
+        return _run_index_policy(
+            bandit, loads, reward_model, policy, pts, reward_rng, realized, record_steps
+        )
     load_list = loads.tolist()
     best_mean = bandit.best_mean
     gaps = list(bandit.gaps)
@@ -191,6 +207,111 @@ def run_once(
             next_pt += 1
             next_pt_t = pt_list[next_pt] if next_pt < len(pt_list) else 0
 
+    return ReplicationTrace(
+        checkpoints=pts,
+        regret=ck_regret,
+        pulls=ck_pulls,
+        full_regret=full_regret,
+        full_pulls=full_pulls,
+    )
+
+
+#: steps per chunk of the index-policy kernel: enough to amortize the numpy
+#: calls made per chunk, few enough that no horizon-long Python list is held
+CHUNK = 1024
+
+
+def _run_index_policy(
+    bandit: BanditInstance,
+    loads: np.ndarray,
+    reward_model: RewardModel,
+    policy: IndexPolicy,
+    pts: np.ndarray,
+    reward_rng: RngStream | None,
+    realized: bool,
+    record_steps: bool,
+) -> ReplicationTrace:
+    """The step kernel of the index family: the same replication as the
+    per-step loop of :func:`run_once`, bit for bit.
+
+    Chunk by chunk, the policy's exploration schedule gives each step's
+    ``c_t`` (or a forced arm) and the reward model gives every arm's reward;
+    the loop picks ``argmax mean + sqrt(c_t / pulls)`` (ties toward the
+    lowest arm) with the same :class:`ArmState` arithmetic, and the regret
+    is accumulated per chunk, in step order, from the arms it chose.
+    """
+    horizon, n_arms = len(loads), bandit.n_arms
+    schedule = policy.exploration_schedule(loads)
+    states = policy.arm_states
+    means = [s.mean_reward for s in states]
+    pulls = [s.pulls for s in states]
+    sums = [s.sum_reward for s in states]
+    gaps = np.array(bandit.gaps)
+    sqrt = math.sqrt
+    arm_range = range(n_arms)
+    floor = -math.inf
+
+    pulled = np.zeros(n_arms, dtype=np.int64)
+    regret = 0.0
+    pt_list = pts.tolist()
+    ck_regret = np.empty(len(pt_list))
+    ck_pulls = np.empty((len(pt_list), n_arms), dtype=np.int64)
+    full_regret = np.empty(horizon) if record_steps else None
+    full_pulls = np.empty((horizon, n_arms), dtype=np.int64) if record_steps else None
+    next_pt = 0
+
+    ends = sorted({n_arms, horizon, *range(CHUNK, horizon, CHUNK)})
+    i0 = 0
+    for i1 in ends:
+        if i1 <= n_arms:  # the init round pulls arms 0..K-1 in order
+            cs = list(range(-1 - i0, -1 - i1, -1))
+        else:
+            cs = schedule(i0, i1)
+        rows = reward_model.reward_rows(i0 + 1, i1 - i0, reward_rng)
+        chosen = []
+        for c, row in zip(cs, rows.tolist()):
+            if c < 0:  # forced pull of arm -1 - c
+                arm = -1 - c
+            elif c == 0.0:  # greedy: each index is its mean (max keeps the first)
+                arm = means.index(max(means))
+            else:
+                best = floor
+                for k in arm_range:
+                    v = means[k] + sqrt(c / pulls[k])
+                    if v > best:
+                        best = v
+                        arm = k
+            x = row[arm]
+            p = pulls[arm] + 1
+            s = sums[arm] + x
+            pulls[arm] = p
+            sums[arm] = s
+            means[arm] = s / p
+            chosen.append(arm)
+
+        arms = np.array(chosen)
+        step_loads = loads[i0:i1]
+        if realized:
+            cost = step_loads * (bandit.best_mean - rows[np.arange(i1 - i0), arms])
+        else:
+            cost = step_loads * gaps[arms]
+        running = np.cumsum(np.concatenate(([regret], cost)))[1:]
+        regret = float(running[-1])
+        if record_steps:
+            full_regret[i0:i1] = running
+            full_pulls[i0:i1] = pulled + np.cumsum(np.eye(n_arms, dtype=np.int64)[arms], axis=0)
+        while next_pt < len(pt_list) and pt_list[next_pt] <= i1:
+            j = pt_list[next_pt] - i0  # steps of this chunk up to the checkpoint
+            ck_regret[next_pt] = running[j - 1]
+            ck_pulls[next_pt] = pulled + np.bincount(arms[:j], minlength=n_arms)
+            next_pt += 1
+        pulled += np.bincount(arms, minlength=n_arms)
+        i0 = i1
+
+    for state, m, p, s in zip(states, means, pulls, sums):
+        state.mean_reward, state.pulls, state.sum_reward = m, p, s
+    del schedule  # its per-run arrays go before the policy keeps the loads
+    policy.observe_loads(loads)
     return ReplicationTrace(
         checkpoints=pts,
         regret=ck_regret,

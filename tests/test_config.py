@@ -4,6 +4,7 @@ import pytest
 import yaml
 from scipy.special import betaincinv
 
+from opbandit import config
 from opbandit.config import (
     ConfigError,
     ExperimentConfig,
@@ -12,7 +13,7 @@ from opbandit.config import (
     dump_config,
     parse_config,
 )
-from opbandit.environments import BetaLoad, PeriodicSquareWaveLoad
+from opbandit.environments import BetaLoad, PeriodicSquareWaveLoad, load_trace
 
 MINIMAL = {
     "name": "tiny",
@@ -126,7 +127,9 @@ class TestBuildPlan:
         assert set(plan.policies) == {"adaucb", "ucb"}
         assert plan.bandit.n_arms == 2
 
-    def test_trace_scale_recorded(self, tmp_path):
+    def test_trace_scale_recorded(self, tmp_path, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(config, "load_trace", lambda path: parsed.append(path) or load_trace(path))
         p = tmp_path / "t.csv"
         p.write_text("0.5,0.6,0.4\n1.0,0.7,0.2\n2.0,0.6,0.5\n")
         doc = {
@@ -139,6 +142,9 @@ class TestBuildPlan:
         plan = build_plan(parse_config(doc))
         assert plan.resolved["trace_load"]["scale"] == 2.0
         assert plan.resolved["trace_reward"]["means"] == pytest.approx([0.6 + 1 / 30, 11 / 30])
+        # one file for both columns: parsed once, shared
+        assert parsed == [str(p)]
+        assert plan.reward_model.data is plan.load_model.data
 
     def test_default_checkpoints_generated(self):
         plan = build_plan(parse_config(MINIMAL))

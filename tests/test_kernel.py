@@ -1,0 +1,295 @@
+"""The index-policy step kernel against the per-step reference loop, and the
+rank-pointer running quantiles against the sorted-list sketch."""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from opbandit import simulator
+from opbandit.core import BanditInstance, RngStream, Thresholds
+from opbandit.environments import (
+    BernoulliReward,
+    BetaLoad,
+    DiracReward,
+    LoadModel,
+    RewardModel,
+    TraceData,
+    TraceReward,
+)
+from opbandit.policies import (
+    AdaUcbPolicy,
+    EAdaUcbPolicy,
+    LoadQuantileSketch,
+    RoundRobinGreedyPolicy,
+    RunningQuantiles,
+    UcbPolicy,
+)
+from opbandit.simulator import default_checkpoints, replication_streams, run_once
+
+KINDS = ("ucb", "adaucb", "eadaucb", "eadaucb-window", "rr-greedy")
+
+
+class PerStep:
+    """Hides the policy's class, so ``run_once`` takes the per-step loop."""
+
+    def __init__(self, policy):
+        self.select = policy.select
+        self.update = policy.update
+
+
+class JitterReward(RewardModel):
+    """A model with only the scalar ``reward_at``: arm k pays its mean
+    shifted by a step-dependent jitter of one uniform."""
+
+    def __init__(self, means):
+        self.arm_means = tuple(means)
+
+    @property
+    def means(self):
+        return self.arm_means
+
+    def reward_at(self, arm, t, u):
+        return min(1.0, max(0.0, self.arm_means[arm] + 0.1 * (u - 0.5) * (t % 3)))
+
+
+class FixedLoad(LoadModel):
+    uses_rng = False
+
+    def __init__(self, loads):
+        self.loads = np.asarray(loads, dtype=float)
+
+    def sample_loads(self, horizon, rng):
+        return self.loads[:horizon].copy()
+
+
+def make_policy(kind, n_arms, lower, upper):
+    if kind == "ucb":
+        return UcbPolicy(n_arms, 0.51)
+    if kind == "adaucb":
+        return AdaUcbPolicy(n_arms, 0.51, Thresholds(lower, upper))
+    if kind == "eadaucb":
+        return EAdaUcbPolicy(n_arms, 0.51, lower, upper)
+    if kind == "eadaucb-window":
+        return EAdaUcbPolicy(n_arms, 0.51, lower, upper, window=5)
+    return RoundRobinGreedyPolicy(n_arms, Thresholds(lower, upper))
+
+
+def run_both(make, load_model, reward_model, horizon, checkpoints, realized=False, record_steps=False):
+    """(reference trace, kernel trace, reference policy, kernel policy)."""
+    out = []
+    policies = [make(), make()]
+    for policy, wrapped in zip(policies, (PerStep(policies[0]), policies[1])):
+        streams = replication_streams(4, "kernel", 0)
+        out.append(
+            run_once(
+                BanditInstance(reward_model.means),
+                load_model,
+                reward_model,
+                wrapped,
+                horizon,
+                checkpoints,
+                streams["load"],
+                streams["reward"],
+                streams["policy"],
+                realized=realized,
+                record_steps=record_steps,
+            )
+        )
+    return out[0], out[1], policies[0], policies[1]
+
+
+def assert_same_bytes(ref, fast):
+    for field in ("checkpoints", "regret", "pulls", "full_regret", "full_pulls"):
+        a, b = getattr(ref, field), getattr(fast, field)
+        if a is None:
+            assert b is None, field
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape, field
+            assert a.tobytes() == b.tobytes(), field
+
+
+def assert_same_state(ref, fast):
+    assert ref.arm_states == fast.arm_states
+    assert [s.mean_reward for s in ref.arm_states] == [s.mean_reward for s in fast.arm_states]
+    if isinstance(ref, EAdaUcbPolicy):
+        assert ref.thresholds == fast.thresholds
+        assert len(ref.load_sketch) == len(fast.load_sketch)
+    if isinstance(ref, RoundRobinGreedyPolicy):
+        assert ref._next == fast._next
+
+
+# loads drawn from a small grid (ties, and values on the thresholds) in
+# constant runs
+GRID = (0.0, 0.05, 0.2, 0.2, 0.5, 0.8, 0.95, 1.0)
+runs = st.lists(st.tuples(st.sampled_from(GRID), st.integers(1, 12)), min_size=1, max_size=40)
+
+
+@st.composite
+def scenarios(draw):
+    n_arms = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(KINDS))
+    loads = [v for v, n in draw(runs) for _ in range(n)]
+    horizon = max(len(loads), n_arms)
+    loads += [0.5] * (horizon - len(loads))
+    if kind.startswith("eadaucb"):
+        lower = draw(st.sampled_from((0.01, 0.05, 0.5, 0.95)))
+        upper = draw(st.sampled_from((lower, 0.95, 0.99)).filter(lambda u: u >= lower))
+    else:
+        lower = draw(st.sampled_from(GRID))
+        upper = draw(st.sampled_from(GRID).filter(lambda u: u >= lower))
+    reward_kind = draw(st.sampled_from(("bernoulli", "dirac", "trace", "jitter")))
+    means = draw(st.lists(st.floats(0.0, 1.0), min_size=n_arms, max_size=n_arms))
+    if reward_kind == "bernoulli":
+        reward = BernoulliReward(tuple(means))
+    elif reward_kind == "dirac":
+        reward = DiracReward(tuple(means))
+    elif reward_kind == "jitter":
+        reward = JitterReward(means)
+    else:
+        rows = draw(st.integers(1, 30))
+        seed = draw(st.integers(0, 2**32 - 1))
+        cells = np.random.default_rng(seed).random((rows, n_arms))
+        if draw(st.booleans()):
+            cells = (cells < 0.5).astype(float)
+        reward = TraceReward(TraceData(loads=np.ones(rows), rewards=cells, scale=1.0))
+    pts = draw(st.lists(st.integers(1, horizon), min_size=1, max_size=8, unique=True))
+    return dict(
+        kind=kind,
+        n_arms=n_arms,
+        loads=loads,
+        lower=lower,
+        upper=upper,
+        reward=reward,
+        horizon=horizon,
+        checkpoints=sorted(pts),
+        realized=draw(st.booleans()),
+        record_steps=draw(st.booleans()),
+        chunk=draw(st.integers(1, 50)),
+    )
+
+
+class TestKernelMatchesPerStepLoop:
+    @given(scenarios())
+    def test_random_scenarios_byte_for_byte(self, sc):
+        def make():
+            return make_policy(sc["kind"], sc["n_arms"], sc["lower"], sc["upper"])
+
+        with mock.patch.object(simulator, "CHUNK", sc["chunk"]):
+            ref, fast, p_ref, p_fast = run_both(
+                make,
+                FixedLoad(sc["loads"]),
+                sc["reward"],
+                sc["horizon"],
+                sc["checkpoints"],
+                sc["realized"],
+                sc["record_steps"],
+            )
+        assert_same_bytes(ref, fast)
+        assert_same_state(p_ref, p_fast)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_long_beta_run_every_kind(self, kind):
+        # several full chunks, Bernoulli rewards drawn chunk by chunk
+        means = (0.05, 0.1, 0.15, 0.2, 0.25)
+        ref, fast, p_ref, p_fast = run_both(
+            lambda: make_policy(kind, 5, 0.05, 0.95),
+            BetaLoad(2.0, 2.0),
+            BernoulliReward(means),
+            3 * simulator.CHUNK + 17,
+            default_checkpoints(3 * simulator.CHUNK + 17),
+            realized=kind == "ucb",
+            record_steps=kind == "adaucb",
+        )
+        assert_same_bytes(ref, fast)
+        assert_same_state(p_ref, p_fast)
+
+    def test_ln_t_is_math_log_where_numpy_differs(self):
+        # np.log is not correctly rounded everywhere; the kernel must use
+        # math.log, or an argmax at such a t can flip
+        horizon = 9200
+        ts = np.arange(1, horizon + 1)
+        differ = ts[np.log(ts.astype(float)) != np.fromiter(map(math.log, ts.tolist()), float)]
+        t = int(differ[0]) if len(differ) else 9170
+        schedule = UcbPolicy(3, 0.51).exploration_schedule(np.zeros(horizon))
+        assert schedule(t - 1, t)[0] == 0.51 * math.log(t)
+        for kind in ("ucb", "adaucb"):
+            ref, fast, _, _ = run_both(
+                lambda: make_policy(kind, 3, 0.2, 0.8),
+                BetaLoad(2.0, 2.0),
+                BernoulliReward((0.5, 0.52, 0.55)),
+                horizon,
+                [t - 1, t, horizon],
+                record_steps=True,
+            )
+            assert_same_bytes(ref, fast)
+
+    @pytest.mark.parametrize("kind", ["adaucb", "eadaucb", "rr-greedy"])
+    @pytest.mark.parametrize("per_step", [True, False])
+    def test_non_finite_load_rejected(self, kind, per_step):
+        policy = make_policy(kind, 2, 0.2, 0.8)
+        loads = FixedLoad([0.5] * 10 + [math.nan] + [0.5] * 9)
+        with pytest.raises(ValueError, match="finite"):
+            run_once(
+                BanditInstance((0.6, 0.4)),
+                loads,
+                DiracReward((0.6, 0.4)),
+                PerStep(policy) if per_step else policy,
+                20,
+                [20],
+                None,
+                None,
+                None,
+            )
+
+
+    @pytest.mark.parametrize("per_step", [True, False])
+    def test_out_of_range_reward_rejected(self, per_step):
+        class Overpaying(JitterReward):
+            def reward_at(self, arm, t, u):
+                return 1.5
+
+        policy = UcbPolicy(2, 0.51)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            run_once(
+                BanditInstance((0.6, 0.4)),
+                FixedLoad([0.5] * 20),
+                Overpaying((0.6, 0.4)),
+                PerStep(policy) if per_step else policy,
+                20,
+                [20],
+                None,
+                RngStream(1, 0),
+                None,
+            )
+
+
+class TestRunningQuantiles:
+    @given(
+        values=st.lists(st.sampled_from(GRID) | st.floats(-5.0, 5.0), min_size=1, max_size=120),
+        q=st.sampled_from((1e-9, 0.01, 0.05, 0.5, 0.95, 0.99, 1 - 1e-9)) | st.floats(0.001, 0.999),
+        window=st.none() | st.integers(1, 20),
+        chunk=st.integers(1, 30),
+    )
+    def test_matches_sorted_sketch(self, values, q, window, chunk):
+        sketch = LoadQuantileSketch(window)
+        expected = []
+        for v in values:
+            sketch.insert(v)
+            expected.append(sketch.quantile(q))
+        running = RunningQuantiles(np.array(values), (q, 1.0 - q), window)
+        got = [running.advance(min(i + chunk, len(values)))[0] for i in range(0, len(values), chunk)]
+        assert np.concatenate(got).tolist() == expected
+
+    def test_extend_equals_inserts(self):
+        rng = RngStream(3, 0)
+        values = rng.random(50).tolist()
+        for window in (None, 1, 7):
+            a, b = LoadQuantileSketch(window), LoadQuantileSketch(window)
+            for v in values:
+                a.insert(v)
+            b.extend(values)
+            assert a._sorted == b._sorted and len(a) == len(b)

@@ -326,6 +326,16 @@ class TestEAdaUcb:
         assert len(policy.load_sketch) == 1
         assert policy.thresholds.lower == 0.3
 
+    def test_select_reads_each_quantile_once(self, monkeypatch):
+        policy = EAdaUcbPolicy(2, alpha=1.0)
+        for t in (1, 2):
+            policy.update(policy.select(t, 0.1 * t), 0.5)
+        asked = []
+        quantile = policy.load_sketch.quantile
+        monkeypatch.setattr(policy.load_sketch, "quantile", lambda q: asked.append(q) or quantile(q))
+        policy.select(3, 0.5)
+        assert asked == [policy.lower_quantile, policy.upper_quantile]
+
     def test_reset_clears_sketch(self):
         policy = EAdaUcbPolicy(2, alpha=1.0, window=5)
         policy.observe_load(0.2)
