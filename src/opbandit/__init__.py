@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .core import (
     ArmState,
     BanditInstance,
-    LoadSample,
     RngStream,
     Thresholds,
     binary_normalize,
@@ -26,7 +25,6 @@ __all__ = [
     "__version__",
     "ArmState",
     "BanditInstance",
-    "LoadSample",
     "RngStream",
     "Thresholds",
     "binary_normalize",

@@ -24,7 +24,6 @@ import yaml
 from .bounds import DEFAULT_QUADRATURE_STEP, evaluate_bounds
 from .config import ConfigError, ExperimentConfig, build_plan, load_config, parse_config
 from .report import (
-    config_dict_from_metadata,
     load_metadata,
     read_bounds_csv,
     read_results_csv,

@@ -6,6 +6,12 @@ Truncation thresholds may be given as absolute levels, as probabilities
 resolved against the load model's quantile function, or as the literal
 string ``binary`` (lower threshold at the model's low level, upper at 1).
 
+No kind is listed here.  Each load, reward and policy kind is a class in a
+registry (``environments.LOAD_KINDS``, ``environments.REWARD_KINDS``,
+``policies.POLICY_KINDS``), and its entry's keys, their types and defaults,
+and which keys are required are read off the class's constructor: adding a
+kind means adding a class to its registry.
+
 ``build_plan`` turns a parsed config into ready-to-run model and policy
 objects and records every resolved quantity (thresholds, trace scale) so the
 output metadata is sufficient to reproduce a run bit-for-bit.
@@ -13,38 +19,26 @@ output metadata is sufficient to reproduce a run bit-for-bit.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+import functools
+import inspect
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import yaml
 
 from .core import BanditInstance, Thresholds
 from .environments import (
-    BernoulliReward,
-    BetaLoad,
-    BinaryRandomLoad,
-    DiracReward,
+    LOAD_KINDS,
+    REWARD_KINDS,
     LoadModel,
-    PeriodicSquareWaveLoad,
     RewardModel,
-    SemiPeriodicLoad,
     TraceData,
     TraceLoad,
     TraceReward,
-    UniformLoad,
     load_trace,
 )
-from .policies import (
-    AdaUcbPolicy,
-    EAdaUcbPolicy,
-    LinUcbDisjointPolicy,
-    OraclePolicy,
-    Policy,
-    RoundRobinGreedyPolicy,
-    ThompsonPolicy,
-    UcbPolicy,
-)
+from .policies import POLICY_KINDS, Policy
 from .simulator import default_checkpoints
 
 __all__ = [
@@ -197,218 +191,151 @@ class ThresholdSpec:
 # Load / reward / policy specifications
 # ---------------------------------------------------------------------------
 
-_LOAD_KINDS = {"square-wave", "binary", "beta", "uniform", "trace", "semiperiodic"}
-_REWARD_KINDS = {"dirac", "bernoulli", "trace"}
-_POLICY_KINDS = {"adaucb", "eadaucb", "ucb", "ts", "linucb", "oracle", "rr-greedy"}
+#: constructor parameters that the plan supplies, not the config
+_PLANNED = ("n_arms", "best_arm")
 
-_LOAD_FIELDS = {
-    "square-wave": {"eps0", "eps1"},
-    "binary": {"eps0", "eps1", "rho"},
-    "beta": {"a", "b"},
-    "uniform": set(),
-    "trace": {"path"},
-    "semiperiodic": {"period", "base", "amplitude", "noise_a", "noise_b"},
+
+def _as_optional_int(value, fieldpath: str) -> int | None:
+    return None if value is None else _as_int(value, fieldpath)
+
+
+def _as_means(value, fieldpath: str) -> list[float]:
+    if not isinstance(value, (list, tuple)) or len(value) < 2:
+        raise ConfigError(fieldpath, "expected a list of at least 2 means")
+    return [_as_number(m, f"{fieldpath}[{i}]") for i, m in enumerate(value)]
+
+
+#: how a config value is read, by the annotation of its constructor parameter;
+#: a TraceData parameter is given as the ``path`` of its file
+_READERS = {
+    float: _as_number,
+    int: _as_int,
+    int | None: _as_optional_int,
+    tuple[float, ...]: _as_means,
+    Thresholds: ThresholdSpec.from_value,
+    TraceData: lambda value, fieldpath: str(value),
 }
 
 
+def _parameters(cls) -> list[inspect.Parameter]:
+    return list(inspect.signature(cls, eval_str=True).parameters.values())
+
+
 @dataclass(frozen=True)
-class LoadSpec:
+class _Spec:
+    """A load, reward or policy entry: its kind and a value for every config
+    key of the kind's class (given, or the constructor default), in
+    signature order."""
+
     kind: str
-    eps0: float | None = None
-    eps1: float | None = None
-    rho: float | None = None
-    a: float | None = None
-    b: float | None = None
-    path: str | None = None
-    period: int | None = None
-    base: float | None = None
-    amplitude: float | None = None
-    noise_a: float | None = None
-    noise_b: float | None = None
+    params: dict
+
+    #: what the entry configures, for messages
+    family: ClassVar[str]
+    #: kind -> class
+    kinds: ClassVar[dict[str, type]]
+    #: keys every entry of the family may hold besides the class's own
+    common_keys: ClassVar[tuple[str, ...]] = ("kind",)
 
     @classmethod
-    def from_dict(cls, d, ctx: str) -> "LoadSpec":
+    def _parse(cls, d, ctx: str) -> tuple[str, dict]:
         if not isinstance(d, dict):
             raise ConfigError(ctx, f"expected a mapping, got {d!r}")
         kind = _require(d, "kind", ctx)
-        if kind not in _LOAD_KINDS:
-            raise ConfigError(f"{ctx}.kind", f"unknown load kind {kind!r}; one of {sorted(_LOAD_KINDS)}")
-        _unknown_keys(d, _LOAD_FIELDS[kind] | {"kind"}, ctx)
-        kw = {}
-        for name in _LOAD_FIELDS[kind]:
-            if name not in d:
-                continue
-            if name == "path":
-                kw[name] = str(d[name])
-            elif name == "period":
-                kw[name] = _as_int(d[name], f"{ctx}.{name}")
+        if kind not in cls.kinds:
+            raise ConfigError(
+                f"{ctx}.kind", f"unknown {cls.family} kind {kind!r}; one of {sorted(cls.kinds)}"
+            )
+        keys = {
+            "path" if p.annotation is TraceData else p.name: p
+            for p in _parameters(cls.kinds[kind])
+            if p.name not in _PLANNED
+        }
+        _unknown_keys(d, [*cls.common_keys, *keys], ctx)
+        params = {}
+        for key, p in keys.items():
+            if key in d:
+                params[key] = _READERS[p.annotation](d[key], f"{ctx}.{key}")
+            elif p.default is inspect.Parameter.empty:
+                raise ConfigError(f"{ctx}.{key}", "missing required field")
             else:
-                kw[name] = _as_number(d[name], f"{ctx}.{name}")
-        if kind == "trace" and "path" not in kw:
-            raise ConfigError(f"{ctx}.path", "missing required field")
-        return cls(kind=kind, **kw)
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if f.name != "kind" and v is not None:
-                out[f.name] = v
-        return out
-
-    def build(self, ctx: str = "load") -> LoadModel:
-        kw = {f: getattr(self, f) for f in _LOAD_FIELDS[self.kind] if getattr(self, f) is not None}
-        try:
-            if self.kind == "square-wave":
-                return PeriodicSquareWaveLoad(**kw)
-            if self.kind == "binary":
-                return BinaryRandomLoad(**kw)
-            if self.kind == "beta":
-                return BetaLoad(**kw)
-            if self.kind == "uniform":
-                return UniformLoad()
-            if self.kind == "semiperiodic":
-                return SemiPeriodicLoad(**kw)
-            return TraceLoad(load_trace(self.path))
-        except (ValueError, OSError) as exc:
-            raise ConfigError(ctx, str(exc)) from None
-
-
-@dataclass(frozen=True)
-class RewardSpec:
-    kind: str
-    means: tuple[float, ...] | None = None
-    path: str | None = None
+                params[key] = p.default
+        return kind, params
 
     @classmethod
-    def from_dict(cls, d, ctx: str) -> "RewardSpec":
-        if not isinstance(d, dict):
-            raise ConfigError(ctx, f"expected a mapping, got {d!r}")
-        kind = _require(d, "kind", ctx)
-        if kind not in _REWARD_KINDS:
-            raise ConfigError(f"{ctx}.kind", f"unknown reward kind {kind!r}; one of {sorted(_REWARD_KINDS)}")
-        if kind == "trace":
-            _unknown_keys(d, {"kind", "path"}, ctx)
-            path = str(_require(d, "path", ctx))
-            return cls(kind=kind, path=path)
-        _unknown_keys(d, {"kind", "means"}, ctx)
-        means = _require(d, "means", ctx)
-        if not isinstance(means, (list, tuple)) or len(means) < 2:
-            raise ConfigError(f"{ctx}.means", "expected a list of at least 2 means")
-        return cls(kind=kind, means=tuple(_as_number(m, f"{ctx}.means[{i}]") for i, m in enumerate(means)))
+    def from_dict(cls, d, ctx: str):
+        return cls(*cls._parse(d, ctx))
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
-        if self.means is not None:
-            out["means"] = list(self.means)
-        if self.path is not None:
-            out["path"] = self.path
+        for key, value in self.params.items():
+            if value is not None:
+                out[key] = value.to_value() if isinstance(value, ThresholdSpec) else value
         return out
 
-    def build(self, ctx: str = "reward", trace: TraceData | None = None) -> RewardModel:
-        """``trace``: the already parsed file at ``path``, if there is one."""
+    def build(self, ctx: str, read_trace=None, load_model: LoadModel | None = None, **planned):
+        """Instantiate the entry's class; returns (instance, its constructor
+        arguments).
+
+        ``planned`` holds the plan's values (``n_arms``, ``best_arm``),
+        ``read_trace`` parses a trace file (default :func:`load_trace`), and
+        thresholds are resolved against ``load_model``.
+        """
+        cls = self.kinds[self.kind]
+        args = {}
         try:
-            if self.kind == "dirac":
-                return DiracReward(self.means)
-            if self.kind == "bernoulli":
-                return BernoulliReward(self.means)
-            return TraceReward(trace if trace is not None else load_trace(self.path))
+            for p in _parameters(cls):
+                if p.name in _PLANNED:
+                    args[p.name] = planned[p.name]
+                elif p.annotation is TraceData:
+                    args[p.name] = (read_trace or load_trace)(self.params["path"])
+                elif p.annotation is Thresholds:
+                    args[p.name] = self.params[p.name].resolve(load_model, f"{ctx}.{p.name}")
+                else:
+                    args[p.name] = self.params[p.name]
+            return cls(**args), args
+        except ConfigError:
+            raise
         except (ValueError, OSError) as exc:
             raise ConfigError(ctx, str(exc)) from None
 
 
+class LoadSpec(_Spec):
+    family = "load"
+    kinds = LOAD_KINDS
+
+
+class RewardSpec(_Spec):
+    family = "reward"
+    kinds = REWARD_KINDS
+
+
 @dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(_Spec):
     name: str
-    kind: str
-    alpha: float | None = None
-    thresholds: ThresholdSpec | None = None
-    lower_quantile: float = 0.05
-    upper_quantile: float = 0.95
-    window: int | None = None
+    family = "policy"
+    kinds = POLICY_KINDS
+    common_keys = ("name", "kind")
 
     @classmethod
     def from_dict(cls, d, ctx: str) -> "PolicySpec":
-        if not isinstance(d, dict):
-            raise ConfigError(ctx, f"expected a mapping, got {d!r}")
-        kind = _require(d, "kind", ctx)
-        if kind not in _POLICY_KINDS:
-            raise ConfigError(f"{ctx}.kind", f"unknown policy kind {kind!r}; one of {sorted(_POLICY_KINDS)}")
-        name = str(d.get("name", kind))
-        _unknown_keys(
-            d,
-            {"name", "kind", "alpha", "thresholds", "lower_quantile", "upper_quantile", "window"},
-            ctx,
-        )
-        kw = {}
-        if "alpha" in d:
-            kw["alpha"] = _as_number(d["alpha"], f"{ctx}.alpha")
-        if "thresholds" in d:
-            kw["thresholds"] = ThresholdSpec.from_value(d["thresholds"], f"{ctx}.thresholds")
-        if "lower_quantile" in d:
-            kw["lower_quantile"] = _as_number(d["lower_quantile"], f"{ctx}.lower_quantile")
-        if "upper_quantile" in d:
-            kw["upper_quantile"] = _as_number(d["upper_quantile"], f"{ctx}.upper_quantile")
-        if "window" in d and d["window"] is not None:
-            kw["window"] = _as_int(d["window"], f"{ctx}.window")
-        needs_alpha = kind in {"adaucb", "eadaucb", "ucb", "linucb"}
-        if needs_alpha and "alpha" not in kw:
-            raise ConfigError(f"{ctx}.alpha", f"policy kind {kind!r} requires alpha")
-        if kind in {"adaucb", "rr-greedy"} and "thresholds" not in kw:
-            raise ConfigError(f"{ctx}.thresholds", f"policy kind {kind!r} requires thresholds")
-        return cls(name=name, kind=kind, **kw)
+        kind, params = cls._parse(d, ctx)
+        return cls(kind, params, str(d.get("name", kind)))
 
     def to_dict(self) -> dict:
-        out = {"name": self.name, "kind": self.kind}
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
-        if self.thresholds is not None:
-            out["thresholds"] = self.thresholds.to_value()
-        if self.kind == "eadaucb":
-            out["lower_quantile"] = self.lower_quantile
-            out["upper_quantile"] = self.upper_quantile
-            if self.window is not None:
-                out["window"] = self.window
-        return out
+        return {"name": self.name, **super().to_dict()}
 
-    def build(self, bandit: BanditInstance, load_model: LoadModel, ctx: str) -> tuple[Policy, dict]:
-        """Instantiate the policy; returns (policy, resolved-parameter dict)."""
-        n = bandit.n_arms
-        resolved = {"kind": self.kind}
-        try:
-            if self.kind == "adaucb":
-                th = self.thresholds.resolve(load_model, f"{ctx}.thresholds")
-                resolved.update(alpha=self.alpha, lower=th.lower, upper=th.upper)
-                return AdaUcbPolicy(n, self.alpha, th), resolved
-            if self.kind == "eadaucb":
-                resolved.update(
-                    alpha=self.alpha,
-                    lower_quantile=self.lower_quantile,
-                    upper_quantile=self.upper_quantile,
-                    window=self.window,
-                )
-                return (
-                    EAdaUcbPolicy(n, self.alpha, self.lower_quantile, self.upper_quantile, self.window),
-                    resolved,
-                )
-            if self.kind == "ucb":
-                resolved.update(alpha=self.alpha)
-                return UcbPolicy(n, self.alpha), resolved
-            if self.kind == "ts":
-                return ThompsonPolicy(n), resolved
-            if self.kind == "linucb":
-                resolved.update(alpha=self.alpha)
-                return LinUcbDisjointPolicy(n, self.alpha), resolved
-            if self.kind == "oracle":
-                resolved.update(best_arm=bandit.best_arm)
-                return OraclePolicy(n, bandit.best_arm), resolved
-            th = self.thresholds.resolve(load_model, f"{ctx}.thresholds")
-            resolved.update(lower=th.lower, upper=th.upper)
-            return RoundRobinGreedyPolicy(n, th), resolved
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(ctx, str(exc)) from None
+
+def _resolved(kind: str, args: dict) -> dict:
+    """A policy's metadata record: its kind and constructor arguments but the
+    arm count, with thresholds as their ``lower``/``upper`` levels."""
+    out = {"kind": kind}
+    for name, value in args.items():
+        if isinstance(value, Thresholds):
+            out.update(lower=value.lower, upper=value.upper)
+        elif name != "n_arms":
+            out[name] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +478,10 @@ class ExperimentPlan:
 
 
 def build_plan(cfg: ExperimentConfig) -> ExperimentPlan:
-    load_model = cfg.load.build("load")
-    # a trace that holds both the loads and the rewards is parsed once
-    shared = isinstance(load_model, TraceLoad) and cfg.reward.path == cfg.load.path
-    reward_model = cfg.reward.build("reward", load_model.data if shared else None)
+    # a trace file that holds both the loads and the rewards is parsed once
+    read_trace = functools.cache(load_trace)
+    load_model, _ = cfg.load.build("load", read_trace)
+    reward_model, _ = cfg.reward.build("reward", read_trace)
     bandit = BanditInstance(reward_model.means)
     if cfg.horizon < bandit.n_arms:
         raise ConfigError("horizon", f"must cover the init round of {bandit.n_arms} arms")
@@ -562,9 +489,11 @@ def build_plan(cfg: ExperimentConfig) -> ExperimentPlan:
     policies: dict[str, Policy] = {}
     resolved: dict[str, dict] = {}
     for i, spec in enumerate(cfg.policies):
-        policy, info = spec.build(bandit, load_model, f"policies[{i}]")
+        policy, args = spec.build(
+            f"policies[{i}]", load_model=load_model, n_arms=bandit.n_arms, best_arm=bandit.best_arm
+        )
         policies[spec.name] = policy
-        resolved[spec.name] = info
+        resolved[spec.name] = _resolved(spec.kind, args)
 
     if cfg.checkpoints is not None:
         checkpoints = np.asarray(cfg.checkpoints, dtype=int)

@@ -24,7 +24,6 @@ from scipy.special import betaincinv
 __all__ = [
     "ArmState",
     "BanditInstance",
-    "LoadSample",
     "Thresholds",
     "RngStream",
     "derive_stream_id",
@@ -59,9 +58,6 @@ class ArmState:
         self.pulls = pulls
         self.sum_reward = s
         self.mean_reward = s / pulls
-
-    def copy(self) -> "ArmState":
-        return ArmState(self.pulls, self.sum_reward)
 
     def __repr__(self) -> str:
         return f"ArmState(pulls={self.pulls}, mean={self.mean_reward:.6g})"
@@ -128,22 +124,6 @@ class Thresholds:
             raise ValueError(
                 f"lower threshold {self.lower} exceeds upper threshold {self.upper}"
             )
-
-
-@dataclass(frozen=True)
-class LoadSample:
-    """A raw load value paired with its normalized form in [0, 1]."""
-
-    raw: float
-    normalized: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.normalized <= 1.0:
-            raise ValueError(f"normalized load must be in [0, 1], got {self.normalized}")
-
-    @classmethod
-    def from_raw(cls, raw: float, thresholds: Thresholds) -> "LoadSample":
-        return cls(raw=raw, normalized=normalize_load(raw, thresholds))
 
 
 def normalize_load(raw: float, thresholds: Thresholds) -> float:

@@ -1,9 +1,14 @@
 """Load and nominal-reward generators, plus trace-file ingestion.
 
-Every stochastic model consumes exactly one uniform draw per time step, so
-the scalar API (``next_load`` / ``sample_reward``) and the bulk API
-(``sample_loads`` / ``reward_rows``) walk the stream identically.  Time
-indices are 1-based throughout.
+Models are drawn in bulk only: a load model gives a whole run's loads
+(``sample_loads``) and a reward model every arm's rewards over a span of
+steps (``reward_rows``).  Every stochastic model consumes exactly one
+uniform draw per time step, so a span drawn in pieces equals the span drawn
+at once.  Time indices are 1-based throughout.
+
+Each concrete class names its config ``kind`` and sits in
+:data:`LOAD_KINDS` or :data:`REWARD_KINDS`; its constructor parameters are
+its config keys.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc, betaincinv
+from scipy.special import betaincinv
 
 from .core import RngStream
 
@@ -31,8 +36,8 @@ __all__ = [
     "TraceReward",
     "TraceData",
     "load_trace",
-    "next_load",
-    "sample_reward",
+    "LOAD_KINDS",
+    "REWARD_KINDS",
 ]
 
 log = logging.getLogger(__name__)
@@ -52,38 +57,22 @@ def _check_eps(name: str, value: float) -> float:
 class LoadModel:
     """Base class for load generators.
 
-    Subclasses implement :meth:`load_at`, a pure function of the time step
-    and (for stochastic models) a single uniform draw.
+    Subclasses implement :meth:`_bulk`, the loads of steps 1..horizon as a
+    function of one uniform per step (for stochastic models).
     """
 
+    #: the config kind of a concrete model
+    kind: str
     #: whether one uniform is consumed per step
     uses_rng: bool = True
 
-    def load_at(self, t: int, u: float | None) -> float:
-        raise NotImplementedError
-
-    def next_load(self, t: int, rng: RngStream | None) -> float:
-        """Load for step ``t`` (t >= 1), drawing from ``rng`` if stochastic."""
-        if t < 1:
-            raise ValueError(f"time step must be >= 1, got {t}")
-        u = rng.random() if self.uses_rng else None
-        return self.load_at(t, u)
-
     def sample_loads(self, horizon: int, rng: RngStream | None) -> np.ndarray:
-        """Loads for steps 1..horizon as one array.
-
-        Produces exactly the sequence that ``horizon`` successive
-        :meth:`next_load` calls would.
-        """
+        """Loads for steps 1..horizon as one array."""
         us = rng.random(horizon) if self.uses_rng else None
         return self._bulk(horizon, us)
 
     def _bulk(self, horizon: int, us: np.ndarray | None) -> np.ndarray:
-        ts = np.arange(1, horizon + 1)
-        out = np.empty(horizon)
-        for i, t in enumerate(ts):
-            out[i] = self.load_at(int(t), None if us is None else float(us[i]))
-        return out
+        raise NotImplementedError
 
     def quantile(self, p: float) -> float:
         """Inverse CDF of the marginal load distribution (used to resolve
@@ -100,14 +89,12 @@ class PeriodicSquareWaveLoad(LoadModel):
 
     eps0: float = 0.0
     eps1: float = 0.0
+    kind = "square-wave"
     uses_rng = False
 
     def __post_init__(self):
         _check_eps("eps0", self.eps0)
         _check_eps("eps1", self.eps1)
-
-    def load_at(self, t: int, u: float | None = None) -> float:
-        return self.eps0 if t % 2 == 0 else 1.0 - self.eps1
 
     def _bulk(self, horizon: int, us=None) -> np.ndarray:
         ts = np.arange(1, horizon + 1)
@@ -126,15 +113,13 @@ class BinaryRandomLoad(LoadModel):
     eps0: float = 0.0
     eps1: float = 0.0
     rho: float = 0.5
+    kind = "binary"
 
     def __post_init__(self):
         _check_eps("eps0", self.eps0)
         _check_eps("eps1", self.eps1)
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must be in [0, 1], got {self.rho}")
-
-    def load_at(self, t: int, u: float) -> float:
-        return self.eps0 if u < self.rho else 1.0 - self.eps1
 
     def _bulk(self, horizon: int, us: np.ndarray) -> np.ndarray:
         return np.where(us < self.rho, self.eps0, 1.0 - self.eps1)
@@ -150,13 +135,11 @@ class BetaLoad(LoadModel):
 
     a: float = 2.0
     b: float = 2.0
+    kind = "beta"
 
     def __post_init__(self):
         if self.a <= 0 or self.b <= 0:
             raise ValueError(f"beta shape parameters must be > 0, got ({self.a}, {self.b})")
-
-    def load_at(self, t: int, u: float) -> float:
-        return float(betaincinv(self.a, self.b, u))
 
     def _bulk(self, horizon: int, us: np.ndarray) -> np.ndarray:
         return betaincinv(self.a, self.b, us)
@@ -165,16 +148,12 @@ class BetaLoad(LoadModel):
         _check_prob(p)
         return float(betaincinv(self.a, self.b, p))
 
-    def cdf(self, x: float) -> float:
-        return float(betainc(self.a, self.b, min(max(x, 0.0), 1.0)))
-
 
 @dataclass(frozen=True)
 class UniformLoad(LoadModel):
     """I.i.d. uniform load on [0, 1]."""
 
-    def load_at(self, t: int, u: float) -> float:
-        return u
+    kind = "uniform"
 
     def _bulk(self, horizon: int, us: np.ndarray) -> np.ndarray:
         return us
@@ -273,10 +252,8 @@ class TraceLoad(LoadModel):
     """Replays the load column of a trace, wrapping around at the end."""
 
     data: TraceData
+    kind = "trace"
     uses_rng = False
-
-    def load_at(self, t: int, u: float | None = None) -> float:
-        return float(self.data.loads[(t - 1) % self.data.n_rows])
 
     def _bulk(self, horizon: int, us=None) -> np.ndarray:
         n = self.data.n_rows
@@ -306,6 +283,7 @@ class SemiPeriodicLoad(LoadModel):
     amplitude: float = 0.35
     noise_a: float = 8.0
     noise_b: float = 2.0
+    kind = "semiperiodic"
 
     def __post_init__(self):
         if self.period < 2:
@@ -317,9 +295,6 @@ class SemiPeriodicLoad(LoadModel):
 
     def _envelope(self, t) -> np.ndarray:
         return self.base + self.amplitude * np.sin(2.0 * np.pi * np.asarray(t) / self.period)
-
-    def load_at(self, t: int, u: float) -> float:
-        return float(self._envelope(t) * betaincinv(self.noise_a, self.noise_b, u))
 
     def _bulk(self, horizon: int, us: np.ndarray) -> np.ndarray:
         ts = np.arange(1, horizon + 1)
@@ -342,76 +317,50 @@ class SemiPeriodicLoad(LoadModel):
 
 
 class RewardModel:
-    """Base class for nominal-reward generators; rewards always lie in [0, 1]."""
+    """Base class for nominal-reward generators; rewards always lie in [0, 1].
 
+    Subclasses hold ``means``, the true expected reward of each arm.
+    """
+
+    #: the config kind of a concrete model
+    kind: str
     uses_rng: bool = True
 
-    @property
-    def means(self) -> tuple[float, ...]:
-        raise NotImplementedError
-
-    def reward_at(self, arm: int, t: int, u: float | None) -> float:
-        raise NotImplementedError
-
-    def sample(self, arm: int, t: int, rng: RngStream | None) -> float:
-        if not 0 <= arm < len(self.means):
-            raise ValueError(f"arm {arm} out of range for {len(self.means)} arms")
-        u = rng.random() if self.uses_rng else None
-        return self.reward_at(arm, t, u)
-
     def reward_rows(self, t0: int, n: int, rng: RngStream | None) -> np.ndarray:
-        """Rewards of every arm at steps t0..t0+n-1 as an (n, K) array,
-        walking the stream exactly as n per-step draws do (one uniform per
-        step, shared by the arms)."""
-        us = rng.random(n).tolist() if self.uses_rng else [None] * n
-        arms = range(len(self.means))
-        rows = np.array([[self.reward_at(k, t0 + j, u) for k in arms] for j, u in enumerate(us)])
-        if not ((rows >= 0.0) & (rows <= 1.0)).all():
-            raise ValueError("nominal rewards must be in [0, 1]")
-        return rows
+        """Rewards of every arm at steps t0..t0+n-1 as an (n, K) array, from
+        one uniform per step shared by the arms (for stochastic models)."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class DiracReward(RewardModel):
     """Deterministic rewards: arm k always pays its mean."""
 
-    arm_means: tuple[float, ...]
+    means: tuple[float, ...]
+    kind = "dirac"
     uses_rng = False
 
     def __post_init__(self):
-        object.__setattr__(self, "arm_means", tuple(float(u) for u in self.arm_means))
-        _check_means(self.arm_means)
-
-    @property
-    def means(self) -> tuple[float, ...]:
-        return self.arm_means
-
-    def reward_at(self, arm: int, t: int, u: float | None = None) -> float:
-        return self.arm_means[arm]
+        object.__setattr__(self, "means", tuple(float(u) for u in self.means))
+        _check_means(self.means)
 
     def reward_rows(self, t0: int, n: int, rng=None) -> np.ndarray:
-        return np.broadcast_to(self.arm_means, (n, len(self.arm_means)))
+        return np.broadcast_to(self.means, (n, len(self.means)))
 
 
 @dataclass(frozen=True)
 class BernoulliReward(RewardModel):
     """Bernoulli rewards with per-arm success probabilities."""
 
-    arm_means: tuple[float, ...]
+    means: tuple[float, ...]
+    kind = "bernoulli"
 
     def __post_init__(self):
-        object.__setattr__(self, "arm_means", tuple(float(u) for u in self.arm_means))
-        _check_means(self.arm_means)
-
-    @property
-    def means(self) -> tuple[float, ...]:
-        return self.arm_means
-
-    def reward_at(self, arm: int, t: int, u: float) -> float:
-        return 1.0 if u < self.arm_means[arm] else 0.0
+        object.__setattr__(self, "means", tuple(float(u) for u in self.means))
+        _check_means(self.means)
 
     def reward_rows(self, t0: int, n: int, rng: RngStream) -> np.ndarray:
-        return np.where(rng.random(n)[:, None] < self.arm_means, 1.0, 0.0)
+        return np.where(rng.random(n)[:, None] < self.means, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -423,20 +372,14 @@ class TraceReward(RewardModel):
     """
 
     data: TraceData
+    means: tuple[float, ...] = field(init=False)
+    kind = "trace"
     uses_rng = False
-    _means: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         if self.data.rewards is None:
             raise ValueError("trace has no reward columns")
-        object.__setattr__(self, "_means", tuple(float(m) for m in self.data.rewards.mean(axis=0)))
-
-    @property
-    def means(self) -> tuple[float, ...]:
-        return self._means
-
-    def reward_at(self, arm: int, t: int, u: float | None = None) -> float:
-        return float(self.data.rewards[(t - 1) % self.data.n_rows, arm])
+        object.__setattr__(self, "means", tuple(float(m) for m in self.data.rewards.mean(axis=0)))
 
     def reward_rows(self, t0: int, n: int, rng=None) -> np.ndarray:
         return self.data.rewards[np.arange(t0 - 1, t0 - 1 + n) % self.data.n_rows]
@@ -450,11 +393,9 @@ def _check_means(means: tuple[float, ...]) -> None:
             raise ValueError(f"mean of arm {k} must be in [0, 1], got {u}")
 
 
-def next_load(model: LoadModel, t: int, rng: RngStream | None = None) -> float:
-    """Load for step ``t`` under ``model`` (free-function form of the model API)."""
-    return model.next_load(t, rng)
+LOAD_KINDS = {
+    cls.kind: cls
+    for cls in (PeriodicSquareWaveLoad, BinaryRandomLoad, BetaLoad, UniformLoad, TraceLoad, SemiPeriodicLoad)
+}
 
-
-def sample_reward(model: RewardModel, arm: int, t: int, rng: RngStream | None = None) -> float:
-    """Nominal reward of ``arm`` at step ``t`` under ``model``."""
-    return model.sample(arm, t, rng)
+REWARD_KINDS = {cls.kind: cls for cls in (DiracReward, BernoulliReward, TraceReward)}

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ArmState, LoadSample, RngStream, Thresholds, normalize_load, normalize_loads
+from .core import ArmState, RngStream, Thresholds, normalize_load, normalize_loads
 
 __all__ = [
     "Policy",
@@ -43,7 +43,6 @@ __all__ = [
     "LoadQuantileSketch",
     "RunningQuantiles",
     "adaucb_index",
-    "select_arm",
     "POLICY_KINDS",
 ]
 
@@ -162,7 +161,7 @@ class IndexPolicy(Policy):
 
     def observe_loads(self, loads: np.ndarray) -> None:
         """Take in a whole run's loads at once, as ``select`` takes in each
-        one: the step kernel calls this after its run."""
+        one: ``run_once`` calls this after a step-kernel run."""
 
     def exploration_schedule(self, loads: np.ndarray) -> Schedule:
         """``c_t = alpha * (1 - ltil_t) * ln t`` of the steps after the init
@@ -494,17 +493,6 @@ class LinUcbDisjointPolicy(Policy):
         self.b[arm] += (self._last_load * reward) * x
         self._A_inv[arm] = _inv2(self.A[arm])
 
-    def scores(self, load: float) -> np.ndarray:
-        """Per-arm UCB scores for a given raw load (diagnostic helper)."""
-        x = np.array([1.0, load])
-        out = np.empty(self.n_arms)
-        for k in range(self.n_arms):
-            a_inv = self._A_inv[k]
-            out[k] = float(x @ (a_inv @ self.b[k])) + self.alpha * math.sqrt(
-                float(x @ a_inv @ x)
-            )
-        return out
-
 
 class OraclePolicy(Policy):
     """Always pulls the known best arm; the zero-regret reference.
@@ -568,13 +556,6 @@ class RoundRobinGreedyPolicy(IndexPolicy):
             return out
 
         return schedule
-
-
-def select_arm(policy: Policy, t: int, load, rng: RngStream | None = None) -> int:
-    """One selection step; ``load`` may be a raw float or a LoadSample (the
-    policy normalizes raw loads itself, so only the raw value is consumed)."""
-    raw = load.raw if isinstance(load, LoadSample) else load
-    return policy.select(t, raw, rng)
 
 
 POLICY_KINDS = {

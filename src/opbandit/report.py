@@ -120,13 +120,6 @@ def load_metadata(path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def config_dict_from_metadata(path) -> dict:
-    doc = load_metadata(path)
-    if "config" not in doc:
-        raise ValueError(f"{path}: metadata has no config section")
-    return doc["config"]
-
-
 # ---------------------------------------------------------------------------
 # SVG line chart (no plotting dependency)
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """The experiment run loop: reveal load, let the policy pick an arm, draw the
 nominal reward, update the policy, accumulate load-weighted regret.
 
-Two loops implement it, and :func:`run_once` picks one by the policy's
-class.  The index family (``ucb``, ``adaucb``, ``eadaucb`` and
-``rr-greedy``, every :class:`~opbandit.policies.IndexPolicy`) takes the step
-kernel: the policy supplies each step's exploration coefficient ``c_t`` and
-the reward model every arm's reward, a chunk of steps at a time, and one
-argmax loop shared by the family picks the arms.  Everything else (``ts``,
-``linucb``, ``oracle``, and any object that only offers ``select`` and
-``update``, such as a proxy that times each call) takes the per-step loop,
-which calls ``select`` and ``update`` at every step.  The per-step loop is
-also the reference: the kernel's traces equal its traces byte for byte.
+:func:`run_once` is one loop over chunks of :data:`CHUNK` steps.  Per chunk,
+the reward model gives every arm's reward (``reward_rows``), the arms are
+chosen, and the regret, pull counts and checkpoints are accounted from the
+chosen arms.  The arms are chosen one of two ways, by the policy's class.
+The index family (``ucb``, ``adaucb``, ``eadaucb`` and ``rr-greedy``, every
+:class:`~opbandit.policies.IndexPolicy`) takes the step kernel: the policy
+supplies each step's exploration coefficient ``c_t`` and one argmax loop
+shared by the family picks the arms.  Everything else (``ts``, ``linucb``,
+``oracle``, and any object that only offers ``select`` and ``update``, such
+as a proxy that times each call) has ``select`` and ``update`` called at
+every step.  That per-step way is also the reference: the kernel chooses
+the arms it would, bit for bit.
 
 Regret is expected pseudo-regret by default: each step adds
 ``load * (best_mean - mean[chosen])`` using the true arm means, which is the
@@ -27,11 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .core import BanditInstance, RngStream, derive_stream_id
-from .environments import BernoulliReward, DiracReward, LoadModel, RewardModel
+from .environments import LoadModel, RewardModel
 from .policies import IndexPolicy, Policy
 
 __all__ = [
@@ -83,13 +86,6 @@ class RegretTrace:
     def mean_pulls(self) -> np.ndarray:
         return self.pulls.mean(axis=0)
 
-    def regret_at(self, t: int) -> np.ndarray:
-        """Mean regret at one checkpoint (errors if t was not recorded)."""
-        idx = np.flatnonzero(self.checkpoints == t)
-        if len(idx) == 0:
-            raise KeyError(f"no checkpoint at t={t}")
-        return self.mean_regret[idx[0]]
-
 
 def default_checkpoints(horizon: int, count: int = 50) -> np.ndarray:
     """``count`` log-spaced recording points plus the horizon itself."""
@@ -116,6 +112,11 @@ def replication_streams(base_seed: int, policy_label: str, replication: int) -> 
         role: RngStream(base_seed, derive_stream_id(policy_label, replication, role))
         for role in ("load", "reward", "policy")
     }
+
+
+#: steps per chunk of the run loop: enough to amortize the numpy calls made
+#: per chunk, few enough that no horizon-long Python list is held
+CHUNK = 1024
 
 
 def run_once(
@@ -147,109 +148,10 @@ def run_once(
 
     loads = load_model.sample_loads(horizon, load_rng)
     if isinstance(policy, IndexPolicy):
-        return _run_index_policy(
-            bandit, loads, reward_model, policy, pts, reward_rng, realized, record_steps
-        )
-    load_list = loads.tolist()
-    best_mean = bandit.best_mean
-    gaps = list(bandit.gaps)
-
-    # reward lookup, specialized for the hot per-step loop
-    if isinstance(reward_model, BernoulliReward):
-        u_rew = reward_rng.random(horizon).tolist()
-        mus = list(reward_model.means)
-
-        def reward_of(i: int, arm: int) -> float:
-            return 1.0 if u_rew[i] < mus[arm] else 0.0
-
-    elif isinstance(reward_model, DiracReward):
-        mus = list(reward_model.means)
-
-        def reward_of(i: int, arm: int) -> float:
-            return mus[arm]
-
+        choose = _index_kernel(policy, loads)
     else:
-
-        def reward_of(i: int, arm: int) -> float:
-            u = reward_rng.random() if reward_model.uses_rng else None
-            return reward_model.reward_at(arm, i + 1, u)
-
-    pulls = [0] * n_arms
-    regret = 0.0
-    ck_regret = np.empty(len(pts))
-    ck_pulls = np.empty((len(pts), n_arms), dtype=np.int64)
-    full_regret = np.empty(horizon) if record_steps else None
-    full_pulls = np.empty((horizon, n_arms), dtype=np.int64) if record_steps else None
-
-    select = policy.select
-    update = policy.update
-    next_pt = 0
-    pt_list = pts.tolist()
-    next_pt_t = pt_list[0]
-
-    for t in range(1, horizon + 1):
-        i = t - 1
-        lt = load_list[i]
-        arm = select(t, lt, policy_rng)
-        x = reward_of(i, arm)
-        update(arm, x, policy_rng)
-        pulls[arm] += 1
-        if realized:
-            regret += lt * (best_mean - x)
-        else:
-            regret += lt * gaps[arm]
-        if record_steps:
-            full_regret[i] = regret
-            full_pulls[i] = pulls
-        if t == next_pt_t:
-            ck_regret[next_pt] = regret
-            ck_pulls[next_pt] = pulls
-            next_pt += 1
-            next_pt_t = pt_list[next_pt] if next_pt < len(pt_list) else 0
-
-    return ReplicationTrace(
-        checkpoints=pts,
-        regret=ck_regret,
-        pulls=ck_pulls,
-        full_regret=full_regret,
-        full_pulls=full_pulls,
-    )
-
-
-#: steps per chunk of the index-policy kernel: enough to amortize the numpy
-#: calls made per chunk, few enough that no horizon-long Python list is held
-CHUNK = 1024
-
-
-def _run_index_policy(
-    bandit: BanditInstance,
-    loads: np.ndarray,
-    reward_model: RewardModel,
-    policy: IndexPolicy,
-    pts: np.ndarray,
-    reward_rng: RngStream | None,
-    realized: bool,
-    record_steps: bool,
-) -> ReplicationTrace:
-    """The step kernel of the index family: the same replication as the
-    per-step loop of :func:`run_once`, bit for bit.
-
-    Chunk by chunk, the policy's exploration schedule gives each step's
-    ``c_t`` (or a forced arm) and the reward model gives every arm's reward;
-    the loop picks ``argmax mean + sqrt(c_t / pulls)`` (ties toward the
-    lowest arm) with the same :class:`ArmState` arithmetic, and the regret
-    is accumulated per chunk, in step order, from the arms it chose.
-    """
-    horizon, n_arms = len(loads), bandit.n_arms
-    schedule = policy.exploration_schedule(loads)
-    states = policy.arm_states
-    means = [s.mean_reward for s in states]
-    pulls = [s.pulls for s in states]
-    sums = [s.sum_reward for s in states]
+        choose = _select_each_step(policy, n_arms, loads, policy_rng)
     gaps = np.array(bandit.gaps)
-    sqrt = math.sqrt
-    arm_range = range(n_arms)
-    floor = -math.inf
 
     pulled = np.zeros(n_arms, dtype=np.int64)
     regret = 0.0
@@ -263,33 +165,10 @@ def _run_index_policy(
     ends = sorted({n_arms, horizon, *range(CHUNK, horizon, CHUNK)})
     i0 = 0
     for i1 in ends:
-        if i1 <= n_arms:  # the init round pulls arms 0..K-1 in order
-            cs = list(range(-1 - i0, -1 - i1, -1))
-        else:
-            cs = schedule(i0, i1)
         rows = reward_model.reward_rows(i0 + 1, i1 - i0, reward_rng)
-        chosen = []
-        for c, row in zip(cs, rows.tolist()):
-            if c < 0:  # forced pull of arm -1 - c
-                arm = -1 - c
-            elif c == 0.0:  # greedy: each index is its mean (max keeps the first)
-                arm = means.index(max(means))
-            else:
-                best = floor
-                for k in arm_range:
-                    v = means[k] + sqrt(c / pulls[k])
-                    if v > best:
-                        best = v
-                        arm = k
-            x = row[arm]
-            p = pulls[arm] + 1
-            s = sums[arm] + x
-            pulls[arm] = p
-            sums[arm] = s
-            means[arm] = s / p
-            chosen.append(arm)
-
-        arms = np.array(chosen)
+        if not ((rows >= 0.0) & (rows <= 1.0)).all():
+            raise ValueError("nominal rewards must be in [0, 1]")
+        arms = np.array(choose(i0, i1, rows.ravel().tolist()))
         step_loads = loads[i0:i1]
         if realized:
             cost = step_loads * (bandit.best_mean - rows[np.arange(i1 - i0), arms])
@@ -308,10 +187,9 @@ def _run_index_policy(
         pulled += np.bincount(arms, minlength=n_arms)
         i0 = i1
 
-    for state, m, p, s in zip(states, means, pulls, sums):
-        state.mean_reward, state.pulls, state.sum_reward = m, p, s
-    del schedule  # its per-run arrays go before the policy keeps the loads
-    policy.observe_loads(loads)
+    if isinstance(policy, IndexPolicy):
+        del choose  # the kernel's per-run arrays go before the policy keeps the loads
+        policy.observe_loads(loads)
     return ReplicationTrace(
         checkpoints=pts,
         regret=ck_regret,
@@ -319,6 +197,82 @@ def _run_index_policy(
         full_regret=full_regret,
         full_pulls=full_pulls,
     )
+
+
+#: the arms chosen at steps i0+1..i1, given every arm's reward at those steps
+#: as one flat list, step by step (a nested list per step costs the garbage
+#: collector more than the steps): ``choose(i0, i1, rewards)``
+Chooser = Callable[[int, int, list], list]
+
+
+def _select_each_step(
+    policy: Policy, n_arms: int, loads: np.ndarray, policy_rng: RngStream | None
+) -> Chooser:
+    """The reference way to choose: ``select`` and ``update`` at every step."""
+    select, update = policy.select, policy.update
+
+    def choose(i0: int, i1: int, rewards: list) -> list:
+        chosen = []
+        steps = zip(range(i0 + 1, i1 + 1), loads[i0:i1].tolist(), range(0, len(rewards), n_arms))
+        for t, load, row in steps:
+            arm = select(t, load, policy_rng)
+            update(arm, rewards[row + arm], policy_rng)
+            chosen.append(arm)
+        return chosen
+
+    return choose
+
+
+def _index_kernel(policy: IndexPolicy, loads: np.ndarray) -> Chooser:
+    """The step kernel of the index family: the arms ``select`` and
+    ``update`` would choose, bit for bit, without calling them.
+
+    The policy's exploration schedule gives each step's ``c_t`` (or a forced
+    arm); the loop picks ``argmax mean + sqrt(c_t / pulls)`` (ties toward
+    the lowest arm) with the same :class:`ArmState` arithmetic, and leaves
+    the policy's arm statistics as the per-step calls would after each
+    chunk.
+    """
+    n_arms = policy.n_arms
+    schedule = policy.exploration_schedule(loads)
+    states = policy.arm_states
+    means = [s.mean_reward for s in states]
+    pulls = [s.pulls for s in states]
+    sums = [s.sum_reward for s in states]
+    sqrt = math.sqrt
+    arm_range = range(n_arms)
+    floor = -math.inf
+
+    def choose(i0: int, i1: int, rewards: list) -> list:
+        if i1 <= n_arms:  # the init round pulls arms 0..K-1 in order
+            cs = list(range(-1 - i0, -1 - i1, -1))
+        else:
+            cs = schedule(i0, i1)
+        chosen = []
+        for c, row in zip(cs, range(0, len(rewards), n_arms)):
+            if c < 0:  # forced pull of arm -1 - c
+                arm = -1 - c
+            elif c == 0.0:  # greedy: each index is its mean (max keeps the first)
+                arm = means.index(max(means))
+            else:
+                best = floor
+                for k in arm_range:
+                    v = means[k] + sqrt(c / pulls[k])
+                    if v > best:
+                        best = v
+                        arm = k
+            x = rewards[row + arm]
+            p = pulls[arm] + 1
+            s = sums[arm] + x
+            pulls[arm] = p
+            sums[arm] = s
+            means[arm] = s / p
+            chosen.append(arm)
+        for state, m, p, s in zip(states, means, pulls, sums):
+            state.mean_reward, state.pulls, state.sum_reward = m, p, s
+        return chosen
+
+    return choose
 
 
 def run_experiment(

@@ -1,10 +1,14 @@
 """Config parsing, validation errors, threshold resolution, round-trips."""
 
+from dataclasses import dataclass
+from importlib import resources
+
+import numpy as np
 import pytest
 import yaml
 from scipy.special import betaincinv
 
-from opbandit import config
+from opbandit import config, environments
 from opbandit.config import (
     ConfigError,
     ExperimentConfig,
@@ -13,7 +17,7 @@ from opbandit.config import (
     dump_config,
     parse_config,
 )
-from opbandit.environments import BetaLoad, PeriodicSquareWaveLoad, load_trace
+from opbandit.environments import BetaLoad, LoadModel, PeriodicSquareWaveLoad, load_trace
 
 MINIMAL = {
     "name": "tiny",
@@ -34,14 +38,23 @@ def test_parse_minimal():
     assert cfg.name == "tiny"
     assert cfg.horizon == 100
     assert cfg.regret == "pseudo"
-    assert cfg.policies[0].thresholds.mode == "binary"
+    assert cfg.policies[0].params["thresholds"].mode == "binary"
 
 
-def test_round_trip_is_identity():
-    cfg = parse_config(MINIMAL)
+def assert_round_trip(doc):
+    cfg = parse_config(doc)
     again = parse_config(yaml.safe_load(dump_config(cfg)))
     assert cfg == again
     assert dump_config(cfg) == dump_config(again)
+
+
+def test_round_trip_is_identity():
+    assert_round_trip(MINIMAL)
+
+
+@pytest.mark.parametrize("path", sorted((resources.files("opbandit") / "configs").iterdir()), ids=lambda p: p.name)
+def test_round_trip_is_identity_for_bundled(path):
+    assert_round_trip(yaml.safe_load(path.read_text(encoding="utf-8")))
 
 
 @pytest.mark.parametrize(
@@ -59,6 +72,10 @@ def test_round_trip_is_identity():
         (lambda d: d.update(regret="negative"), "regret"),
         (lambda d: d.update(checkpoints=[5, 5]), "checkpoints"),
         (lambda d: d.update(checkpoints=[5, 200]), "checkpoints"),
+        # a key of another kind is unknown to this one
+        (lambda d: d["policies"].append({"kind": "ts", "alpha": 0.5}), "policies[2].alpha"),
+        (lambda d: d["policies"][1].update(thresholds="binary"), "policies[1].thresholds"),
+        (lambda d: d["policies"][0].update(window=5), "policies[0].window"),
     ],
 )
 def test_errors_name_offending_field(mutate, field):
@@ -158,3 +175,43 @@ class TestBuildPlan:
         doc["reward"]["means"] = [0.1, 0.2, 0.3]
         with pytest.raises(ConfigError, match="horizon"):
             build_plan(parse_config(doc))
+
+
+@dataclass(frozen=True)
+class StepLoad(LoadModel):
+    """A kind defined outside the package: ``level`` on every
+    ``every``-th step, 1.0 otherwise."""
+
+    level: float
+    every: int = 3
+    kind = "step"
+    uses_rng = False
+
+    def _bulk(self, horizon, us):
+        return np.where(np.arange(1, horizon + 1) % self.every == 0, self.level, 1.0)
+
+
+class TestRegistry:
+    def test_registered_class_is_a_config_kind(self, monkeypatch):
+        monkeypatch.setitem(environments.LOAD_KINDS, "step", StepLoad)
+        doc = {**MINIMAL, "load": {"kind": "step", "level": 0.25}}
+        doc["policies"] = [{"kind": "ucb", "alpha": 0.51}]
+        cfg = parse_config(doc)
+        assert cfg.load.to_dict() == {"kind": "step", "level": 0.25, "every": 3}
+        plan = build_plan(cfg)
+        assert plan.load_model == StepLoad(0.25, 3)
+        np.testing.assert_array_equal(plan.load_model.sample_loads(4, None), [1.0, 1.0, 0.25, 1.0])
+
+    @pytest.mark.parametrize(
+        "load, field, message",
+        [
+            ({"kind": "step"}, "load.level", "missing required field"),
+            ({"kind": "step", "level": 0.25, "every": 1.5}, "load.every", "expected an integer"),
+            ({"kind": "step", "level": "low"}, "load.level", "expected a number"),
+        ],
+    )
+    def test_keys_types_and_required_come_from_the_signature(self, monkeypatch, load, field, message):
+        monkeypatch.setitem(environments.LOAD_KINDS, "step", StepLoad)
+        with pytest.raises(ConfigError, match=message) as err:
+            parse_config({**MINIMAL, "load": load})
+        assert err.value.fieldpath == field

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from opbandit.core import (
     ArmState,
     BanditInstance,
-    LoadSample,
     RngStream,
     Thresholds,
     binary_normalize,
@@ -167,17 +166,6 @@ class TestBanditInstance:
         assert BanditInstance((0.7, 0.7, 0.1)).best_arm == 0
 
 
-class TestLoadSample:
-    def test_from_raw(self):
-        s = LoadSample.from_raw(0.5, BAND)
-        assert s.raw == 0.5
-        assert s.normalized == pytest.approx(0.5, rel=1e-15)
-
-    def test_rejects_out_of_range_normalized(self):
-        with pytest.raises(ValueError):
-            LoadSample(raw=0.5, normalized=1.5)
-
-
 class TestRngStream:
     def test_replay_is_bit_identical(self):
         a = RngStream(12345, 7).random(1000)
@@ -220,3 +208,13 @@ class TestRngStream:
         assert a != derive_stream_id("adaucb", 1, "load")
         assert a != derive_stream_id("ucb", 0, "load")
         assert 0 <= a < 2**64
+
+
+@pytest.mark.parametrize(
+    "module", ["opbandit", "core", "environments", "policies", "simulator", "config", "bounds", "report", "cli"]
+)
+def test_every_exported_name_exists(module):
+    import importlib
+
+    mod = importlib.import_module(module if module == "opbandit" else f"opbandit.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

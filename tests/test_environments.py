@@ -1,4 +1,4 @@
-"""Load/reward generators and trace ingestion."""
+"""Load/reward generators, their kind registries, and trace ingestion."""
 
 import numpy as np
 import pytest
@@ -12,26 +12,30 @@ from opbandit.environments import (
     DiracReward,
     PeriodicSquareWaveLoad,
     SemiPeriodicLoad,
+    TraceData,
     TraceLoad,
     TraceReward,
     UniformLoad,
     load_trace,
-    next_load,
-    sample_reward,
 )
+
+
+def assert_prefix_stable(model, n, rng):
+    """A draw of m steps is the first m steps of a draw of n, on a fresh
+    stream each: loads drawn in pieces equal loads drawn at once."""
+    whole = model.sample_loads(n, rng)
+    for m in (1, 2, n // 3, n - 1):
+        again = rng.clone() if rng is not None else None
+        np.testing.assert_array_equal(model.sample_loads(m, again), whole[:m])
 
 
 class TestSquareWave:
     def test_even_steps_are_low_odd_steps_high(self):
         model = PeriodicSquareWaveLoad(0.05, 0.05)
-        assert next_load(model, 2) == 0.05
-        assert next_load(model, 3) == 0.95
+        np.testing.assert_array_equal(model.sample_loads(4, None), [0.95, 0.05, 0.95, 0.05])
 
     def test_bulk_matches_scalar(self):
-        model = PeriodicSquareWaveLoad(0.1, 0.2)
-        bulk = model.sample_loads(10, None)
-        scalars = [model.next_load(t, None) for t in range(1, 11)]
-        np.testing.assert_array_equal(bulk, scalars)
+        assert_prefix_stable(PeriodicSquareWaveLoad(0.1, 0.2), 10, None)
 
     def test_rejects_eps_out_of_range(self):
         with pytest.raises(ValueError):
@@ -51,11 +55,7 @@ class TestBinaryRandom:
         assert np.mean(draws == 0.0) == pytest.approx(rho, abs=0.01)
 
     def test_bulk_matches_scalar(self):
-        model = BinaryRandomLoad(0.05, 0.1, rho=0.3)
-        bulk = model.sample_loads(200, RngStream(7, 7))
-        rng = RngStream(7, 7)
-        scalars = [model.next_load(t, rng) for t in range(1, 201)]
-        np.testing.assert_array_equal(bulk, scalars)
+        assert_prefix_stable(BinaryRandomLoad(0.05, 0.1, rho=0.3), 200, RngStream(7, 7))
 
     def test_quantile_steps_at_rho(self):
         model = BinaryRandomLoad(0.05, 0.1, rho=0.3)
@@ -75,11 +75,7 @@ class TestBetaLoad:
         assert draws.mean() == pytest.approx(0.5, abs=0.01)
 
     def test_bulk_matches_scalar(self):
-        model = BetaLoad(2, 2)
-        bulk = model.sample_loads(50, RngStream(11, 4))
-        rng = RngStream(11, 4)
-        scalars = [model.next_load(t, rng) for t in range(1, 51)]
-        np.testing.assert_array_equal(bulk, scalars)
+        assert_prefix_stable(BetaLoad(2, 2), 50, RngStream(11, 4))
 
     def test_quantile_matches_inverse_cdf(self):
         model = BetaLoad(2, 2)
@@ -125,15 +121,32 @@ class TestSemiPeriodic:
 class TestRewardModels:
     def test_dirac_is_deterministic(self):
         model = DiracReward((0.6, 0.4))
-        assert sample_reward(model, 1, 10) == 0.4
-        assert sample_reward(model, 0, 99) == 0.6
+        np.testing.assert_array_equal(model.reward_rows(10, 90, None), [[0.6, 0.4]] * 90)
 
     def test_bernoulli_mean(self):
         model = BernoulliReward((0.25, 0.5))
-        rng = RngStream(21, 0)
-        draws = [model.sample(0, t, rng) for t in range(1, 100_001)]
-        assert np.mean(draws) == pytest.approx(0.25, abs=0.01)
-        assert set(draws) <= {0.0, 1.0}
+        draws = model.reward_rows(1, 100_000, RngStream(21, 0))
+        assert draws.mean(axis=0) == pytest.approx([0.25, 0.5], abs=0.01)
+        assert set(np.unique(draws)) <= {0.0, 1.0}
+        # one uniform per step, shared by the arms: a success of arm 0
+        # (mean 0.25) is a success of arm 1 (mean 0.5)
+        assert np.all(draws[:, 0] <= draws[:, 1])
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            DiracReward((0.6, 0.4)),
+            BernoulliReward((0.3, 0.7, 0.5)),
+            TraceReward(TraceData(np.ones(7), np.arange(14.0).reshape(7, 2) / 13, 1.0)),
+        ],
+        ids=["dirac", "bernoulli", "trace"],
+    )
+    def test_rows_drawn_in_chunks_equal_one_draw(self, model):
+        # the run loop draws rewards a chunk at a time
+        whole = model.reward_rows(1, 300, RngStream(8, 2))
+        rng = RngStream(8, 2)
+        parts = [model.reward_rows(t0 + 1, n, rng) for t0, n in ((0, 1), (1, 99), (100, 200))]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
 
     def test_five_arm_vector_from_config(self):
         from opbandit.config import RewardSpec
@@ -141,16 +154,12 @@ class TestRewardModels:
         spec = RewardSpec.from_dict(
             {"kind": "bernoulli", "means": [0.05, 0.1, 0.15, 0.2, 0.25]}, "reward"
         )
-        model = spec.build()
+        model, _ = spec.build("reward")
         assert model.means == (0.05, 0.1, 0.15, 0.2, 0.25)
 
     def test_rejects_out_of_range_mean(self):
         with pytest.raises(ValueError):
             DiracReward((0.5, 1.5))
-
-    def test_rejects_unknown_arm(self):
-        with pytest.raises(ValueError):
-            BernoulliReward((0.5, 0.5)).sample(2, 1, RngStream(0, 0))
 
 
 class TestTraces:
@@ -170,8 +179,8 @@ class TestTraces:
         np.testing.assert_allclose(data.rewards, [[0.5, 0.25], [1.0, 0.75]])
         model = TraceReward(data)
         assert model.means == (0.75, 0.5)
-        assert model.reward_at(1, 2) == 0.75
-        assert model.reward_at(0, 3) == 0.5  # wraps to row 1
+        # steps 2..3: row 2, then row 1 again (wrapped)
+        np.testing.assert_array_equal(model.reward_rows(2, 2, None), [[1.0, 0.75], [0.5, 0.25]])
 
     def test_rejects_reward_outside_unit_interval(self, tmp_path):
         p = tmp_path / "t.csv"

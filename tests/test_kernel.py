@@ -1,5 +1,6 @@
-"""The index-policy step kernel against the per-step reference loop, and the
-rank-pointer running quantiles against the sorted-list sketch."""
+"""The index-policy step kernel against the per-step reference (``select``
+and ``update`` at every step), and the rank-pointer running quantiles against
+the sorted-list sketch."""
 
 import math
 from unittest import mock
@@ -34,26 +35,12 @@ KINDS = ("ucb", "adaucb", "eadaucb", "eadaucb-window", "rr-greedy")
 
 
 class PerStep:
-    """Hides the policy's class, so ``run_once`` takes the per-step loop."""
+    """Hides the policy's class, so ``run_once`` calls ``select`` and
+    ``update`` at every step."""
 
     def __init__(self, policy):
         self.select = policy.select
         self.update = policy.update
-
-
-class JitterReward(RewardModel):
-    """A model with only the scalar ``reward_at``: arm k pays its mean
-    shifted by a step-dependent jitter of one uniform."""
-
-    def __init__(self, means):
-        self.arm_means = tuple(means)
-
-    @property
-    def means(self):
-        return self.arm_means
-
-    def reward_at(self, arm, t, u):
-        return min(1.0, max(0.0, self.arm_means[arm] + 0.1 * (u - 0.5) * (t % 3)))
 
 
 class FixedLoad(LoadModel):
@@ -141,14 +128,12 @@ def scenarios(draw):
     else:
         lower = draw(st.sampled_from(GRID))
         upper = draw(st.sampled_from(GRID).filter(lambda u: u >= lower))
-    reward_kind = draw(st.sampled_from(("bernoulli", "dirac", "trace", "jitter")))
+    reward_kind = draw(st.sampled_from(("bernoulli", "dirac", "trace")))
     means = draw(st.lists(st.floats(0.0, 1.0), min_size=n_arms, max_size=n_arms))
     if reward_kind == "bernoulli":
         reward = BernoulliReward(tuple(means))
     elif reward_kind == "dirac":
         reward = DiracReward(tuple(means))
-    elif reward_kind == "jitter":
-        reward = JitterReward(means)
     else:
         rows = draw(st.integers(1, 30))
         seed = draw(st.integers(0, 2**32 - 1))
@@ -248,16 +233,18 @@ class TestKernelMatchesPerStepLoop:
 
     @pytest.mark.parametrize("per_step", [True, False])
     def test_out_of_range_reward_rejected(self, per_step):
-        class Overpaying(JitterReward):
-            def reward_at(self, arm, t, u):
-                return 1.5
+        class Overpaying(RewardModel):
+            means = (0.6, 0.4)
+
+            def reward_rows(self, t0, n, rng):
+                return np.full((n, 2), 1.5)
 
         policy = UcbPolicy(2, 0.51)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             run_once(
                 BanditInstance((0.6, 0.4)),
                 FixedLoad([0.5] * 20),
-                Overpaying((0.6, 0.4)),
+                Overpaying(),
                 PerStep(policy) if per_step else policy,
                 20,
                 [20],

@@ -109,6 +109,10 @@ class TestForcedInitialization:
         with pytest.raises(ValueError):
             UcbPolicy(2, 1.0).select(0, 0.5)
 
+    def test_update_rejects_unknown_arm(self):
+        with pytest.raises(ValueError, match="out of range"):
+            UcbPolicy(2, 1.0).update(2, 0.5)
+
 
 class TestSelection:
     def test_tie_breaks_to_lowest_arm_at_full_load(self):
@@ -166,22 +170,6 @@ class TestSelection:
             assert ada.select(t, 0.1) == ucb.select(t, 0.99)  # both normalize/ignore
 
 
-class TestSelectArmFunction:
-    def test_accepts_raw_float_and_load_sample(self):
-        from opbandit.core import LoadSample
-        from opbandit.policies import select_arm
-
-        a = AdaUcbPolicy(2, 2.0, BINARY_BAND)
-        b = AdaUcbPolicy(2, 2.0, BINARY_BAND)
-        for t, load in ((1, 0.95), (2, 0.05), (3, 0.95)):
-            sample = LoadSample.from_raw(load, BINARY_BAND)
-            arm_a = select_arm(a, t, load)
-            arm_b = select_arm(b, t, sample)
-            assert arm_a == arm_b
-            a.update(arm_a, 0.6)
-            b.update(arm_b, 0.6)
-
-
 class TestPullAccounting:
     @pytest.mark.parametrize("kind", ["adaucb", "eadaucb", "ucb", "ts", "linucb", "rr-greedy"])
     def test_total_pulls_equal_horizon(self, kind):
@@ -231,10 +219,21 @@ class TestThompson:
             ThompsonPolicy(2).update(0, 1.3, RngStream(0, 0))
 
 
+def linucb_scores(policy, load):
+    """Per-arm LinUCB scores at a raw load: x.theta + alpha * sqrt(x A^-1 x)."""
+    x = np.array([1.0, load])
+    return np.array(
+        [
+            x @ (a_inv @ b) + policy.alpha * math.sqrt(x @ a_inv @ x)
+            for a_inv, b in zip(policy._A_inv, policy.b)
+        ]
+    )
+
+
 class TestLinUcb:
     def test_cold_start_scores_and_tie_break(self):
         policy = LinUcbDisjointPolicy(3, alpha=1.0)
-        scores = policy.scores(0.5)
+        scores = linucb_scores(policy, 0.5)
         # A = I, b = 0: every score is alpha * sqrt(x.x) with x = (1, 0.5)
         np.testing.assert_allclose(scores, math.sqrt(1.25))
         policy._observe_load(0.5)
@@ -242,10 +241,10 @@ class TestLinUcb:
 
     def test_update_shrinks_width_and_learns_target(self):
         policy = LinUcbDisjointPolicy(2, alpha=1.0)
-        before = policy.scores(0.5)[0]
+        before = linucb_scores(policy, 0.5)[0]
         arm = policy.select(3, 0.5)  # t > K so this scores; stashes x
         policy.update(0, 0.0)
-        after = policy.scores(0.5)[0]
+        after = linucb_scores(policy, 0.5)[0]
         # zero actual reward: predicted mean stays 0, uncertainty shrank
         assert after < before
         theta = policy._A_inv[0] @ policy.b[0]
