@@ -23,6 +23,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import betainc, betaincinv
 
 from .core import RngStream, derive_stream_id
 from .environments import BetaLoad, LoadModel, UniformLoad
@@ -214,8 +215,18 @@ def conditional_load_mean(
             raise ValueError(
                 f"threshold must be in (0, 1] for beta load, got {threshold}"
             )
-        rng = RngStream(mc_seed, derive_stream_id("conditional-load-mean"))
-        draws = load_model.sample_loads(mc_samples, rng)
+        us = RngStream(mc_seed, derive_stream_id("conditional-load-mean")).random(mc_samples)
+        # The costly inverse CDF runs only where its value can pass the
+        # filter below.  A load betaincinv(a, b, u) is at or below the
+        # threshold only if u is at or below I = betainc(a, b, threshold),
+        # since the inverse CDF is non-decreasing in u.  Rounding (about 1e-15
+        # relative in both functions) can move that edge by a hair, so the cut
+        # sits 1e-6 relative plus 1e-9 absolute above I, orders of magnitude
+        # beyond it: every uniform whose computed load passes is kept.  The
+        # mask keeps the sample's order, so ``below`` holds the same loads in
+        # the same order as evaluating every uniform, and the same mean.
+        cut = betainc(load_model.a, load_model.b, threshold) * (1.0 + 1e-6) + 1e-9
+        draws = betaincinv(load_model.a, load_model.b, us if cut >= 1.0 else us[us <= cut])
         below = draws[draws <= threshold]
         if below.size == 0:
             raise ValueError(

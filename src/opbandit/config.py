@@ -242,7 +242,7 @@ class _Spec:
         if not isinstance(d, dict):
             raise ConfigError(ctx, f"expected a mapping, got {d!r}")
         kind = _require(d, "kind", ctx)
-        if kind not in cls.kinds:
+        if not isinstance(kind, str) or kind not in cls.kinds:
             raise ConfigError(
                 f"{ctx}.kind", f"unknown {cls.family} kind {kind!r}; one of {sorted(cls.kinds)}"
             )

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import betaincinv
@@ -204,7 +206,38 @@ def load_trace(path) -> TraceData:
     Loads are scaled into [0, 1] by dividing by the column maximum; reward
     columns are used verbatim.  A header row is detected and skipped.
     Malformed rows are reported with their 1-based line number.
+
+    The numeric body is parsed by numpy's C reader and checked as a whole;
+    a file it rejects or whose values fail a check is read again line by
+    line (:func:`_load_trace_lines`), which names the offending line.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if not _is_header(fh.readline()):
+                fh.seek(0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows: read again
+                body = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return _load_trace_lines(path)
+    loads, rewards = body[:, 0].copy(), np.ascontiguousarray(body[:, 1:])
+    in_range = (loads >= 0.0).all() and ((rewards >= 0.0) & (rewards <= 1.0)).all()
+    if not (len(loads) and np.isfinite(loads).all() and in_range):
+        return _load_trace_lines(path)
+    return _trace_data(loads, rewards if rewards.shape[1] else None)
+
+
+def _is_header(line: str) -> bool:
+    try:
+        [float(c) for c in line.split(",")]
+    except ValueError:
+        return bool(line.strip())
+    return False
+
+
+def _load_trace_lines(path) -> TraceData:
+    """:func:`load_trace` one line at a time: the reference parse, and the
+    one that reports a malformed row with its line number."""
     raw_loads: list[float] = []
     raw_rewards: list[list[float]] = []
     n_cols = None
@@ -239,11 +272,13 @@ def load_trace(path) -> TraceData:
                 raw_rewards.append(values[1:])
     if not raw_loads:
         raise ValueError(f"{path}: trace file contains no data rows")
-    loads = np.asarray(raw_loads)
+    return _trace_data(np.asarray(raw_loads), np.asarray(raw_rewards) if raw_rewards else None)
+
+
+def _trace_data(loads: np.ndarray, rewards: np.ndarray | None) -> TraceData:
     scale = float(loads.max())
     if scale > 0.0:
         loads = loads / scale
-    rewards = np.asarray(raw_rewards) if raw_rewards else None
     return TraceData(loads=loads, rewards=rewards, scale=scale)
 
 
@@ -300,14 +335,18 @@ class SemiPeriodicLoad(LoadModel):
         ts = np.arange(1, horizon + 1)
         return self._envelope(ts) * betaincinv(self.noise_a, self.noise_b, us)
 
+    @cached_property
+    def _reference_sample(self) -> np.ndarray:
+        # drawn and sorted once per model, however many thresholds it resolves
+        n = max(1, 200_000 // self.period) * self.period
+        return np.sort(self.sample_loads(n, RngStream(0x5EED_10AD, 0)))
+
     def quantile(self, p: float) -> float:
         """Empirical marginal quantile from a fixed-seed reference sample
         spanning whole periods (the marginal mixes the envelope phase)."""
         _check_prob(p)
-        reps = max(1, 200_000 // self.period)
-        n = reps * self.period
-        sample = np.sort(self.sample_loads(n, RngStream(0x5EED_10AD, 0)))
-        rank = max(1, math.ceil(p * n))
+        sample = self._reference_sample
+        rank = max(1, math.ceil(p * len(sample)))
         return float(sample[rank - 1])
 
 

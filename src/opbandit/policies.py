@@ -17,6 +17,10 @@ can also describe a whole run up front, because its exploration coefficient
 depends on the loads and never on rewards: ``exploration_schedule(loads)``
 gives every step's coefficient, a chunk at a time, to the simulator's step
 kernel, which then needs no per-step ``select``/``update`` calls.
+:class:`ThompsonPolicy` takes a fixed number of policy uniforms per step (1
+during the init round, then K + 1), so the simulator's Thompson kernel
+draws a chunk's uniforms at once and updates the posterior ``a``/``b`` in
+place.  ``linucb`` and ``oracle`` are run through ``select``/``update``.
 """
 
 from __future__ import annotations

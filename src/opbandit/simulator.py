@@ -4,15 +4,17 @@ nominal reward, update the policy, accumulate load-weighted regret.
 :func:`run_once` is one loop over chunks of :data:`CHUNK` steps.  Per chunk,
 the reward model gives every arm's reward (``reward_rows``), the arms are
 chosen, and the regret, pull counts and checkpoints are accounted from the
-chosen arms.  The arms are chosen one of two ways, by the policy's class.
+chosen arms.  The arms are chosen one of three ways, by the policy's class.
 The index family (``ucb``, ``adaucb``, ``eadaucb`` and ``rr-greedy``, every
 :class:`~opbandit.policies.IndexPolicy`) takes the step kernel: the policy
 supplies each step's exploration coefficient ``c_t`` and one argmax loop
-shared by the family picks the arms.  Everything else (``ts``, ``linucb``,
-``oracle``, and any object that only offers ``select`` and ``update``, such
-as a proxy that times each call) has ``select`` and ``update`` called at
-every step.  That per-step way is also the reference: the kernel chooses
-the arms it would, bit for bit.
+shared by the family picks the arms.  Thompson sampling (``ts``) takes its
+own kernel, which draws a chunk's policy uniforms at once.  Everything else
+(``linucb``, ``oracle``, and any object that only offers ``select`` and
+``update``, such as a proxy that times each call) has ``select`` and
+``update`` called at every step.  That per-step way is also the reference:
+each kernel chooses the arms it would, bit for bit, and leaves the policy
+and its stream as it would.
 
 Regret is expected pseudo-regret by default: each step adds
 ``load * (best_mean - mean[chosen])`` using the true arm means, which is the
@@ -32,10 +34,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import betaincinv
 
 from .core import BanditInstance, RngStream, derive_stream_id
 from .environments import LoadModel, RewardModel
-from .policies import IndexPolicy, Policy
+from .policies import IndexPolicy, Policy, ThompsonPolicy
 
 __all__ = [
     "ReplicationTrace",
@@ -149,6 +152,8 @@ def run_once(
     loads = load_model.sample_loads(horizon, load_rng)
     if isinstance(policy, IndexPolicy):
         choose = _index_kernel(policy, loads)
+    elif isinstance(policy, ThompsonPolicy):
+        choose = _thompson_kernel(policy, policy_rng)
     else:
         choose = _select_each_step(policy, n_arms, loads, policy_rng)
     gaps = np.array(bandit.gaps)
@@ -270,6 +275,46 @@ def _index_kernel(policy: IndexPolicy, loads: np.ndarray) -> Chooser:
             chosen.append(arm)
         for state, m, p, s in zip(states, means, pulls, sums):
             state.mean_reward, state.pulls, state.sum_reward = m, p, s
+        return chosen
+
+    return choose
+
+
+def _thompson_kernel(policy: ThompsonPolicy, policy_rng: RngStream | None) -> Chooser:
+    """Thompson sampling's kernel: the arms ``select`` and ``update`` would
+    choose, bit for bit, with each chunk's policy uniforms drawn at once.
+
+    The per-step calls take 1 uniform per init step (the coin of
+    ``update``), then per step K posterior uniforms and 1 coin; the kernel
+    draws that many in one call and spends them in the same order, so the
+    posterior (updated in place) and the stream end where the per-step
+    calls would leave them.
+    """
+    if policy_rng is None:
+        raise ValueError("Thompson sampling needs a policy stream")
+    n_arms = policy.n_arms
+    a, b = policy.a, policy.b
+    draws = np.empty(n_arms)
+
+    def sample_argmax(u: np.ndarray) -> int:  # ties toward the lowest arm
+        return int(betaincinv(a, b, u, out=draws).argmax())
+
+    def choose(i0: int, i1: int, rewards: list) -> list:
+        if i1 <= n_arms:  # the init round pulls arms 0..K-1 in order
+            arms = range(i0, i1)
+            coins = policy_rng.random(i1 - i0).tolist()
+        else:
+            us = policy_rng.random((i1 - i0) * (n_arms + 1)).reshape(-1, n_arms + 1)
+            # lazy: each step samples the posterior its predecessor updated
+            arms = map(sample_argmax, us[:, :n_arms])
+            coins = us[:, n_arms].tolist()
+        chosen = []
+        for arm, coin, row in zip(arms, coins, range(0, len(rewards), n_arms)):
+            if coin < rewards[row + arm]:
+                a[arm] += 1.0
+            else:
+                b[arm] += 1.0
+            chosen.append(arm)
         return chosen
 
     return choose

@@ -19,7 +19,7 @@ from opbandit.bounds import (
     pull_count_log_bound,
     pull_rate_floor,
 )
-from opbandit.core import BanditInstance
+from opbandit.core import BanditInstance, RngStream, derive_stream_id
 from opbandit.environments import (
     BetaLoad,
     BinaryRandomLoad,
@@ -145,6 +145,23 @@ class TestContinuousRegretCoeff:
         assert oracle == pytest.approx(0.3125, abs=1e-12)
         mc = conditional_load_mean(BetaLoad(2, 2), 0.5)
         assert mc == pytest.approx(oracle, abs=0.002)
+
+    @pytest.mark.parametrize("a, b", [(2, 2), (8, 2), (0.5, 0.7), (0.3, 5), (20, 0.4), (1, 1)])
+    def test_pruned_monte_carlo_equals_full_evaluation(self, a, b):
+        # the inverse CDF runs only below a cut; the result must be the mean
+        # of every sampled load at or below the threshold, to the last bit
+        n = 100_000
+        model = BetaLoad(a, b)
+        draws = model.sample_loads(n, RngStream(0x0B0D_AC53, derive_stream_id("conditional-load-mean")))
+        # sampled loads as thresholds put loads exactly on the threshold
+        thresholds = [1e-4, 0.05, 0.5, 0.95, 1.0, *np.sort(draws)[[0, 7, n // 20, n // 2, -2]]]
+        for threshold in thresholds:
+            below = draws[draws <= threshold]
+            if below.size == 0:
+                with pytest.raises(ValueError, match="no probability mass"):
+                    conditional_load_mean(model, threshold, mc_samples=n)
+            else:
+                assert conditional_load_mean(model, threshold, mc_samples=n) == float(below.mean())
 
     def test_monte_carlo_is_deterministic(self):
         a = conditional_load_mean(BetaLoad(2, 2), 0.3)

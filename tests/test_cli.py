@@ -84,6 +84,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert "config error" in err and "rho" in err
 
+    def test_unhashable_kind_names_field(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(
+            "name: x\nhorizon: 100\nload: {kind: [beta]}\n"
+            "reward: {kind: bernoulli, means: [0.6, 0.4]}\n"
+            "policies: [{name: u, kind: ucb, alpha: 0.5}]\n"
+        )
+        assert run_cli(["run", bad, "-o", tmp_path / "x"]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "load.kind" in err and "Traceback" not in err
+
 
 class TestBounds:
     def test_deterministic_scenario_columns_and_metadata(self, tmp_path):

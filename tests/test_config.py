@@ -89,6 +89,26 @@ def test_errors_name_offending_field(mutate, field):
     assert field in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "entry, field",
+    [
+        (lambda d: d["load"], "load.kind"),
+        (lambda d: d["reward"], "reward.kind"),
+        (lambda d: d["policies"][1], "policies[1].kind"),
+    ],
+    ids=["load", "reward", "policy"],
+)
+@pytest.mark.parametrize("kind", [["beta"], {"beta": 1}], ids=["list", "mapping"])
+def test_non_string_kind_names_field(entry, field, kind):
+    import copy
+
+    doc = copy.deepcopy(MINIMAL)
+    entry(doc)["kind"] = kind
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.fieldpath == field
+
+
 def test_duplicate_policy_names_rejected():
     import copy
 

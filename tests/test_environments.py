@@ -1,9 +1,17 @@
 """Load/reward generators, their kind registries, and trace ingestion."""
 
+import math
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.special import betaincinv
 
+from opbandit import environments
 from opbandit.core import RngStream
 from opbandit.environments import (
     BernoulliReward,
@@ -113,6 +121,21 @@ class TestSemiPeriodic:
         model = SemiPeriodicLoad()
         assert model.quantile(0.05) < model.quantile(0.5) < model.quantile(0.95)
 
+    def test_reference_sample_drawn_once(self, monkeypatch):
+        model = SemiPeriodicLoad(period=100)
+        # the quantile of a 200k-sample reference drawn afresh, as each call once did
+        reference = np.sort(model.sample_loads(200_000, RngStream(0x5EED_10AD, 0)))
+        calls = []
+        sample_loads = SemiPeriodicLoad.sample_loads
+        monkeypatch.setattr(
+            SemiPeriodicLoad,
+            "sample_loads",
+            lambda self, n, rng: calls.append(n) or sample_loads(self, n, rng),
+        )
+        for p in (0.05, 0.95):
+            assert model.quantile(p) == float(reference[math.ceil(p * 200_000) - 1])
+        assert calls == [200_000]
+
     def test_rejects_bad_envelope(self):
         with pytest.raises(ValueError):
             SemiPeriodicLoad(base=0.9, amplitude=0.3)
@@ -218,3 +241,37 @@ class TestTraces:
         model = TraceLoad(load_trace(p))
         assert model.quantile(0.05) == pytest.approx(0.1)
         assert model.quantile(0.95) == pytest.approx(1.0)
+
+    @given(
+        n_cols=st.integers(1, 4),
+        cells=st.lists(st.floats(0.0, 1.0) | st.integers(0, 10**6), min_size=1, max_size=60),
+        header=st.booleans(),
+        spaced=st.booleans(),
+        blank_every=st.integers(2, 10),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        fmt=st.sampled_from(["{!r}", "{:.6g}", "{:.17e}"]),
+    )
+    def test_fast_parse_equals_line_loop(self, n_cols, cells, header, spaced, blank_every, newline, fmt):
+        rows = [cells[i : i + n_cols] for i in range(0, len(cells) - n_cols + 1, n_cols)]
+        assume(rows)
+        # loads any size, rewards in [0, 1]
+        rows = [[r[0], *(min(float(v), 1.0) for v in r[1:])] for r in rows]
+        sep = " , " if spaced else ","
+        lines = ["load" + ",r" * (n_cols - 1)] if header else []
+        for i, r in enumerate(rows):
+            lines.append(sep.join(fmt.format(float(v)) for v in r))
+            if i % blank_every == 0:
+                lines.append("")
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "t.csv"
+            p.write_bytes(newline.join(lines).encode())
+            reference = environments._load_trace_lines(p)
+            with mock.patch.object(environments, "_load_trace_lines", side_effect=AssertionError):
+                fast = load_trace(p)  # without falling back to the line loop
+        assert fast.loads.tobytes() == reference.loads.tobytes()
+        assert fast.scale == reference.scale
+        if reference.rewards is None:
+            assert fast.rewards is None
+        else:
+            assert fast.rewards.shape == reference.rewards.shape
+            assert fast.rewards.tobytes() == reference.rewards.tobytes()

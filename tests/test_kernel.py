@@ -1,6 +1,6 @@
-"""The index-policy step kernel against the per-step reference (``select``
-and ``update`` at every step), and the rank-pointer running quantiles against
-the sorted-list sketch."""
+"""The step kernels (the index family's and Thompson sampling's) against the
+per-step reference (``select`` and ``update`` at every step), and the
+rank-pointer running quantiles against the sorted-list sketch."""
 
 import math
 from unittest import mock
@@ -27,11 +27,12 @@ from opbandit.policies import (
     LoadQuantileSketch,
     RoundRobinGreedyPolicy,
     RunningQuantiles,
+    ThompsonPolicy,
     UcbPolicy,
 )
 from opbandit.simulator import default_checkpoints, replication_streams, run_once
 
-KINDS = ("ucb", "adaucb", "eadaucb", "eadaucb-window", "rr-greedy")
+KINDS = ("ucb", "adaucb", "eadaucb", "eadaucb-window", "rr-greedy", "ts")
 
 
 class PerStep:
@@ -62,13 +63,17 @@ def make_policy(kind, n_arms, lower, upper):
         return EAdaUcbPolicy(n_arms, 0.51, lower, upper)
     if kind == "eadaucb-window":
         return EAdaUcbPolicy(n_arms, 0.51, lower, upper, window=5)
+    if kind == "ts":
+        return ThompsonPolicy(n_arms)
     return RoundRobinGreedyPolicy(n_arms, Thresholds(lower, upper))
 
 
 def run_both(make, load_model, reward_model, horizon, checkpoints, realized=False, record_steps=False):
-    """(reference trace, kernel trace, reference policy, kernel policy)."""
+    """(reference trace, kernel trace, reference policy, kernel policy); the
+    two runs must leave the policy stream at the same place."""
     out = []
     policies = [make(), make()]
+    next_draws = []
     for policy, wrapped in zip(policies, (PerStep(policies[0]), policies[1])):
         streams = replication_streams(4, "kernel", 0)
         out.append(
@@ -86,6 +91,8 @@ def run_both(make, load_model, reward_model, horizon, checkpoints, realized=Fals
                 record_steps=record_steps,
             )
         )
+        next_draws.append(streams["policy"].random())
+    assert next_draws[0] == next_draws[1]
     return out[0], out[1], policies[0], policies[1]
 
 
@@ -100,6 +107,9 @@ def assert_same_bytes(ref, fast):
 
 
 def assert_same_state(ref, fast):
+    if isinstance(ref, ThompsonPolicy):
+        assert ref.a.tobytes() == fast.a.tobytes() and ref.b.tobytes() == fast.b.tobytes()
+        return
     assert ref.arm_states == fast.arm_states
     assert [s.mean_reward for s in ref.arm_states] == [s.mean_reward for s in fast.arm_states]
     if isinstance(ref, EAdaUcbPolicy):
@@ -153,7 +163,7 @@ def scenarios(draw):
         checkpoints=sorted(pts),
         realized=draw(st.booleans()),
         record_steps=draw(st.booleans()),
-        chunk=draw(st.integers(1, 50)),
+        chunk=draw(st.integers(1, 8) | st.integers(1, 50)),  # some below K: init spans chunks
     )
 
 
@@ -211,6 +221,36 @@ class TestKernelMatchesPerStepLoop:
                 record_steps=True,
             )
             assert_same_bytes(ref, fast)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4])
+    def test_ts_init_round_spans_chunks(self, chunk):
+        # chunks shorter than the init round of 5 arms: 1 uniform per init
+        # step, then K + 1, drawn chunk by chunk
+        with mock.patch.object(simulator, "CHUNK", chunk):
+            ref, fast, p_ref, p_fast = run_both(
+                lambda: ThompsonPolicy(5),
+                BetaLoad(2.0, 2.0),
+                BernoulliReward((0.3, 0.5, 0.5, 0.7, 0.2)),
+                23,
+                [1, 3, 5, 6, 23],
+                record_steps=True,
+            )
+        assert_same_bytes(ref, fast)
+        assert_same_state(p_ref, p_fast)
+
+    def test_ts_needs_policy_stream(self):
+        with pytest.raises(ValueError, match="policy stream"):
+            run_once(
+                BanditInstance((0.6, 0.4)),
+                FixedLoad([0.5] * 20),
+                DiracReward((0.6, 0.4)),
+                ThompsonPolicy(2),
+                20,
+                [20],
+                None,
+                None,
+                None,
+            )
 
     @pytest.mark.parametrize("kind", ["adaucb", "eadaucb", "rr-greedy"])
     @pytest.mark.parametrize("per_step", [True, False])
