@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every file ``opbandit run`` and ``opbandit bounds``
+write for each bundled config, one ``<config> <file> <sha256>`` line each.
+
+Two checkouts whose outputs must be byte-identical print the same lines:
+
+    PYTHONPATH=src python scripts/output_hashes.py --horizon 2100 --replications 2 > a.txt
+    (the same in the other checkout) > b.txt
+    diff a.txt b.txt
+
+``bounds`` runs only for configs whose bound alpha can be inferred (one
+adaptive policy's); the others print no bounds lines.  The files are
+written to a temporary directory, which is removed afterwards.
+"""
+
+import argparse
+import io
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from opbandit.cli import main as opbandit_main
+from opbandit.report import sha256_file
+
+
+def quiet(argv: list[str]) -> tuple[int, str, str]:
+    """Run one CLI command in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = opbandit_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--horizon", type=int, default=None, help="override every config's horizon")
+    parser.add_argument("--replications", type=int, default=None, help="override the replication count of `run`")
+    parser.add_argument("--seed", type=int, default=None, help="override every config's base seed")
+    args = parser.parse_args()
+
+    overrides = []
+    if args.horizon is not None:
+        overrides += ["--horizon", str(args.horizon)]
+    if args.seed is not None:
+        overrides += ["--seed", str(args.seed)]
+    run_overrides = overrides
+    if args.replications is not None:
+        run_overrides = overrides + ["--replications", str(args.replications)]
+
+    _, listing, _ = quiet(["list-configs"])
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in listing.split():
+            for command, extra in (("run", run_overrides), ("bounds", overrides)):
+                out = Path(tmp) / name / command
+                code, _, err = quiet([command, name, "-o", str(out), *extra])
+                if code != 0 and command == "bounds" and "cannot infer the bound alpha" in err:
+                    continue
+                if code != 0:
+                    sys.stderr.write(f"{command} {name} exited {code}:\n{err}")
+                    return code
+                for path in sorted(out.iterdir()):
+                    print(f"{name} {command}/{path.name} {sha256_file(path)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -60,6 +60,8 @@ def _resolve_config(arg: str) -> ExperimentConfig:
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     changes = {}
     if args.seed is not None:
+        if not 0 <= args.seed < 2**64:
+            raise ConfigError("base_seed", "must be a 64-bit unsigned integer")
         changes["base_seed"] = args.seed
     if args.replications is not None:
         if args.replications < 1:

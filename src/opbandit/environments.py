@@ -1,10 +1,11 @@
 """Load and nominal-reward generators, plus trace-file ingestion.
 
-Models are drawn in bulk only: a load model gives a whole run's loads
-(``sample_loads``) and a reward model every arm's rewards over a span of
-steps (``reward_rows``).  Every stochastic model consumes exactly one
-uniform draw per time step, so a span drawn in pieces equals the span drawn
-at once.  Time indices are 1-based throughout.
+Models are drawn in bulk only: a load model gives the loads of a span of
+steps (``sample_loads``, by default a whole run from step 1) and a reward
+model every arm's rewards over a span of steps (``reward_rows``).  Every
+stochastic model consumes exactly one uniform draw per time step, so a span
+drawn in pieces equals the span drawn at once.  Time indices are 1-based
+throughout.
 
 Each concrete class names its config ``kind`` and sits in
 :data:`LOAD_KINDS` or :data:`REWARD_KINDS`; its constructor parameters are
@@ -59,7 +60,7 @@ def _check_eps(name: str, value: float) -> float:
 class LoadModel:
     """Base class for load generators.
 
-    Subclasses implement :meth:`_bulk`, the loads of steps 1..horizon as a
+    Subclasses implement :meth:`_bulk`, the loads of the given steps as a
     function of one uniform per step (for stochastic models).
     """
 
@@ -68,12 +69,12 @@ class LoadModel:
     #: whether one uniform is consumed per step
     uses_rng: bool = True
 
-    def sample_loads(self, horizon: int, rng: RngStream | None) -> np.ndarray:
-        """Loads for steps 1..horizon as one array."""
+    def sample_loads(self, horizon: int, rng: RngStream | None, t0: int = 1) -> np.ndarray:
+        """Loads for the ``horizon`` steps t0..t0+horizon-1 as one array."""
         us = rng.random(horizon) if self.uses_rng else None
-        return self._bulk(horizon, us)
+        return self._bulk(np.arange(t0, t0 + horizon), us)
 
-    def _bulk(self, horizon: int, us: np.ndarray | None) -> np.ndarray:
+    def _bulk(self, ts: np.ndarray, us: np.ndarray | None) -> np.ndarray:
         raise NotImplementedError
 
     def quantile(self, p: float) -> float:
@@ -98,8 +99,7 @@ class PeriodicSquareWaveLoad(LoadModel):
         _check_eps("eps0", self.eps0)
         _check_eps("eps1", self.eps1)
 
-    def _bulk(self, horizon: int, us=None) -> np.ndarray:
-        ts = np.arange(1, horizon + 1)
+    def _bulk(self, ts: np.ndarray, us=None) -> np.ndarray:
         return np.where(ts % 2 == 0, self.eps0, 1.0 - self.eps1)
 
 
@@ -123,7 +123,7 @@ class BinaryRandomLoad(LoadModel):
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must be in [0, 1], got {self.rho}")
 
-    def _bulk(self, horizon: int, us: np.ndarray) -> np.ndarray:
+    def _bulk(self, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
         return np.where(us < self.rho, self.eps0, 1.0 - self.eps1)
 
     def quantile(self, p: float) -> float:
@@ -143,7 +143,7 @@ class BetaLoad(LoadModel):
         if self.a <= 0 or self.b <= 0:
             raise ValueError(f"beta shape parameters must be > 0, got ({self.a}, {self.b})")
 
-    def _bulk(self, horizon: int, us: np.ndarray) -> np.ndarray:
+    def _bulk(self, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
         return betaincinv(self.a, self.b, us)
 
     def quantile(self, p: float) -> float:
@@ -157,7 +157,7 @@ class UniformLoad(LoadModel):
 
     kind = "uniform"
 
-    def _bulk(self, horizon: int, us: np.ndarray) -> np.ndarray:
+    def _bulk(self, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
         return us
 
     def quantile(self, p: float) -> float:
@@ -290,13 +290,13 @@ class TraceLoad(LoadModel):
     kind = "trace"
     uses_rng = False
 
-    def _bulk(self, horizon: int, us=None) -> np.ndarray:
+    def _bulk(self, ts: np.ndarray, us=None) -> np.ndarray:
         n = self.data.n_rows
-        wraps = (horizon - 1) // n
-        if wraps > 0:
-            log.info("trace shorter than horizon: wrapping around %d time(s)", wraps)
-        idx = np.arange(horizon) % n
-        return self.data.loads[idx]
+        if len(ts):
+            wraps = (int(ts[-1]) - 1) // n - max(int(ts[0]) - 2, 0) // n  # steps n+1, 2n+1, ...
+            if wraps > 0:
+                log.info("trace shorter than horizon: wrapping around %d time(s)", wraps)
+        return self.data.loads[(ts - 1) % n]
 
     def quantile(self, p: float) -> float:
         _check_prob(p)
@@ -331,8 +331,7 @@ class SemiPeriodicLoad(LoadModel):
     def _envelope(self, t) -> np.ndarray:
         return self.base + self.amplitude * np.sin(2.0 * np.pi * np.asarray(t) / self.period)
 
-    def _bulk(self, horizon: int, us: np.ndarray) -> np.ndarray:
-        ts = np.arange(1, horizon + 1)
+    def _bulk(self, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
         return self._envelope(ts) * betaincinv(self.noise_a, self.noise_b, us)
 
     @cached_property

@@ -14,9 +14,9 @@ raw value.
 
 The index family (:class:`IndexPolicy`: ucb, adaucb, eadaucb, rr-greedy)
 can also describe a whole run up front, because its exploration coefficient
-depends on the loads and never on rewards: ``exploration_schedule(loads)``
-gives every step's coefficient, a chunk at a time, to the simulator's step
-kernel, which then needs no per-step ``select``/``update`` calls.
+depends on the loads and never on rewards: ``exploration_schedule`` gives
+every step's coefficient, a chunk at a time, to the simulator's step
+kernels, which then need no per-step ``select``/``update`` calls.
 :class:`ThompsonPolicy` takes a fixed number of policy uniforms per step (1
 during the init round, then K + 1), so the simulator's Thompson kernel
 draws a chunk's uniforms at once and updates the posterior ``a``/``b`` in
@@ -112,17 +112,11 @@ class Policy:
         raise NotImplementedError
 
 
-#: exploration coefficients of the steps in one chunk: ``schedule(i0, i1)``
-#: covers steps i0+1..i1 (a 0-based slice of the load sequence)
-Schedule = Callable[[int, int], list]
-
-
-def _log_steps(t0: int, t1: int) -> np.ndarray:
-    """ln t for t in [t0, t1), with ``math.log`` as in ``select``: ``np.log``
-    is not correctly rounded everywhere (numpy 2.4 on x86-64 differs from
-    ``math.log`` at 8 of the t below 2e5), and one flipped argmax changes a
-    run's output."""
-    return np.fromiter(map(math.log, range(t0, t1)), dtype=float, count=t1 - t0)
+#: exploration coefficients of the steps in one chunk:
+#: ``schedule(i1, loads, ln_t)`` covers the ``len(loads)`` steps up to step
+#: i1, given those steps' raw loads and ``ln_t()``, their ln t (built only
+#: for a schedule that calls it)
+Schedule = Callable[[int, np.ndarray, Callable[[], np.ndarray]], np.ndarray]
 
 
 class IndexPolicy(Policy):
@@ -132,9 +126,17 @@ class IndexPolicy(Policy):
 
     with an exploration coefficient ``c_t`` that depends on the step and its
     load but never on rewards.  :meth:`exploration_schedule` hands the whole
-    ``c_t`` sequence to the simulator's step kernel chunk by chunk; ``select``
+    ``c_t`` sequence to the simulator's step kernels chunk by chunk; ``select``
     is the same rule one step at a time.
     """
+
+    #: probabilities of the running load quantiles the schedule normalizes
+    #: by, over a trailing ``window`` of loads or all of them (EAdaUCB's);
+    #: such a schedule reads the whole run's loads up front, through a
+    #: :class:`RunningQuantiles`, and :meth:`observe_loads` keeps them.
+    #: Any other schedule reads each chunk's loads only.
+    quantile_probs: tuple[float, ...] = ()
+    window: int | None = None
 
     def __init__(self, n_arms: int):
         super().__init__(n_arms)
@@ -165,22 +167,25 @@ class IndexPolicy(Policy):
 
     def observe_loads(self, loads: np.ndarray) -> None:
         """Take in a whole run's loads at once, as ``select`` takes in each
-        one: ``run_once`` calls this after a step-kernel run."""
+        one: the simulator calls this after a step-kernel run."""
 
-    def exploration_schedule(self, loads: np.ndarray) -> Schedule:
+    def exploration_schedule(self, quantiles: RunningQuantiles | None = None) -> Schedule:
         """``c_t = alpha * (1 - ltil_t) * ln t`` of the steps after the init
-        round, for the raw load sequence ``loads``, as a :data:`Schedule`.
-        Call it on consecutive slices from ``n_arms`` on; a negative integer
-        entry ``-1 - k`` would force a pull of arm k instead."""
-        normalized = self._normalized_chunks(loads)
+        round, as a :data:`Schedule`.  Call it on consecutive chunks from
+        ``n_arms`` on; a negative entry ``-1 - k`` would force a pull of arm
+        k instead.  ``quantiles``, the run's loads at :attr:`quantile_probs`,
+        is read only when that is not empty."""
+        normalized = self._normalizer(quantiles)
         alpha = self.alpha
 
-        def schedule(i0: int, i1: int) -> list:
-            return (alpha * (1.0 - normalized(i0, i1)) * _log_steps(i0 + 1, i1 + 1)).tolist()
+        def schedule(i1: int, loads: np.ndarray, ln_t) -> np.ndarray:
+            return alpha * (1.0 - normalized(i1, loads)) * ln_t()
 
         return schedule
 
-    def _normalized_chunks(self, loads: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    def _normalizer(self, quantiles) -> Callable[[int, np.ndarray], np.ndarray]:
+        """``normalized(i1, loads)``: the normalized loads of the chunk
+        ending at step ``i1``."""
         raise NotImplementedError
 
 
@@ -198,8 +203,8 @@ class UcbPolicy(IndexPolicy):
     def _choose(self, t: int, load: float, rng=None) -> int:
         return self._argmax_index(t, self.alpha * math.log(t))
 
-    def _normalized_chunks(self, loads):
-        return lambda i0, i1: np.zeros(i1 - i0)
+    def _normalizer(self, quantiles):
+        return lambda i1, loads: np.zeros(len(loads))
 
 
 class AdaUcbPolicy(IndexPolicy):
@@ -219,9 +224,9 @@ class AdaUcbPolicy(IndexPolicy):
     def _normalized(self, load: float) -> float:
         return normalize_load(load, self.thresholds)
 
-    def _normalized_chunks(self, loads):
+    def _normalizer(self, quantiles):
         lower, upper = self.thresholds.lower, self.thresholds.upper
-        return lambda i0, i1: normalize_loads(loads[i0:i1], lower, upper)
+        return lambda i1, loads: normalize_loads(loads, lower, upper)
 
 
 class LoadQuantileSketch:
@@ -289,7 +294,9 @@ class RunningQuantiles:
     probability, a bytearray marks the ranks currently held and a pointer
     holds the rank of the quantile.  ``k = max(1, ceil(q*n))`` changes by at
     most one per insert or eviction, so the pointer moves at most one held
-    rank: one ``bytearray.find``/``rfind``.
+    rank: one ``bytearray.find``/``rfind``.  The loads themselves are kept
+    only as sorted values and 32-bit ranks (:meth:`loads`), so a caller
+    that holds the quantiles needs no copy of its own.
     """
 
     def __init__(self, values: np.ndarray, probs: tuple[float, ...], window: int | None = None):
@@ -297,13 +304,14 @@ class RunningQuantiles:
             raise ValueError("loads must be finite")
         if window is not None and window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
+        n = len(values)
         order = np.argsort(values, kind="stable")
         self._sorted = values[order]
-        self._ranks = np.empty(len(values), dtype=np.intp)
-        self._ranks[order] = np.arange(len(values))
+        self._ranks = np.empty(n, dtype=np.int32 if n < 2**31 else np.intp)
+        self._ranks[order] = np.arange(n)
         self.probs = probs
-        self.window = len(values) if window is None else window
-        self._held = [bytearray(len(values)) for _ in probs]
+        self.window = n if window is None else window
+        self._held = [bytearray(n) for _ in probs]
         self._pointer = [-1] * len(probs)
         self._seen = 0
 
@@ -343,6 +351,10 @@ class RunningQuantiles:
             out[j] = self._sorted[at]
         self._seen = stop
         return out
+
+    def loads(self, start: int, stop: int) -> np.ndarray:
+        """The loads at indices start..stop-1, in run order."""
+        return self._sorted[self._ranks[start:stop]]
 
 
 class EAdaUcbPolicy(IndexPolicy):
@@ -399,12 +411,14 @@ class EAdaUcbPolicy(IndexPolicy):
     def _normalized(self, load: float) -> float:
         return normalize_load(load, self.thresholds)
 
-    def _normalized_chunks(self, loads):
-        quantiles = RunningQuantiles(loads, (self.lower_quantile, self.upper_quantile), self.window)
+    @property
+    def quantile_probs(self) -> tuple[float, float]:
+        return (self.lower_quantile, self.upper_quantile)
 
-        def normalized(i0: int, i1: int) -> np.ndarray:
-            lower, upper = quantiles.advance(i1)[:, i0 - i1 :]
-            return normalize_loads(loads[i0:i1], lower, upper)
+    def _normalizer(self, quantiles):
+        def normalized(i1: int, loads: np.ndarray) -> np.ndarray:
+            lower, upper = quantiles.advance(i1)[:, -len(loads) :]
+            return normalize_loads(loads, lower, upper)
 
         return normalized
 
@@ -547,16 +561,16 @@ class RoundRobinGreedyPolicy(IndexPolicy):
             return arm
         return self._argmax_index(t, 0.0)  # greedy: mean + sqrt(0) is the mean
 
-    def exploration_schedule(self, loads: np.ndarray) -> Schedule:
+    def exploration_schedule(self, quantiles=None) -> Schedule:
         """Greedy (``c_t = 0``) on loaded slots; on free slots a forced
         pull, ``-1 - arm``, of the next arm in the round robin."""
         lower, upper = self.thresholds.lower, self.thresholds.upper
 
-        def schedule(i0: int, i1: int) -> list:
-            out = [0.0] * (i1 - i0)
-            for j in np.flatnonzero(normalize_loads(loads[i0:i1], lower, upper) == 0.0).tolist():
-                out[j] = -1 - self._next
-                self._next = (self._next + 1) % self.n_arms
+        def schedule(i1: int, loads: np.ndarray, ln_t) -> np.ndarray:
+            out = np.zeros(len(loads))
+            free = np.flatnonzero(normalize_loads(loads, lower, upper) == 0.0)
+            out[free] = -1 - (self._next + np.arange(len(free))) % self.n_arms
+            self._next = (self._next + len(free)) % self.n_arms
             return out
 
         return schedule

@@ -16,6 +16,14 @@ own kernel, which draws a chunk's policy uniforms at once.  Everything else
 each kernel chooses the arms it would, bit for bit, and leaves the policy
 and its stream as it would.
 
+:func:`run_experiment` runs each (policy, replication) cell through
+:func:`run_once`, except when the index-family cells number at least
+:data:`BATCH_ROWS`: then they are advanced together as the rows of one
+``(N, K)`` batch (:func:`_run_index_batch`), one numpy argmax over all rows
+per step.  Each row keeps its own streams, schedule and policy copy, so the
+outputs do not depend on which path ran.  Both paths share one accounting
+block (:class:`_Ledger`).
+
 Regret is expected pseudo-regret by default: each step adds
 ``load * (best_mean - mean[chosen])`` using the true arm means, which is the
 unbiased low-variance estimator of the load-weighted regret.  A realized
@@ -29,8 +37,10 @@ replication count, and reseeding rewards never perturbs the load sequence.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -38,7 +48,7 @@ from scipy.special import betaincinv
 
 from .core import BanditInstance, RngStream, derive_stream_id
 from .environments import LoadModel, RewardModel
-from .policies import IndexPolicy, Policy, ThompsonPolicy
+from .policies import IndexPolicy, Policy, RunningQuantiles, ThompsonPolicy
 
 __all__ = [
     "ReplicationTrace",
@@ -121,6 +131,98 @@ def replication_streams(base_seed: int, policy_label: str, replication: int) -> 
 #: per chunk, few enough that no horizon-long Python list is held
 CHUNK = 1024
 
+#: steps per chunk of the batch engine, whose buffers hold every row's chunk
+BATCH_CHUNK = 128
+
+#: index-family rows (policies x replications) from which ``run_experiment``
+#: takes the batch engine: below it, the dozen numpy calls per step that the
+#: rows share cost more than each cell's own Python loop (the measured
+#: crossover is 7-8 rows for Beta-load mixes with eadaucb, about 10 for
+#: binary-load adaucb with rr-greedy, whose own loops are the cheapest)
+BATCH_ROWS = 10
+
+
+def _log_steps(t0: int, t1: int) -> np.ndarray:
+    """ln t for t in [t0, t1), with ``math.log`` as in ``select``: ``np.log``
+    is not correctly rounded everywhere (numpy 2.4 on x86-64 differs from
+    ``math.log`` at 8 of the t below 2e5), and one flipped argmax changes a
+    run's output."""
+    return np.fromiter(map(math.log, range(t0, t1)), dtype=float, count=t1 - t0)
+
+
+def _chunk_ends(n_arms: int, horizon: int, size: int) -> list[int]:
+    # the init round ends a chunk of its own
+    return sorted({n_arms, horizon, *range(size, horizon, size)})
+
+
+def _check_rewards(rows: np.ndarray) -> np.ndarray:
+    if not ((rows >= 0.0) & (rows <= 1.0)).all():
+        raise ValueError("nominal rewards must be in [0, 1]")
+    return rows
+
+
+class _Ledger:
+    """Regret, pull and checkpoint accounting of ``n_rows`` runs of one
+    bandit, a chunk of chosen arms at a time: the one accounting block of
+    ``run_once`` (one row) and the batch engine."""
+
+    def __init__(self, bandit, checkpoints, horizon, n_rows, realized, record_steps=False):
+        n_arms = bandit.n_arms
+        if horizon < n_arms:
+            raise ValueError(f"horizon {horizon} is shorter than the init round of {n_arms} arms")
+        self.pts = _validate_checkpoints(checkpoints, horizon)
+        self.gaps = np.array(bandit.gaps)
+        self.best_mean = bandit.best_mean
+        self.realized = realized
+        self.regret = np.zeros(n_rows)
+        self.pulled = np.zeros((n_rows, n_arms), dtype=np.int64)
+        self.offsets = np.arange(0, n_rows * n_arms, n_arms)[:, None]
+        self.pt_list = self.pts.tolist()
+        self.next_pt = 0
+        self.ck_regret = np.empty((n_rows, len(self.pt_list)))
+        self.ck_pulls = np.empty((n_rows, len(self.pt_list), n_arms), dtype=np.int64)
+        self.full_regret = np.empty((n_rows, horizon)) if record_steps else None
+        self.full_pulls = np.empty((n_rows, horizon, n_arms), dtype=np.int64) if record_steps else None
+
+    def _counts(self, arms: np.ndarray) -> np.ndarray:
+        n_rows, n_arms = self.pulled.shape
+        flat = (arms + self.offsets).ravel()
+        return np.bincount(flat, minlength=n_rows * n_arms).reshape(n_rows, n_arms)
+
+    def add(self, i0: int, arms: np.ndarray, loads: np.ndarray, rewards: np.ndarray) -> None:
+        """Account steps i0+1..i0+n: ``arms`` and ``loads`` are (rows, n),
+        ``rewards`` every arm's reward, (rows, n, K)."""
+        if self.realized:
+            drawn = np.take_along_axis(rewards, arms[:, :, None], axis=2)[:, :, 0]
+            cost = loads * (self.best_mean - drawn)
+        else:
+            cost = loads * self.gaps[arms]
+        # cumulative sums in step order, row by row
+        running = np.cumsum(np.concatenate((self.regret[:, None], cost), axis=1), axis=1)[:, 1:]
+        self.regret = running[:, -1].copy()
+        i1 = i0 + arms.shape[1]
+        if self.full_regret is not None:
+            steps = np.eye(self.pulled.shape[1], dtype=np.int64)[arms]
+            self.full_regret[:, i0:i1] = running
+            self.full_pulls[:, i0:i1] = self.pulled[:, None] + np.cumsum(steps, axis=1)
+        pt_list = self.pt_list
+        while self.next_pt < len(pt_list) and pt_list[self.next_pt] <= i1:
+            j = pt_list[self.next_pt] - i0  # steps of this chunk up to the checkpoint
+            self.ck_regret[:, self.next_pt] = running[:, j - 1]
+            self.ck_pulls[:, self.next_pt] = self.pulled + self._counts(arms[:, :j])
+            self.next_pt += 1
+        self.pulled += self._counts(arms)
+
+    def trace(self, row: int) -> ReplicationTrace:
+        full = self.full_regret is not None
+        return ReplicationTrace(
+            checkpoints=self.pts,
+            regret=self.ck_regret[row],
+            pulls=self.ck_pulls[row],
+            full_regret=self.full_regret[row] if full else None,
+            full_pulls=self.full_pulls[row] if full else None,
+        )
+
 
 def run_once(
     bandit: BanditInstance,
@@ -140,15 +242,13 @@ def run_once(
     The policy must be freshly constructed or reset; the caller owns the
     streams.
     """
-    n_arms = bandit.n_arms
-    if horizon < n_arms:
-        raise ValueError(f"horizon {horizon} is shorter than the init round of {n_arms} arms")
-    pts = _validate_checkpoints(checkpoints, horizon)
+    ledger = _Ledger(bandit, checkpoints, horizon, 1, realized, record_steps)
     if load_model.uses_rng and load_rng is None:
         raise ValueError("stochastic load model needs a load stream")
     if reward_model.uses_rng and reward_rng is None:
         raise ValueError("stochastic reward model needs a reward stream")
 
+    n_arms = bandit.n_arms
     loads = load_model.sample_loads(horizon, load_rng)
     if isinstance(policy, IndexPolicy):
         choose = _index_kernel(policy, loads)
@@ -156,52 +256,18 @@ def run_once(
         choose = _thompson_kernel(policy, policy_rng)
     else:
         choose = _select_each_step(policy, n_arms, loads, policy_rng)
-    gaps = np.array(bandit.gaps)
 
-    pulled = np.zeros(n_arms, dtype=np.int64)
-    regret = 0.0
-    pt_list = pts.tolist()
-    ck_regret = np.empty(len(pt_list))
-    ck_pulls = np.empty((len(pt_list), n_arms), dtype=np.int64)
-    full_regret = np.empty(horizon) if record_steps else None
-    full_pulls = np.empty((horizon, n_arms), dtype=np.int64) if record_steps else None
-    next_pt = 0
-
-    ends = sorted({n_arms, horizon, *range(CHUNK, horizon, CHUNK)})
     i0 = 0
-    for i1 in ends:
-        rows = reward_model.reward_rows(i0 + 1, i1 - i0, reward_rng)
-        if not ((rows >= 0.0) & (rows <= 1.0)).all():
-            raise ValueError("nominal rewards must be in [0, 1]")
+    for i1 in _chunk_ends(n_arms, horizon, CHUNK):
+        rows = _check_rewards(reward_model.reward_rows(i0 + 1, i1 - i0, reward_rng))
         arms = np.array(choose(i0, i1, rows.ravel().tolist()))
-        step_loads = loads[i0:i1]
-        if realized:
-            cost = step_loads * (bandit.best_mean - rows[np.arange(i1 - i0), arms])
-        else:
-            cost = step_loads * gaps[arms]
-        running = np.cumsum(np.concatenate(([regret], cost)))[1:]
-        regret = float(running[-1])
-        if record_steps:
-            full_regret[i0:i1] = running
-            full_pulls[i0:i1] = pulled + np.cumsum(np.eye(n_arms, dtype=np.int64)[arms], axis=0)
-        while next_pt < len(pt_list) and pt_list[next_pt] <= i1:
-            j = pt_list[next_pt] - i0  # steps of this chunk up to the checkpoint
-            ck_regret[next_pt] = running[j - 1]
-            ck_pulls[next_pt] = pulled + np.bincount(arms[:j], minlength=n_arms)
-            next_pt += 1
-        pulled += np.bincount(arms, minlength=n_arms)
+        ledger.add(i0, arms[None], loads[None, i0:i1], rows[None])
         i0 = i1
 
     if isinstance(policy, IndexPolicy):
         del choose  # the kernel's per-run arrays go before the policy keeps the loads
         policy.observe_loads(loads)
-    return ReplicationTrace(
-        checkpoints=pts,
-        regret=ck_regret,
-        pulls=ck_pulls,
-        full_regret=full_regret,
-        full_pulls=full_pulls,
-    )
+    return ledger.trace(0)
 
 
 #: the arms chosen at steps i0+1..i1, given every arm's reward at those steps
@@ -239,7 +305,10 @@ def _index_kernel(policy: IndexPolicy, loads: np.ndarray) -> Chooser:
     chunk.
     """
     n_arms = policy.n_arms
-    schedule = policy.exploration_schedule(loads)
+    probs = policy.quantile_probs
+    schedule = policy.exploration_schedule(
+        RunningQuantiles(loads, probs, policy.window) if probs else None
+    )
     states = policy.arm_states
     means = [s.mean_reward for s in states]
     pulls = [s.pulls for s in states]
@@ -252,11 +321,11 @@ def _index_kernel(policy: IndexPolicy, loads: np.ndarray) -> Chooser:
         if i1 <= n_arms:  # the init round pulls arms 0..K-1 in order
             cs = list(range(-1 - i0, -1 - i1, -1))
         else:
-            cs = schedule(i0, i1)
+            cs = schedule(i1, loads[i0:i1], partial(_log_steps, i0 + 1, i1 + 1)).tolist()
         chosen = []
         for c, row in zip(cs, range(0, len(rewards), n_arms)):
             if c < 0:  # forced pull of arm -1 - c
-                arm = -1 - c
+                arm = -1 - int(c)
             elif c == 0.0:  # greedy: each index is its mean (max keeps the first)
                 arm = means.index(max(means))
             else:
@@ -320,6 +389,109 @@ def _thompson_kernel(policy: ThompsonPolicy, policy_rng: RngStream | None) -> Ch
     return choose
 
 
+def _run_index_batch(
+    bandit: BanditInstance,
+    load_model: LoadModel,
+    reward_model: RewardModel,
+    cells: list[tuple[IndexPolicy, dict]],
+    horizon: int,
+    checkpoints,
+    realized: bool,
+) -> _Ledger:
+    """Run every (index policy, streams) cell as one row of an (N, K) batch
+    advanced a step at a time, and return the ledger, a row per cell.
+
+    Each row draws its loads, rewards and ``c_t`` from its own streams and
+    schedule, so it chooses the arms ``run_once`` would, bit for bit; loads
+    are drawn a chunk at a time unless the schedule needs the whole run.  A
+    row owns a reset copy of its policy; when the batch ends, each policy is
+    left as its last row (its last replication) leaves it.
+    """
+    ledger = _Ledger(bandit, checkpoints, horizon, len(cells), realized)
+    n_rows, n_arms = len(cells), bandit.n_arms
+    rows, run_quantiles, schedules = [], [], []
+    for policy, streams in cells:
+        row = copy.copy(policy)
+        row.reset()
+        quantiles = None
+        if row.quantile_probs:  # the whole run's loads, kept only inside its quantiles
+            run_loads = load_model.sample_loads(horizon, streams["load"])
+            quantiles = RunningQuantiles(run_loads, row.quantile_probs, row.window)
+        rows.append(row)
+        run_quantiles.append(quantiles)
+        schedules.append(row.exploration_schedule(quantiles))
+    # ArmState's pulls and sums, row by row; a mean is always sums / pulls
+    pulls = np.zeros((n_rows, n_arms))
+    sums = np.zeros((n_rows, n_arms))
+    pulls_flat, sums_flat = pulls.ravel(), sums.ravel()
+    base = np.arange(0, n_rows * n_arms, n_arms)
+    index = np.empty((n_rows, n_arms))
+    means = np.empty((n_rows, n_arms))
+    # per-chunk buffers, step-major: one (N, K) block of rewards per step
+    chunk_loads = np.empty((n_rows, BATCH_CHUNK))
+    chunk_rewards = np.empty((BATCH_CHUNK, n_rows, n_arms))
+    chunk_coeff = np.empty((BATCH_CHUNK, n_rows, 1))
+    chunk_chosen = np.empty((BATCH_CHUNK, n_rows), dtype=np.intp)  # flat (row, arm) indices
+
+    i0 = 0
+    for i1 in _chunk_ends(n_arms, horizon, BATCH_CHUNK):
+        n = i1 - i0
+        ln_t = cache(partial(_log_steps, i0 + 1, i1 + 1))  # built once, if a schedule asks
+        loads, rewards = chunk_loads[:, :n], chunk_rewards[:n]
+        coeff, chosen = chunk_coeff[:n], chunk_chosen[:n]
+        for r, ((_, streams), quantiles, schedule) in enumerate(zip(cells, run_quantiles, schedules)):
+            if quantiles is None:
+                loads[r] = load_model.sample_loads(n, streams["load"], i0 + 1)
+            else:
+                loads[r] = quantiles.loads(i0, i1)
+            rewards[:, r] = reward_model.reward_rows(i0 + 1, n, streams["reward"])
+            if i1 > n_arms:
+                coeff[:, r, 0] = schedule(i1, loads[r], ln_t)
+        _check_rewards(rewards)
+        if i1 <= n_arms:  # the init round pulls arms 0..K-1 in order
+            coeff[:] = (-1.0 - np.arange(i0, i1))[:, None, None]
+        # forced pulls (arm -1 - c) as one mask; the index sees c = 0 there
+        is_forced = coeff[:, :, 0] < 0.0
+        forced = np.full((n, n_rows), -1, dtype=np.intp)
+        forced[is_forced] = -1.0 - coeff[:, :, 0][is_forced]
+        n_forced = is_forced.sum(axis=1).tolist()
+        np.maximum(coeff, 0.0, out=coeff)
+
+        flat_rewards = rewards.reshape(n, -1)
+        for j, k in enumerate(n_forced):
+            if k < n_rows:
+                np.divide(coeff[j], pulls, out=index)
+                np.sqrt(index, out=index)
+                np.divide(sums, pulls, out=means)
+                index += means
+                flat = index.argmax(axis=1)
+                if k:
+                    flat = np.where(forced[j] >= 0, forced[j], flat)
+                flat += base
+            else:
+                flat = forced[j] + base
+            # ArmState.update of each row's arm (one per row): p + 1, s + x
+            pulls_flat[flat] += 1.0
+            sums_flat[flat] += flat_rewards[j][flat]
+            chosen[j] = flat
+        chosen -= base
+        ledger.add(i0, chosen.T, loads, rewards.transpose(1, 0, 2))
+        i0 = i1
+
+    last = {id(policy): r for r, (policy, _) in enumerate(cells)}.values()
+    run_loads = {r: run_quantiles[r].loads(0, horizon) for r in last if run_quantiles[r]}
+    del run_quantiles, schedules  # the running quantiles go before a policy keeps its loads
+    for r in last:
+        row = rows[r]
+        mean = sums[r] / pulls[r]
+        for state, p, s, m in zip(row.arm_states, pulls[r].tolist(), sums[r].tolist(), mean.tolist()):
+            state.pulls, state.sum_reward, state.mean_reward = int(p), s, m
+        if r in run_loads:
+            row.observe_loads(run_loads.pop(r))
+        vars(cells[r][0]).update(vars(row))
+    return ledger
+
+
 def run_experiment(
     bandit: BanditInstance,
     load_model: LoadModel,
@@ -336,7 +508,10 @@ def run_experiment(
 
     Stream ids depend only on (base seed, policy label, replication index),
     so results are independent of execution order and of the total number of
-    replications requested.
+    replications requested.  When the index-family cells (every
+    :class:`IndexPolicy` x replication) number at least :data:`BATCH_ROWS`,
+    they run together in the batch engine; every other cell runs alone
+    through :func:`run_once`.  Either way the results are the same.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
@@ -344,10 +519,23 @@ def run_experiment(
         checkpoints = default_checkpoints(horizon)
     pts = _validate_checkpoints(checkpoints, horizon)
 
-    results: dict[str, RegretTrace] = {}
+    n_arms = bandit.n_arms
+    regret = {label: np.empty((replications, len(pts))) for label in policies}
+    pulls = {label: np.empty((replications, len(pts), n_arms), dtype=np.int64) for label in policies}
+    batched = [label for label, policy in policies.items() if isinstance(policy, IndexPolicy)]
+    if len(batched) * replications < BATCH_ROWS:
+        batched = []
+    else:
+        keys = [(label, rep) for label in batched for rep in range(replications)]
+        cells = [(policies[label], replication_streams(base_seed, label, rep)) for label, rep in keys]
+        ledger = _run_index_batch(bandit, load_model, reward_model, cells, horizon, pts, realized)
+        for r, (label, rep) in enumerate(keys):
+            regret[label][rep] = ledger.ck_regret[r]
+            pulls[label][rep] = ledger.ck_pulls[r]
+
     for label, policy in policies.items():
-        reg = np.empty((replications, len(pts)))
-        pls = np.empty((replications, len(pts), bandit.n_arms), dtype=np.int64)
+        if label in batched:
+            continue
         for rep in range(replications):
             policy.reset()
             streams = replication_streams(base_seed, label, rep)
@@ -363,7 +551,9 @@ def run_experiment(
                 streams["policy"],
                 realized=realized,
             )
-            reg[rep] = trace.regret
-            pls[rep] = trace.pulls
-        results[label] = RegretTrace(policy=label, checkpoints=pts, regret=reg, pulls=pls)
-    return results
+            regret[label][rep] = trace.regret
+            pulls[label][rep] = trace.pulls
+    return {
+        label: RegretTrace(policy=label, checkpoints=pts, regret=regret[label], pulls=pulls[label])
+        for label in policies
+    }

@@ -96,6 +96,16 @@ class TestRun:
         assert "config error" in err and "load.kind" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "bounds"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_names_field(tmp_path, capsys, command, seed):
+    # rejected where it enters, before any output directory is made
+    out = tmp_path / "o"
+    assert run_cli([command, "fig1a", "-o", out, "--horizon", "400", "--seed", seed]) == 1
+    assert "base_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestBounds:
     def test_deterministic_scenario_columns_and_metadata(self, tmp_path):
         out = tmp_path / "b"

@@ -207,8 +207,8 @@ class StepLoad(LoadModel):
     kind = "step"
     uses_rng = False
 
-    def _bulk(self, horizon, us):
-        return np.where(np.arange(1, horizon + 1) % self.every == 0, self.level, 1.0)
+    def _bulk(self, ts, us):
+        return np.where(ts % self.every == 0, self.level, 1.0)
 
 
 class TestRegistry:

@@ -1,6 +1,7 @@
 """The step kernels (the index family's and Thompson sampling's) against the
-per-step reference (``select`` and ``update`` at every step), and the
-rank-pointer running quantiles against the sorted-list sketch."""
+per-step reference (``select`` and ``update`` at every step), the index
+family's batch engine against ``run_once``, and the rank-pointer running
+quantiles against the sorted-list sketch."""
 
 import math
 from unittest import mock
@@ -15,10 +16,13 @@ from opbandit.core import BanditInstance, RngStream, Thresholds
 from opbandit.environments import (
     BernoulliReward,
     BetaLoad,
+    BinaryRandomLoad,
     DiracReward,
     LoadModel,
+    PeriodicSquareWaveLoad,
     RewardModel,
     TraceData,
+    TraceLoad,
     TraceReward,
 )
 from opbandit.policies import (
@@ -30,7 +34,7 @@ from opbandit.policies import (
     ThompsonPolicy,
     UcbPolicy,
 )
-from opbandit.simulator import default_checkpoints, replication_streams, run_once
+from opbandit.simulator import default_checkpoints, replication_streams, run_experiment, run_once
 
 KINDS = ("ucb", "adaucb", "eadaucb", "eadaucb-window", "rr-greedy", "ts")
 
@@ -209,8 +213,8 @@ class TestKernelMatchesPerStepLoop:
         ts = np.arange(1, horizon + 1)
         differ = ts[np.log(ts.astype(float)) != np.fromiter(map(math.log, ts.tolist()), float)]
         t = int(differ[0]) if len(differ) else 9170
-        schedule = UcbPolicy(3, 0.51).exploration_schedule(np.zeros(horizon))
-        assert schedule(t - 1, t)[0] == 0.51 * math.log(t)
+        schedule = UcbPolicy(3, 0.51).exploration_schedule()
+        assert schedule(t, np.zeros(1), lambda: simulator._log_steps(t, t + 1))[0] == 0.51 * math.log(t)
         for kind in ("ucb", "adaucb"):
             ref, fast, _, _ = run_both(
                 lambda: make_policy(kind, 3, 0.2, 0.8),
@@ -221,6 +225,32 @@ class TestKernelMatchesPerStepLoop:
                 record_steps=True,
             )
             assert_same_bytes(ref, fast)
+        # the batch engine hands every row's schedule the same exact ln t
+        seen = []
+        schedule_of = UcbPolicy.exploration_schedule
+
+        def recording(self, quantiles=None):
+            schedule = schedule_of(self, quantiles)
+
+            def record(i1, loads, ln_t):
+                seen.append((i1, ln_t().tolist()))
+                return schedule(i1, loads, ln_t)
+
+            return record
+
+        sc = dict(
+            reward=BernoulliReward((0.5, 0.52, 0.55)),
+            load=BetaLoad(2.0, 2.0),
+            horizon=horizon,
+            replications=simulator.BATCH_ROWS,
+            checkpoints=[horizon],
+            realized=False,
+        )
+        with mock.patch.object(UcbPolicy, "exploration_schedule", recording):
+            experiment({"ucb": UcbPolicy(3, 0.51)}, sc, simulator.BATCH_ROWS)
+        assert any(i1 - len(ln_t) < t <= i1 for i1, ln_t in seen)
+        for i1, ln_t in seen:
+            assert ln_t == [math.log(u) for u in range(i1 - len(ln_t) + 1, i1 + 1)]
 
     @pytest.mark.parametrize("chunk", [1, 2, 4])
     def test_ts_init_round_spans_chunks(self, chunk):
@@ -292,6 +322,157 @@ class TestKernelMatchesPerStepLoop:
                 RngStream(1, 0),
                 None,
             )
+
+
+class GridLoad(LoadModel):
+    """I.i.d. loads from :data:`GRID` (ties, and values on the thresholds)."""
+
+    kind = "grid"
+
+    def _bulk(self, ts, us):
+        return np.array(GRID)[(us * len(GRID)).astype(int)]
+
+
+INDEX_KINDS = KINDS[:-1]
+
+
+def reward_model(draw, n_arms):
+    reward_kind = draw(st.sampled_from(("bernoulli", "dirac", "trace")))
+    means = draw(st.lists(st.floats(0.0, 1.0), min_size=n_arms, max_size=n_arms))
+    if reward_kind == "bernoulli":
+        return BernoulliReward(tuple(means))
+    if reward_kind == "dirac":
+        return DiracReward(tuple(means))
+    rows = draw(st.integers(1, 30))
+    cells = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((rows, n_arms))
+    if draw(st.booleans()):
+        cells = (cells < 0.5).astype(float)
+    return TraceReward(TraceData(loads=np.ones(rows), rewards=cells, scale=1.0))
+
+
+@st.composite
+def batches(draw):
+    n_arms = draw(st.integers(2, 6))
+    kinds = draw(st.lists(st.sampled_from(INDEX_KINDS), min_size=1, max_size=4))
+    lower = draw(st.sampled_from(GRID))
+    upper = draw(st.sampled_from(GRID).filter(lambda u: u >= lower))
+    load = draw(
+        st.sampled_from(
+            (
+                GridLoad(),
+                BetaLoad(2.0, 2.0),
+                BinaryRandomLoad(0.0, 0.0, 0.5),
+                PeriodicSquareWaveLoad(0.0, 0.1),
+                TraceLoad(TraceData(np.array(GRID[:7]), None, 1.0)),  # wraps
+            )
+        )
+    )
+    horizon = draw(st.integers(n_arms, 120))
+    pts = draw(st.lists(st.integers(1, horizon), min_size=1, max_size=8, unique=True))
+    return dict(
+        n_arms=n_arms,
+        kinds=kinds,
+        lower=lower,
+        upper=upper,
+        load=load,
+        reward=reward_model(draw, n_arms),
+        horizon=horizon,
+        checkpoints=sorted(pts),
+        replications=draw(st.integers(1, 8)),
+        realized=draw(st.booleans()),
+        chunk=draw(st.integers(1, 8) | st.integers(1, 50)),  # some below K: init spans chunks
+    )
+
+
+def make_index_policy(kind, n_arms, lower, upper):
+    if kind.startswith("eadaucb"):  # quantile probabilities, not loads
+        lower, upper = min(max(lower, 0.01), 0.99), min(max(upper, 0.01), 0.99)
+    return make_policy(kind, n_arms, lower, upper)
+
+
+def policy_state(policy):
+    """Everything a run leaves in an index policy."""
+    state = [(s.pulls, s.sum_reward, s.mean_reward) for s in policy.arm_states]
+    if isinstance(policy, EAdaUcbPolicy):
+        sketch = policy.load_sketch
+        state.append((list(sketch._sorted), None if sketch._recent is None else list(sketch._recent)))
+    if isinstance(policy, RoundRobinGreedyPolicy):
+        state.append(policy._next)
+    return state
+
+
+def experiment(policies, sc, batch_rows):
+    with mock.patch.object(simulator, "BATCH_ROWS", batch_rows):
+        return run_experiment(
+            BanditInstance(sc["reward"].means),
+            sc["load"],
+            sc["reward"],
+            policies,
+            sc["horizon"],
+            sc["replications"],
+            base_seed=11,
+            checkpoints=sc["checkpoints"],
+            realized=sc["realized"],
+        )
+
+
+class TestBatchMatchesRunOnce:
+    @given(batches())
+    def test_every_row_byte_for_byte(self, sc):
+        def make(kind):
+            return make_index_policy(kind, sc["n_arms"], sc["lower"], sc["upper"])
+
+        labels = {f"{kind}-{i}": kind for i, kind in enumerate(sc["kinds"])}
+        policies = {label: make(kind) for label, kind in labels.items()}
+        with mock.patch.object(simulator, "BATCH_CHUNK", sc["chunk"]):
+            batch = experiment(policies, sc, batch_rows=1)
+        with mock.patch.object(simulator, "CHUNK", sc["chunk"]):
+            for label, kind in labels.items():
+                for rep in range(sc["replications"]):
+                    reference = make(kind)
+                    streams = replication_streams(11, label, rep)
+                    trace = run_once(
+                        BanditInstance(sc["reward"].means),
+                        sc["load"],
+                        sc["reward"],
+                        reference,
+                        sc["horizon"],
+                        sc["checkpoints"],
+                        streams["load"],
+                        streams["reward"],
+                        streams["policy"],
+                        realized=sc["realized"],
+                    )
+                    assert batch[label].regret[rep].tobytes() == trace.regret.tobytes(), label
+                    assert batch[label].pulls[rep].tobytes() == trace.pulls.tobytes(), label
+                # the batch leaves each policy as its last replication did
+                assert policy_state(policies[label]) == policy_state(reference), label
+
+    @pytest.mark.parametrize("replications", [1, 4])
+    def test_policies_left_as_the_per_cell_loop_leaves_them(self, replications):
+        sc = dict(
+            reward=BernoulliReward((0.3, 0.5, 0.45)),
+            load=BetaLoad(2.0, 2.0),
+            horizon=2 * simulator.BATCH_CHUNK + 31,
+            replications=replications,
+            checkpoints=[1, 3, simulator.BATCH_CHUNK + 1, 2 * simulator.BATCH_CHUNK + 31],
+            realized=False,
+        )
+
+        def policies():
+            shared = make_policy("rr-greedy", 3, 0.2, 0.8)
+            out = {kind: make_policy(kind, 3, 0.2, 0.8) for kind in INDEX_KINDS}
+            # one object under two labels ends as its last label's last run
+            return {**out, "rr-a": shared, "rr-b": shared}
+
+        per_cell, batched = policies(), policies()
+        a = experiment(per_cell, sc, batch_rows=10**9)
+        b = experiment(batched, sc, batch_rows=1)
+        for label in per_cell:
+            assert a[label].regret.tobytes() == b[label].regret.tobytes(), label
+            assert a[label].pulls.tobytes() == b[label].pulls.tobytes(), label
+            assert policy_state(per_cell[label]) == policy_state(batched[label]), label
+            assert policy_state(per_cell[label])[0][0] > 0  # the runs did happen
 
 
 class TestRunningQuantiles:
