@@ -26,7 +26,14 @@ import numpy as np
 from scipy.special import betainc, betaincinv
 
 from .core import RngStream, derive_stream_id
-from .environments import BetaLoad, LoadModel, UniformLoad
+from .environments import (
+    BetaLoad,
+    BinaryRandomLoad,
+    DiracReward,
+    LoadModel,
+    PeriodicSquareWaveLoad,
+    UniformLoad,
+)
 
 __all__ = [
     "pull_rate_floor",
@@ -316,12 +323,6 @@ def evaluate_bounds(
     * ``pull_log_bound_arm_<k>``: the generic 4*alpha*ln(t)/gap_k^2 pull
       envelope for each suboptimal arm (1-based labels).
     """
-    from .environments import (  # local import to keep module load cheap
-        BinaryRandomLoad,
-        DiracReward,
-        PeriodicSquareWaveLoad,
-    )
-
     pts = np.asarray(checkpoints, dtype=int)
     report = BoundReport(
         alpha=alpha,
@@ -361,12 +362,7 @@ def evaluate_bounds(
                     lower[i] = curve[int(round((tau - 2.0) / step))]
         report.columns["pull_lower"] = lower
         report.columns["regret_log_term"] = np.array(
-            [
-                deterministic_regret_log_term(int(t), alpha, gap, load_model.eps0)
-                if t >= 1
-                else np.nan
-                for t in pts
-            ]
+            [deterministic_regret_log_term(int(t), alpha, gap, load_model.eps0) for t in pts]
         )
     elif isinstance(load_model, BinaryRandomLoad):
         report.params["eps0"] = load_model.eps0

@@ -13,7 +13,6 @@ envelope was violated by the compared run.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from importlib import resources
 from pathlib import Path
@@ -58,25 +57,13 @@ def _resolve_config(arg: str) -> ExperimentConfig:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    changes = {}
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("base_seed", "must be a 64-bit unsigned integer")
-        changes["base_seed"] = args.seed
-    if args.replications is not None:
-        if args.replications < 1:
-            raise ConfigError("replications", "must be >= 1")
-        changes["replications"] = args.replications
-    if args.horizon is not None:
-        if args.horizon < 2:
-            raise ConfigError("horizon", "must be >= 2")
-        changes["horizon"] = args.horizon
-        if cfg.checkpoints is not None:
-            pts = tuple(t for t in cfg.checkpoints if t <= args.horizon)
-            if not pts or pts[-1] != args.horizon:
-                pts = pts + (args.horizon,)
-            changes["checkpoints"] = pts
-    return dataclasses.replace(cfg, **changes) if changes else cfg
+    """The config with the command line's values, checked as a config file's."""
+    overrides = {"base_seed": args.seed, "replications": args.replications, "horizon": args.horizon}
+    doc = cfg.to_dict() | {key: value for key, value in overrides.items() if value is not None}
+    if args.horizon is not None and cfg.checkpoints is not None:
+        pts = [t for t in cfg.checkpoints if t <= args.horizon]
+        doc["checkpoints"] = pts if pts and pts[-1] == args.horizon else [*pts, args.horizon]
+    return parse_config(doc)
 
 
 def _cmd_run(args) -> int:
@@ -130,26 +117,33 @@ def _pick_alpha(plan, override) -> float:
     )
 
 
-def _single_threshold(plan) -> float | None:
-    for info in plan.resolved["policies"].values():
+def _single_threshold(plan) -> tuple[str | None, float | None]:
+    """The config field and level of the first AdaUCB single threshold."""
+    for i, info in enumerate(plan.resolved["policies"].values()):
         if info["kind"] == "adaucb" and info.get("lower") == info.get("upper"):
-            return info["lower"]
-    return None
+            return f"policies[{i}].thresholds", info["lower"]
+    return None, None
 
 
 def _cmd_bounds(args) -> int:
     cfg = _apply_overrides(_resolve_config(args.config), args)
     plan = build_plan(cfg)
     alpha = _pick_alpha(plan, args.alpha)
-    report = evaluate_bounds(
-        plan.bandit,
-        plan.load_model,
-        plan.reward_model,
-        alpha,
-        plan.checkpoints,
-        single_threshold=_single_threshold(plan),
-        quadrature_step=args.quadrature_step,
-    )
+    field, threshold = _single_threshold(plan)
+    try:
+        report = evaluate_bounds(
+            plan.bandit,
+            plan.load_model,
+            plan.reward_model,
+            alpha,
+            plan.checkpoints,
+            single_threshold=threshold,
+            quadrature_step=args.quadrature_step,
+        )
+    except TypeError as exc:  # no conditional load mean below the threshold
+        if field is None:
+            raise
+        raise ConfigError(field, str(exc)) from None
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "bounds.csv"

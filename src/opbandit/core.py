@@ -30,6 +30,7 @@ __all__ = [
     "normalize_load",
     "normalize_loads",
     "binary_normalize",
+    "nearest_rank_quantile",
 ]
 
 
@@ -175,6 +176,14 @@ def binary_normalize(raw: float, eps0: float, eps1: float) -> float:
             f"{{{eps0}, {1.0 - eps1}}}"
         )
     return normalize_load(raw, Thresholds(eps0, 1.0))
+
+
+def nearest_rank_quantile(values, p: float) -> float:
+    """The p-quantile of sorted ``values`` by the nearest-rank rule: the
+    ceil(p*n)-th smallest, for p in (0, 1)."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"quantile probability must be in (0, 1), got {p}")
+    return float(values[max(1, math.ceil(p * len(values))) - 1])
 
 
 def derive_stream_id(*parts) -> int:

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import betaincinv
 
-from .core import RngStream
+from .core import RngStream, nearest_rank_quantile
 
 __all__ = [
     "LoadModel",
@@ -298,11 +298,12 @@ class TraceLoad(LoadModel):
                 log.info("trace shorter than horizon: wrapping around %d time(s)", wraps)
         return self.data.loads[(ts - 1) % n]
 
+    @cached_property
+    def _sorted_loads(self) -> np.ndarray:
+        return np.sort(self.data.loads)
+
     def quantile(self, p: float) -> float:
-        _check_prob(p)
-        values = np.sort(self.data.loads)
-        rank = max(1, math.ceil(p * len(values)))  # nearest-rank
-        return float(values[rank - 1])
+        return nearest_rank_quantile(self._sorted_loads, p)
 
 
 @dataclass(frozen=True)
@@ -343,10 +344,7 @@ class SemiPeriodicLoad(LoadModel):
     def quantile(self, p: float) -> float:
         """Empirical marginal quantile from a fixed-seed reference sample
         spanning whole periods (the marginal mixes the envelope phase)."""
-        _check_prob(p)
-        sample = self._reference_sample
-        rank = max(1, math.ceil(p * len(sample)))
-        return float(sample[rank - 1])
+        return nearest_rank_quantile(self._reference_sample, p)
 
 
 # ---------------------------------------------------------------------------

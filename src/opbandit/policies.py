@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ArmState, RngStream, Thresholds, normalize_load, normalize_loads
+from .core import ArmState, RngStream, Thresholds, nearest_rank_quantile, normalize_load, normalize_loads
 
 __all__ = [
     "Policy",
@@ -271,17 +271,13 @@ class LoadQuantileSketch:
             self._sorted.sort()
 
     def quantile(self, q: float) -> float:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        n = len(self._sorted)
-        if n == 0:
+        if not self._sorted:
             raise ValueError("quantile of an empty sketch")
-        rank = max(1, math.ceil(q * n))
-        return self._sorted[rank - 1]
+        return nearest_rank_quantile(self._sorted, q)
 
 
 def _nearest_rank(q: float, n: np.ndarray) -> np.ndarray:
-    # max(1, ceil(q*n)) as in LoadQuantileSketch.quantile, and 0 for n = 0
+    # max(1, ceil(q*n)) as in nearest_rank_quantile, and 0 for n = 0
     return np.where(n > 0, np.maximum(1.0, np.ceil(q * n)), 0.0)
 
 
@@ -457,12 +453,6 @@ class ThompsonPolicy(Policy):
         return (self.a + self.b - 2.0).astype(int)
 
 
-def _inv2(a: np.ndarray) -> np.ndarray:
-    # closed-form 2x2 inverse; the ridge floor keeps det well away from 0
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
-
-
 class LinUcbDisjointPolicy(Policy):
     """Contextual baseline: disjoint linear model per arm over the feature
     x = (1, raw_load), ridge-initialized with the identity.
@@ -470,9 +460,19 @@ class LinUcbDisjointPolicy(Policy):
     The regression target is the actual (load-weighted) reward
     raw_load * nominal_reward, which is what a context-reward view of this
     problem predicts.
+
+    Each arm keeps five floats, ``(a00, a01, a11, b0, b1)``: its symmetric
+    ridge matrix ``A`` and ``b``.  Scores use the closed-form ``A^-1`` (the
+    ridge floor keeps det away from 0) in Python floats.  numpy's ``@`` may
+    round them differently (BLAS kernels fuse multiply-adds), so the scores
+    within ``slack * (1 + alpha) * t`` of the best are ranked again by
+    numpy's evaluation: the arms chosen are a numpy implementation's.
     """
 
     kind = "linucb"
+    #: with loads and rewards in [0, 1], two evaluations of one score differ
+    #: by about 1e-14 * (1 + alpha) * t at most (A^-1 has no entry above 1)
+    slack = 1e-12
 
     def __init__(self, n_arms: int, alpha: float):
         super().__init__(n_arms)
@@ -482,34 +482,41 @@ class LinUcbDisjointPolicy(Policy):
         self.reset()
 
     def reset(self) -> None:
-        self.A = [np.eye(2) for _ in range(self.n_arms)]
-        self.b = [np.zeros(2) for _ in range(self.n_arms)]
-        self._A_inv = [np.eye(2) for _ in range(self.n_arms)]
-        self._x = np.array([1.0, 0.0])
+        self.stats = [(1.0, 0.0, 1.0, 0.0, 0.0)] * self.n_arms
         self._last_load = 0.0
+
+    @property
+    def A(self) -> list[np.ndarray]:
+        """Each arm's ridge matrix, as a 2x2 array."""
+        return [np.array([[a00, a01], [a01, a11]]) for a00, a01, a11, _, _ in self.stats]
 
     def _observe_load(self, load: float) -> None:
         self._last_load = load
-        self._x = np.array([1.0, load])
 
     def _choose(self, t: int, load: float, rng=None) -> int:
-        x = self._x
-        best = -math.inf
-        arm = 0
-        for k in range(self.n_arms):
-            a_inv = self._A_inv[k]
-            theta = a_inv @ self.b[k]
-            score = float(x @ theta) + self.alpha * math.sqrt(float(x @ a_inv @ x))
-            if score > best:
-                best = score
-                arm = k
-        return arm
+        alpha, sqrt = self.alpha, math.sqrt
+        scores = []
+        for a00, a01, a11, b0, b1 in self.stats:
+            det = a00 * a11 - a01 * a01
+            i00, i01, i11 = a11 / det, -a01 / det, a00 / det
+            # x.theta + alpha * sqrt(x A^-1 x), with x = (1, load)
+            score = (i00 * b0 + i01 * b1) + load * (i01 * b0 + i11 * b1)
+            scores.append(score + alpha * sqrt((i00 + load * i01) + (i01 + load * i11) * load))
+        floor = max(scores) - self.slack * (1.0 + alpha) * t
+        near = [k for k, score in enumerate(scores) if score >= floor]
+        # max keeps the first of equal scores: ties toward the lowest arm
+        return near[0] if len(near) == 1 else max(near, key=lambda k: self._numpy_score(k, load))
+
+    def _numpy_score(self, arm: int, load: float) -> float:
+        a00, a01, a11, b0, b1 = self.stats[arm]
+        a_inv = np.array([[a11, -a01], [-a01, a00]]) / (a00 * a11 - a01 * a01)
+        x = np.array([1.0, load])
+        return float(x @ (a_inv @ np.array([b0, b1]))) + self.alpha * math.sqrt(float(x @ a_inv @ x))
 
     def _update(self, arm: int, reward: float, rng=None) -> None:
-        x = self._x
-        self.A[arm] += np.outer(x, x)
-        self.b[arm] += (self._last_load * reward) * x
-        self._A_inv[arm] = _inv2(self.A[arm])
+        load, (a00, a01, a11, b0, b1) = self._last_load, self.stats[arm]
+        target = load * reward
+        self.stats[arm] = (a00 + 1.0, a01 + load, a11 + load * load, b0 + target, b1 + target * load)
 
 
 class OraclePolicy(Policy):

@@ -20,9 +20,10 @@ and its stream as it would.
 :func:`run_once`, except when the index-family cells number at least
 :data:`BATCH_ROWS`: then they are advanced together as the rows of one
 ``(N, K)`` batch (:func:`_run_index_batch`), one numpy argmax over all rows
-per step.  Each row keeps its own streams, schedule and policy copy, so the
-outputs do not depend on which path ran.  Both paths share one accounting
-block (:class:`_Ledger`).
+per step.  Each row keeps its own streams and schedule, so the outputs do
+not depend on which path ran.  Both paths share one accounting block
+(:class:`_Ledger`).  Every cell runs on a reset copy of its policy: the
+policies given to :func:`run_experiment` are not changed.
 
 Regret is expected pseudo-regret by default: each step adds
 ``load * (best_mean - mean[chosen])`` using the true arm means, which is the
@@ -403,23 +404,19 @@ def _run_index_batch(
 
     Each row draws its loads, rewards and ``c_t`` from its own streams and
     schedule, so it chooses the arms ``run_once`` would, bit for bit; loads
-    are drawn a chunk at a time unless the schedule needs the whole run.  A
-    row owns a reset copy of its policy; when the batch ends, each policy is
-    left as its last row (its last replication) leaves it.
+    are drawn a chunk at a time unless the schedule needs the whole run.
+    Each cell's policy must be a reset object of its own (rr-greedy's
+    schedule moves its cursor); the arm statistics live in the batch only.
     """
     ledger = _Ledger(bandit, checkpoints, horizon, len(cells), realized)
     n_rows, n_arms = len(cells), bandit.n_arms
-    rows, run_quantiles, schedules = [], [], []
-    for policy, streams in cells:
-        row = copy.copy(policy)
-        row.reset()
-        quantiles = None
-        if row.quantile_probs:  # the whole run's loads, kept only inside its quantiles
-            run_loads = load_model.sample_loads(horizon, streams["load"])
-            quantiles = RunningQuantiles(run_loads, row.quantile_probs, row.window)
-        rows.append(row)
-        run_quantiles.append(quantiles)
-        schedules.append(row.exploration_schedule(quantiles))
+    run_quantiles = [  # the whole run's loads, kept only inside its quantiles
+        RunningQuantiles(load_model.sample_loads(horizon, streams["load"]), p.quantile_probs, p.window)
+        if p.quantile_probs
+        else None
+        for p, streams in cells
+    ]
+    schedules = [p.exploration_schedule(q) for (p, _), q in zip(cells, run_quantiles)]
     # ArmState's pulls and sums, row by row; a mean is always sums / pulls
     pulls = np.zeros((n_rows, n_arms))
     sums = np.zeros((n_rows, n_arms))
@@ -478,18 +475,14 @@ def _run_index_batch(
         ledger.add(i0, chosen.T, loads, rewards.transpose(1, 0, 2))
         i0 = i1
 
-    last = {id(policy): r for r, (policy, _) in enumerate(cells)}.values()
-    run_loads = {r: run_quantiles[r].loads(0, horizon) for r in last if run_quantiles[r]}
-    del run_quantiles, schedules  # the running quantiles go before a policy keeps its loads
-    for r in last:
-        row = rows[r]
-        mean = sums[r] / pulls[r]
-        for state, p, s, m in zip(row.arm_states, pulls[r].tolist(), sums[r].tolist(), mean.tolist()):
-            state.pulls, state.sum_reward, state.mean_reward = int(p), s, m
-        if r in run_loads:
-            row.observe_loads(run_loads.pop(r))
-        vars(cells[r][0]).update(vars(row))
     return ledger
+
+
+def _fresh(policy: Policy) -> Policy:
+    """A reset copy of ``policy``, which is left as it is."""
+    cell = copy.copy(policy)
+    cell.reset()
+    return cell
 
 
 def run_experiment(
@@ -511,7 +504,9 @@ def run_experiment(
     replications requested.  When the index-family cells (every
     :class:`IndexPolicy` x replication) number at least :data:`BATCH_ROWS`,
     they run together in the batch engine; every other cell runs alone
-    through :func:`run_once`.  Either way the results are the same.
+    through :func:`run_once`.  Either way the results are the same, and
+    every cell runs on a reset copy of its policy: ``policies`` are left as
+    they are.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
@@ -527,7 +522,7 @@ def run_experiment(
         batched = []
     else:
         keys = [(label, rep) for label in batched for rep in range(replications)]
-        cells = [(policies[label], replication_streams(base_seed, label, rep)) for label, rep in keys]
+        cells = [(_fresh(policies[label]), replication_streams(base_seed, label, rep)) for label, rep in keys]
         ledger = _run_index_batch(bandit, load_model, reward_model, cells, horizon, pts, realized)
         for r, (label, rep) in enumerate(keys):
             regret[label][rep] = ledger.ck_regret[r]
@@ -537,13 +532,12 @@ def run_experiment(
         if label in batched:
             continue
         for rep in range(replications):
-            policy.reset()
             streams = replication_streams(base_seed, label, rep)
             trace = run_once(
                 bandit,
                 load_model,
                 reward_model,
-                policy,
+                _fresh(policy),
                 horizon,
                 pts,
                 streams["load"],

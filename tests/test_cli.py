@@ -106,6 +106,32 @@ def test_out_of_range_seed_names_field(tmp_path, capsys, command, seed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "bounds"])
+@pytest.mark.parametrize(("option", "value"), [("--replications", 0), ("--horizon", 1)])
+def test_out_of_range_override_names_field(tmp_path, capsys, command, option, value):
+    # checked by parse_config, as in a config file, before any output directory
+    out = tmp_path / "o"
+    assert run_cli([command, "fig1a", "-o", out, option, value]) == 1
+    assert f"config error: {option[2:]}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(("horizon", "checkpoints"), [(60, [1, 10, 50, 60]), (50, [1, 10, 50])])
+def test_horizon_override_trims_explicit_checkpoints(tmp_path, horizon, checkpoints):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "name: pts\nhorizon: 100\ncheckpoints: [1, 10, 50, 100]\n"
+        "load: {kind: uniform}\nreward: {kind: bernoulli, means: [0.6, 0.4]}\n"
+        "policies: [{name: u, kind: ucb, alpha: 0.5}]\n"
+    )
+    out = tmp_path / "o"
+    assert run_cli(["run", cfg, "-o", out, "--horizon", horizon]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["config"]["horizon"] == horizon
+    assert meta["config"]["checkpoints"] == checkpoints
+    assert read_results_csv(out / "results.csv")["u"]["t"].tolist() == checkpoints
+
+
 class TestBounds:
     def test_deterministic_scenario_columns_and_metadata(self, tmp_path):
         out = tmp_path / "b"
@@ -126,6 +152,31 @@ class TestBounds:
 
         cols = read_bounds_csv(out / "bounds.csv")
         np.testing.assert_array_equal(cols["regret_log_term"], 0.0)
+
+    @pytest.mark.parametrize("load", ["square-wave", "trace"])
+    def test_single_threshold_without_conditional_mean_names_field(self, tmp_path, capsys, load):
+        # AdaUCB's single threshold asks for E[L | L <= l], which only the
+        # uniform and beta loads define: a config error, not a traceback
+        trace = tmp_path / "trace.csv"
+        trace.write_text("".join(f"{0.1 + 0.8 * (t % 2)}\n" for t in range(20)))
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "name: single\nhorizon: 100\n"
+            + (
+                "load: {kind: square-wave, eps0: 0.1, eps1: 0.1}\n"
+                "policies: [{name: a, kind: adaucb, alpha: 2.0, thresholds: {lower: 0.3, upper: 0.3}}]\n"
+                if load == "square-wave"
+                else f"load: {{kind: trace, path: {trace}}}\n"
+                "policies: [{name: a, kind: adaucb, alpha: 2.0, thresholds: {single_prob: 0.5}}]\n"
+            )
+            + "reward: {kind: bernoulli, means: [0.6, 0.4]}\n"
+        )
+        out = tmp_path / "b"
+        assert run_cli(["bounds", cfg, "-o", out]) == 1
+        err = capsys.readouterr().err
+        assert "config error: policies[0].thresholds: conditional load mean" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestCompare:

@@ -4,6 +4,7 @@ family's batch engine against ``run_once``, and the rank-pointer running
 quantiles against the sorted-list sketch."""
 
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,9 @@ from opbandit.environments import (
 from opbandit.policies import (
     AdaUcbPolicy,
     EAdaUcbPolicy,
+    LinUcbDisjointPolicy,
     LoadQuantileSketch,
+    OraclePolicy,
     RoundRobinGreedyPolicy,
     RunningQuantiles,
     ThompsonPolicy,
@@ -390,17 +393,6 @@ def make_index_policy(kind, n_arms, lower, upper):
     return make_policy(kind, n_arms, lower, upper)
 
 
-def policy_state(policy):
-    """Everything a run leaves in an index policy."""
-    state = [(s.pulls, s.sum_reward, s.mean_reward) for s in policy.arm_states]
-    if isinstance(policy, EAdaUcbPolicy):
-        sketch = policy.load_sketch
-        state.append((list(sketch._sorted), None if sketch._recent is None else list(sketch._recent)))
-    if isinstance(policy, RoundRobinGreedyPolicy):
-        state.append(policy._next)
-    return state
-
-
 def experiment(policies, sc, batch_rows):
     with mock.patch.object(simulator, "BATCH_ROWS", batch_rows):
         return run_experiment(
@@ -445,34 +437,36 @@ class TestBatchMatchesRunOnce:
                     )
                     assert batch[label].regret[rep].tobytes() == trace.regret.tobytes(), label
                     assert batch[label].pulls[rep].tobytes() == trace.pulls.tobytes(), label
-                # the batch leaves each policy as its last replication did
-                assert policy_state(policies[label]) == policy_state(reference), label
 
-    @pytest.mark.parametrize("replications", [1, 4])
-    def test_policies_left_as_the_per_cell_loop_leaves_them(self, replications):
+    @pytest.mark.parametrize("batch_rows", [10**9, 1], ids=["per-cell", "batched"])
+    def test_run_experiment_leaves_policies_as_given(self, batch_rows):
         sc = dict(
             reward=BernoulliReward((0.3, 0.5, 0.45)),
             load=BetaLoad(2.0, 2.0),
             horizon=2 * simulator.BATCH_CHUNK + 31,
-            replications=replications,
+            replications=3,
             checkpoints=[1, 3, simulator.BATCH_CHUNK + 1, 2 * simulator.BATCH_CHUNK + 31],
             realized=False,
         )
 
-        def policies():
-            shared = make_policy("rr-greedy", 3, 0.2, 0.8)
-            out = {kind: make_policy(kind, 3, 0.2, 0.8) for kind in INDEX_KINDS}
-            # one object under two labels ends as its last label's last run
-            return {**out, "rr-a": shared, "rr-b": shared}
+        def make_policies():
+            shared = make_policy("rr-greedy", 3, 0.2, 0.8)  # one object under two labels
+            out = {kind: make_policy(kind, 3, 0.2, 0.8) for kind in KINDS}
+            out["linucb"], out["oracle"] = LinUcbDisjointPolicy(3, 1.0), OraclePolicy(3, 1)
+            return out | {"rr-a": shared, "rr-b": shared}
 
-        per_cell, batched = policies(), policies()
-        a = experiment(per_cell, sc, batch_rows=10**9)
-        b = experiment(batched, sc, batch_rows=1)
-        for label in per_cell:
-            assert a[label].regret.tobytes() == b[label].regret.tobytes(), label
-            assert a[label].pulls.tobytes() == b[label].pulls.tobytes(), label
-            assert policy_state(per_cell[label]) == policy_state(batched[label]), label
-            assert policy_state(per_cell[label])[0][0] > 0  # the runs did happen
+        policies, rng = make_policies(), RngStream(5, 0)
+        for policy in {id(p): p for p in policies.values()}.values():
+            for t in range(1, 7):  # a history of its own, which no run may touch
+                policy.update(policy.select(t, 0.15 * t, rng), 0.5, rng)
+        before = {label: pickle.dumps(policy) for label, policy in policies.items()}
+        results = experiment(policies, sc, batch_rows)
+        reference = experiment(make_policies(), sc, batch_rows=10**9)  # every cell through run_once
+        for label, policy in policies.items():
+            assert pickle.dumps(policy) == before[label], label
+            assert results[label].regret.tobytes() == reference[label].regret.tobytes(), label
+            assert results[label].pulls.tobytes() == reference[label].pulls.tobytes(), label
+            assert results[label].pulls[:, -1].sum() == sc["replications"] * sc["horizon"]
 
 
 class TestRunningQuantiles:

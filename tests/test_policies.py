@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from opbandit.core import ArmState, RngStream, Thresholds, binary_normalize, normalize_load
@@ -15,6 +15,7 @@ from opbandit.policies import (
     LinUcbDisjointPolicy,
     LoadQuantileSketch,
     OraclePolicy,
+    Policy,
     RoundRobinGreedyPolicy,
     ThompsonPolicy,
     UcbPolicy,
@@ -219,18 +220,100 @@ class TestThompson:
             ThompsonPolicy(2).update(0, 1.3, RngStream(0, 0))
 
 
+def linucb_b(policy):
+    return [np.array(stats[3:]) for stats in policy.stats]
+
+
 def linucb_scores(policy, load):
     """Per-arm LinUCB scores at a raw load: x.theta + alpha * sqrt(x A^-1 x)."""
     x = np.array([1.0, load])
     return np.array(
         [
             x @ (a_inv @ b) + policy.alpha * math.sqrt(x @ a_inv @ x)
-            for a_inv, b in zip(policy._A_inv, policy.b)
+            for a_inv, b in zip(map(np.linalg.inv, policy.A), linucb_b(policy))
         ]
     )
 
 
+def _inv2(a: np.ndarray) -> np.ndarray:
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
+
+
+class NumpyLinUcb(Policy):
+    """The reference LinUCB: each arm's A, its inverse and b as numpy
+    arrays, scored with numpy's ``@``."""
+
+    def __init__(self, n_arms: int, alpha: float):
+        super().__init__(n_arms)
+        self.alpha = alpha
+        self.A = [np.eye(2) for _ in range(n_arms)]
+        self.b = [np.zeros(2) for _ in range(n_arms)]
+        self._A_inv = [np.eye(2) for _ in range(n_arms)]
+        self._x = np.array([1.0, 0.0])
+        self._last_load = 0.0
+
+    def _observe_load(self, load: float) -> None:
+        self._last_load = load
+        self._x = np.array([1.0, load])
+
+    def _choose(self, t: int, load: float, rng=None) -> int:
+        x = self._x
+        best = -math.inf
+        arm = 0
+        for k in range(self.n_arms):
+            a_inv = self._A_inv[k]
+            theta = a_inv @ self.b[k]
+            score = float(x @ theta) + self.alpha * math.sqrt(float(x @ a_inv @ x))
+            if score > best:
+                best = score
+                arm = k
+        return arm
+
+    def _update(self, arm: int, reward: float, rng=None) -> None:
+        x = self._x
+        self.A[arm] += np.outer(x, x)
+        self.b[arm] += (self._last_load * reward) * x
+        self._A_inv[arm] = _inv2(self.A[arm])
+
+
+LINUCB_GRID = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 0.95, 1.0)
+
+
 class TestLinUcb:
+    @given(
+        n_arms=st.integers(2, 6),
+        alpha=st.floats(0.01, 5.0),
+        init_round=st.booleans(),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(LINUCB_GRID) | st.floats(0.0, 1.0),
+                st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0),
+            ),
+            max_size=60,
+        ),
+    )
+    # plain float scores of arms 0 and 1 at its last step order differently
+    # from numpy's where numpy's @ fuses multiply-adds: a near-tie
+    @example(
+        n_arms=2,
+        alpha=2.0,
+        init_round=False,
+        steps=[(0.5, 1.0), (0.3, 1.0), (0.0, 1.0), (0.3, 1.0), (0.2, 1.0), (0.3, 1.0), (0.2, 0.0)],
+    )
+    def test_matches_numpy_reference(self, n_arms, alpha, init_round, steps):
+        # without the init round the first score is taken at A = I, where the
+        # closed-form inverse has a -0.0 off the diagonal
+        policy, reference = LinUcbDisjointPolicy(n_arms, alpha), NumpyLinUcb(n_arms, alpha)
+        start = 1 if init_round else n_arms + 1
+        for t, (load, reward) in enumerate(steps, start=start):
+            arm = policy.select(t, load)
+            assert arm == reference.select(t, load)
+            policy.update(arm, reward)
+            reference.update(arm, reward)
+            assert [a.tolist() for a in policy.A] == [a.tolist() for a in reference.A]
+            assert [b.tolist() for b in linucb_b(policy)] == [b.tolist() for b in reference.b]
+
     def test_cold_start_scores_and_tie_break(self):
         policy = LinUcbDisjointPolicy(3, alpha=1.0)
         scores = linucb_scores(policy, 0.5)
@@ -242,12 +325,12 @@ class TestLinUcb:
     def test_update_shrinks_width_and_learns_target(self):
         policy = LinUcbDisjointPolicy(2, alpha=1.0)
         before = linucb_scores(policy, 0.5)[0]
-        arm = policy.select(3, 0.5)  # t > K so this scores; stashes x
+        arm = policy.select(3, 0.5)  # t > K so this scores; stashes the load
         policy.update(0, 0.0)
         after = linucb_scores(policy, 0.5)[0]
         # zero actual reward: predicted mean stays 0, uncertainty shrank
         assert after < before
-        theta = policy._A_inv[0] @ policy.b[0]
+        theta = np.linalg.inv(policy.A[0]) @ linucb_b(policy)[0]
         np.testing.assert_allclose(theta, 0.0)
 
     def test_target_is_load_weighted_reward(self):
@@ -255,7 +338,7 @@ class TestLinUcb:
         policy._observe_load(0.5)
         policy.update(0, 1.0)
         # b accumulated 0.5 * 1.0 * x, not 1.0 * x
-        np.testing.assert_allclose(policy.b[0], [0.5, 0.25])
+        np.testing.assert_allclose(linucb_b(policy)[0], [0.5, 0.25])
 
     def test_matrices_stay_spd_under_random_updates(self):
         policy = LinUcbDisjointPolicy(2, alpha=0.51)
