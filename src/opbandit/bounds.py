@@ -247,23 +247,17 @@ def conditional_load_mean(
     )
 
 
-def continuous_regret_coeff(
-    alpha: float,
-    load_model: LoadModel,
-    l_minus: float,
-    gaps,
-    mc_samples: int = 1_000_000,
-    mc_seed: int = _MC_SEED,
-) -> float:
+def continuous_regret_coeff(alpha: float, cond_mean: float, gaps) -> float:
     """Coefficient of ln(T) in the continuous-load, single-threshold regret
-    envelope:
+    envelope, given ``cond_mean = E[L | L <= l_minus]``
+    (:func:`conditional_load_mean`), the level that takes ``eps0``'s place
+    in :func:`binary_regret_coeff`:
 
         4 * alpha * E[L | L <= l_minus] * sum_k 1/gap_k
     """
     _check_alpha(alpha)
     gaps = _check_gaps(gaps)
-    cond = conditional_load_mean(load_model, l_minus, mc_samples, mc_seed)
-    return 4.0 * alpha * cond * sum(1.0 / g for g in gaps)
+    return 4.0 * alpha * cond_mean * sum(1.0 / g for g in gaps)
 
 
 def pull_count_log_bound(t: int, alpha: float, gap: float) -> float:
@@ -375,7 +369,7 @@ def evaluate_bounds(
         report.columns["regret_log_term"] = coeff * regret_log_t
     elif single_threshold is not None:
         cond = conditional_load_mean(load_model, single_threshold, mc_samples)
-        coeff = 4.0 * alpha * cond * sum(1.0 / g for g in bandit.suboptimal_gaps())
+        coeff = continuous_regret_coeff(alpha, cond, bandit.suboptimal_gaps())
         report.params["l_minus"] = single_threshold
         report.params["conditional_load_mean"] = cond
         report.params["regret_log_coeff"] = coeff

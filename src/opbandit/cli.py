@@ -13,6 +13,7 @@ envelope was violated by the compared run.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -126,6 +127,10 @@ def _single_threshold(plan) -> tuple[str | None, float | None]:
 
 
 def _cmd_bounds(args) -> int:
+    if args.alpha is not None and not 0.0 < args.alpha < math.inf:
+        raise ConfigError("--alpha", f"must be finite and > 0, got {args.alpha}")
+    if not 0.0 < args.quadrature_step <= 1.0:
+        raise ConfigError("--quadrature-step", f"must be in (0, 1], got {args.quadrature_step}")
     cfg = _apply_overrides(_resolve_config(args.config), args)
     plan = build_plan(cfg)
     alpha = _pick_alpha(plan, args.alpha)

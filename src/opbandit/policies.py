@@ -15,8 +15,9 @@ raw value.
 The index family (:class:`IndexPolicy`: ucb, adaucb, eadaucb, rr-greedy)
 can also describe a whole run up front, because its exploration coefficient
 depends on the loads and never on rewards: ``exploration_schedule`` gives
-every step's coefficient, a chunk at a time, to the simulator's step
-kernels, which then need no per-step ``select``/``update`` calls.
+every step's coefficient, a chunk at a time, to the simulator's index
+engine, which then needs no per-step ``select``/``update`` calls and only
+reads the policy.
 :class:`ThompsonPolicy` takes a fixed number of policy uniforms per step (1
 during the init round, then K + 1), so the simulator's Thompson kernel
 draws a chunk's uniforms at once and updates the posterior ``a``/``b`` in
@@ -126,15 +127,16 @@ class IndexPolicy(Policy):
 
     with an exploration coefficient ``c_t`` that depends on the step and its
     load but never on rewards.  :meth:`exploration_schedule` hands the whole
-    ``c_t`` sequence to the simulator's step kernels chunk by chunk; ``select``
-    is the same rule one step at a time.
+    ``c_t`` sequence to the simulator's index engine chunk by chunk, which
+    keeps the arm statistics itself; ``select`` is the same rule one step at
+    a time, on the policy's own statistics.
     """
 
     #: probabilities of the running load quantiles the schedule normalizes
     #: by, over a trailing ``window`` of loads or all of them (EAdaUCB's);
     #: such a schedule reads the whole run's loads up front, through a
-    #: :class:`RunningQuantiles`, and :meth:`observe_loads` keeps them.
-    #: Any other schedule reads each chunk's loads only.
+    #: :class:`RunningQuantiles`.  Any other schedule reads each chunk's
+    #: loads only.
     quantile_probs: tuple[float, ...] = ()
     window: int | None = None
 
@@ -164,10 +166,6 @@ class IndexPolicy(Policy):
 
     def _normalized(self, load: float) -> float:
         raise NotImplementedError
-
-    def observe_loads(self, loads: np.ndarray) -> None:
-        """Take in a whole run's loads at once, as ``select`` takes in each
-        one: the simulator calls this after a step-kernel run."""
 
     def exploration_schedule(self, quantiles: RunningQuantiles | None = None) -> Schedule:
         """``c_t = alpha * (1 - ltil_t) * ln t`` of the steps after the init
@@ -257,19 +255,6 @@ class LoadQuantileSketch:
             self._recent.append(value)
         insort(self._sorted, value)
 
-    def extend(self, values: list[float]) -> None:
-        """Insert ``values`` in order: the same state as one ``insert`` each."""
-        if not all(map(math.isfinite, values)):
-            raise ValueError("loads must be finite")
-        if self._recent is not None:
-            self._recent.extend(values)
-            for _ in range(len(self._recent) - self.window):
-                self._recent.popleft()
-            self._sorted = sorted(self._recent)
-        else:
-            self._sorted.extend(values)
-            self._sorted.sort()
-
     def quantile(self, q: float) -> float:
         if not self._sorted:
             raise ValueError("quantile of an empty sketch")
@@ -291,8 +276,9 @@ class RunningQuantiles:
     holds the rank of the quantile.  ``k = max(1, ceil(q*n))`` changes by at
     most one per insert or eviction, so the pointer moves at most one held
     rank: one ``bytearray.find``/``rfind``.  The loads themselves are kept
-    only as sorted values and 32-bit ranks (:meth:`loads`), so a caller
-    that holds the quantiles needs no copy of its own.
+    only as sorted values and 32-bit ranks (:meth:`loads`): the simulator's
+    index engine reads an EAdaUCB row's loads from here, a chunk at a time,
+    and keeps no copy of its own.
     """
 
     def __init__(self, values: np.ndarray, probs: tuple[float, ...], window: int | None = None):
@@ -400,9 +386,6 @@ class EAdaUcbPolicy(IndexPolicy):
 
     def _observe_load(self, load: float) -> None:
         self.load_sketch.insert(load)
-
-    def observe_loads(self, loads: np.ndarray) -> None:
-        self.load_sketch.extend(loads.tolist())
 
     def _normalized(self, load: float) -> float:
         return normalize_load(load, self.thresholds)
@@ -570,14 +553,17 @@ class RoundRobinGreedyPolicy(IndexPolicy):
 
     def exploration_schedule(self, quantiles=None) -> Schedule:
         """Greedy (``c_t = 0``) on loaded slots; on free slots a forced
-        pull, ``-1 - arm``, of the next arm in the round robin."""
+        pull, ``-1 - arm``, of the next arm in the round robin, which starts
+        at the policy's own next arm."""
         lower, upper = self.thresholds.lower, self.thresholds.upper
+        n_arms, cursor = self.n_arms, self._next
 
         def schedule(i1: int, loads: np.ndarray, ln_t) -> np.ndarray:
+            nonlocal cursor
             out = np.zeros(len(loads))
             free = np.flatnonzero(normalize_loads(loads, lower, upper) == 0.0)
-            out[free] = -1 - (self._next + np.arange(len(free))) % self.n_arms
-            self._next = (self._next + len(free)) % self.n_arms
+            out[free] = -1 - (cursor + np.arange(len(free))) % n_arms
+            cursor = (cursor + len(free)) % n_arms
             return out
 
         return schedule

@@ -1,29 +1,31 @@
 """The experiment run loop: reveal load, let the policy pick an arm, draw the
 nominal reward, update the policy, accumulate load-weighted regret.
 
-:func:`run_once` is one loop over chunks of :data:`CHUNK` steps.  Per chunk,
+:func:`run_once` walks the horizon a chunk of steps at a time.  Per chunk,
 the reward model gives every arm's reward (``reward_rows``), the arms are
 chosen, and the regret, pull counts and checkpoints are accounted from the
-chosen arms.  The arms are chosen one of three ways, by the policy's class.
-The index family (``ucb``, ``adaucb``, ``eadaucb`` and ``rr-greedy``, every
-:class:`~opbandit.policies.IndexPolicy`) takes the step kernel: the policy
-supplies each step's exploration coefficient ``c_t`` and one argmax loop
-shared by the family picks the arms.  Thompson sampling (``ts``) takes its
-own kernel, which draws a chunk's policy uniforms at once.  Everything else
-(``linucb``, ``oracle``, and any object that only offers ``select`` and
-``update``, such as a proxy that times each call) has ``select`` and
-``update`` called at every step.  That per-step way is also the reference:
-each kernel chooses the arms it would, bit for bit, and leaves the policy
-and its stream as it would.
+chosen arms (:class:`_Ledger`).  The arms are chosen one of three ways, by
+the policy's class.  The index family (``ucb``, ``adaucb``, ``eadaucb`` and
+``rr-greedy``, every :class:`~opbandit.policies.IndexPolicy`) runs in the
+index engine (:func:`_run_index_rows`): the policy supplies each step's
+exploration coefficient ``c_t`` and the engine picks the arms, without
+calling ``select`` or ``update`` and without changing the policy.
+Thompson sampling (``ts``) takes its own kernel, which draws a chunk's
+policy uniforms at once.  Everything else (``linucb``, ``oracle``, and any
+object that only offers ``select`` and ``update``, such as a proxy that
+times each call) has ``select`` and ``update`` called at every step.  That
+per-step way is also the reference: the engine and the kernel choose the
+arms it would, bit for bit, and the Thompson kernel leaves the policy and
+its stream as it would.
 
 :func:`run_experiment` runs each (policy, replication) cell through
-:func:`run_once`, except when the index-family cells number at least
-:data:`BATCH_ROWS`: then they are advanced together as the rows of one
-``(N, K)`` batch (:func:`_run_index_batch`), one numpy argmax over all rows
-per step.  Each row keeps its own streams and schedule, so the outputs do
-not depend on which path ran.  Both paths share one accounting block
-(:class:`_Ledger`).  Every cell runs on a reset copy of its policy: the
-policies given to :func:`run_experiment` are not changed.
+:func:`run_once`, a one-row run of the index engine for an index policy,
+except when the index-family cells number at least :data:`BATCH_ROWS`:
+then they run as the rows of one engine run, which advances them together
+with one numpy argmax over all rows per step.  Each row keeps its own
+streams and schedule, so the outputs do not depend on which path ran.
+Every cell runs on a reset copy of its policy: the policies given to
+:func:`run_experiment` are not changed.
 
 Regret is expected pseudo-regret by default: each step adds
 ``load * (best_mean - mean[chosen])`` using the true arm means, which is the
@@ -132,12 +134,14 @@ def replication_streams(base_seed: int, policy_label: str, replication: int) -> 
 #: per chunk, few enough that no horizon-long Python list is held
 CHUNK = 1024
 
-#: steps per chunk of the batch engine, whose buffers hold every row's chunk
+#: steps per chunk of the index engine's numpy step, whose buffers hold
+#: every row's chunk
 BATCH_CHUNK = 128
 
-#: index-family rows (policies x replications) from which ``run_experiment``
-#: takes the batch engine: below it, the dozen numpy calls per step that the
-#: rows share cost more than each cell's own Python loop (the measured
+#: index-family rows (policies x replications) from which the index engine
+#: takes its numpy step, and ``run_experiment`` runs its index cells as one
+#: engine run: below it, the dozen numpy calls per step that the rows share
+#: cost more than each row's own Python loop (the measured
 #: crossover is 7-8 rows for Beta-load mixes with eadaucb, about 10 for
 #: binary-load adaucb with rr-greedy, whose own loops are the cheapest)
 BATCH_ROWS = 10
@@ -165,7 +169,7 @@ def _check_rewards(rows: np.ndarray) -> np.ndarray:
 class _Ledger:
     """Regret, pull and checkpoint accounting of ``n_rows`` runs of one
     bandit, a chunk of chosen arms at a time: the one accounting block of
-    ``run_once`` (one row) and the batch engine."""
+    ``run_once`` (one row) and the index engine."""
 
     def __init__(self, bandit, checkpoints, horizon, n_rows, realized, record_steps=False):
         n_arms = bandit.n_arms
@@ -241,19 +245,21 @@ def run_once(
     """Run a single replication and return its checkpointed trace.
 
     The policy must be freshly constructed or reset; the caller owns the
-    streams.
+    streams.  An index policy runs as the one row of the index engine and
+    is only read; any other policy is left as its own calls leave it.
     """
     ledger = _Ledger(bandit, checkpoints, horizon, 1, realized, record_steps)
     if load_model.uses_rng and load_rng is None:
         raise ValueError("stochastic load model needs a load stream")
     if reward_model.uses_rng and reward_rng is None:
         raise ValueError("stochastic reward model needs a reward stream")
+    if isinstance(policy, IndexPolicy):
+        _run_index_rows(load_model, reward_model, [(policy, load_rng, reward_rng)], horizon, ledger)
+        return ledger.trace(0)
 
     n_arms = bandit.n_arms
     loads = load_model.sample_loads(horizon, load_rng)
-    if isinstance(policy, IndexPolicy):
-        choose = _index_kernel(policy, loads)
-    elif isinstance(policy, ThompsonPolicy):
+    if isinstance(policy, ThompsonPolicy):
         choose = _thompson_kernel(policy, policy_rng)
     else:
         choose = _select_each_step(policy, n_arms, loads, policy_rng)
@@ -264,10 +270,6 @@ def run_once(
         arms = np.array(choose(i0, i1, rows.ravel().tolist()))
         ledger.add(i0, arms[None], loads[None, i0:i1], rows[None])
         i0 = i1
-
-    if isinstance(policy, IndexPolicy):
-        del choose  # the kernel's per-run arrays go before the policy keeps the loads
-        policy.observe_loads(loads)
     return ledger.trace(0)
 
 
@@ -290,61 +292,6 @@ def _select_each_step(
             arm = select(t, load, policy_rng)
             update(arm, rewards[row + arm], policy_rng)
             chosen.append(arm)
-        return chosen
-
-    return choose
-
-
-def _index_kernel(policy: IndexPolicy, loads: np.ndarray) -> Chooser:
-    """The step kernel of the index family: the arms ``select`` and
-    ``update`` would choose, bit for bit, without calling them.
-
-    The policy's exploration schedule gives each step's ``c_t`` (or a forced
-    arm); the loop picks ``argmax mean + sqrt(c_t / pulls)`` (ties toward
-    the lowest arm) with the same :class:`ArmState` arithmetic, and leaves
-    the policy's arm statistics as the per-step calls would after each
-    chunk.
-    """
-    n_arms = policy.n_arms
-    probs = policy.quantile_probs
-    schedule = policy.exploration_schedule(
-        RunningQuantiles(loads, probs, policy.window) if probs else None
-    )
-    states = policy.arm_states
-    means = [s.mean_reward for s in states]
-    pulls = [s.pulls for s in states]
-    sums = [s.sum_reward for s in states]
-    sqrt = math.sqrt
-    arm_range = range(n_arms)
-    floor = -math.inf
-
-    def choose(i0: int, i1: int, rewards: list) -> list:
-        if i1 <= n_arms:  # the init round pulls arms 0..K-1 in order
-            cs = list(range(-1 - i0, -1 - i1, -1))
-        else:
-            cs = schedule(i1, loads[i0:i1], partial(_log_steps, i0 + 1, i1 + 1)).tolist()
-        chosen = []
-        for c, row in zip(cs, range(0, len(rewards), n_arms)):
-            if c < 0:  # forced pull of arm -1 - c
-                arm = -1 - int(c)
-            elif c == 0.0:  # greedy: each index is its mean (max keeps the first)
-                arm = means.index(max(means))
-            else:
-                best = floor
-                for k in arm_range:
-                    v = means[k] + sqrt(c / pulls[k])
-                    if v > best:
-                        best = v
-                        arm = k
-            x = rewards[row + arm]
-            p = pulls[arm] + 1
-            s = sums[arm] + x
-            pulls[arm] = p
-            sums[arm] = s
-            means[arm] = s / p
-            chosen.append(arm)
-        for state, m, p, s in zip(states, means, pulls, sums):
-            state.mean_reward, state.pulls, state.sum_reward = m, p, s
         return chosen
 
     return choose
@@ -390,33 +337,45 @@ def _thompson_kernel(policy: ThompsonPolicy, policy_rng: RngStream | None) -> Ch
     return choose
 
 
-def _run_index_batch(
-    bandit: BanditInstance,
-    load_model: LoadModel,
-    reward_model: RewardModel,
-    cells: list[tuple[IndexPolicy, dict]],
-    horizon: int,
-    checkpoints,
-    realized: bool,
-) -> _Ledger:
-    """Run every (index policy, streams) cell as one row of an (N, K) batch
-    advanced a step at a time, and return the ledger, a row per cell.
+def _python_step(n_rows: int, n_arms: int) -> Callable:
+    """The step for a few rows: a Python loop per row over the chunk, with
+    the arm statistics as Python numbers."""
+    stats = [([0.0] * n_arms, [0] * n_arms, [0.0] * n_arms) for _ in range(n_rows)]
+    sqrt = math.sqrt
+    arm_range = range(n_arms)
+    floor = -math.inf
 
-    Each row draws its loads, rewards and ``c_t`` from its own streams and
-    schedule, so it chooses the arms ``run_once`` would, bit for bit; loads
-    are drawn a chunk at a time unless the schedule needs the whole run.
-    Each cell's policy must be a reset object of its own (rr-greedy's
-    schedule moves its cursor); the arm statistics live in the batch only.
-    """
-    ledger = _Ledger(bandit, checkpoints, horizon, len(cells), realized)
-    n_rows, n_arms = len(cells), bandit.n_arms
-    run_quantiles = [  # the whole run's loads, kept only inside its quantiles
-        RunningQuantiles(load_model.sample_loads(horizon, streams["load"]), p.quantile_probs, p.window)
-        if p.quantile_probs
-        else None
-        for p, streams in cells
-    ]
-    schedules = [p.exploration_schedule(q) for (p, _), q in zip(cells, run_quantiles)]
+    def step(coeff: np.ndarray, rewards: np.ndarray, chosen: np.ndarray) -> None:
+        for r, (means, pulls, sums) in enumerate(stats):
+            flat = rewards[:, r].ravel().tolist()
+            arms = []
+            for c, row in zip(coeff[:, r, 0].tolist(), range(0, len(flat), n_arms)):
+                if c < 0.0:  # forced pull of arm -1 - c
+                    arm = -1 - int(c)
+                elif c == 0.0:  # greedy: each index is its mean (max keeps the first)
+                    arm = means.index(max(means))
+                else:
+                    best = floor
+                    for k in arm_range:
+                        v = means[k] + sqrt(c / pulls[k])
+                        if v > best:
+                            best = v
+                            arm = k
+                x = flat[row + arm]
+                p = pulls[arm] + 1
+                s = sums[arm] + x
+                pulls[arm] = p
+                sums[arm] = s
+                means[arm] = s / p
+                arms.append(arm)
+            chosen[:, r] = arms
+
+    return step
+
+
+def _numpy_step(n_rows: int, n_arms: int) -> Callable:
+    """The step for many rows: per step one numpy argmax over all rows and
+    flat fancy-index updates."""
     # ArmState's pulls and sums, row by row; a mean is always sums / pulls
     pulls = np.zeros((n_rows, n_arms))
     sums = np.zeros((n_rows, n_arms))
@@ -424,30 +383,10 @@ def _run_index_batch(
     base = np.arange(0, n_rows * n_arms, n_arms)
     index = np.empty((n_rows, n_arms))
     means = np.empty((n_rows, n_arms))
-    # per-chunk buffers, step-major: one (N, K) block of rewards per step
-    chunk_loads = np.empty((n_rows, BATCH_CHUNK))
-    chunk_rewards = np.empty((BATCH_CHUNK, n_rows, n_arms))
-    chunk_coeff = np.empty((BATCH_CHUNK, n_rows, 1))
-    chunk_chosen = np.empty((BATCH_CHUNK, n_rows), dtype=np.intp)  # flat (row, arm) indices
 
-    i0 = 0
-    for i1 in _chunk_ends(n_arms, horizon, BATCH_CHUNK):
-        n = i1 - i0
-        ln_t = cache(partial(_log_steps, i0 + 1, i1 + 1))  # built once, if a schedule asks
-        loads, rewards = chunk_loads[:, :n], chunk_rewards[:n]
-        coeff, chosen = chunk_coeff[:n], chunk_chosen[:n]
-        for r, ((_, streams), quantiles, schedule) in enumerate(zip(cells, run_quantiles, schedules)):
-            if quantiles is None:
-                loads[r] = load_model.sample_loads(n, streams["load"], i0 + 1)
-            else:
-                loads[r] = quantiles.loads(i0, i1)
-            rewards[:, r] = reward_model.reward_rows(i0 + 1, n, streams["reward"])
-            if i1 > n_arms:
-                coeff[:, r, 0] = schedule(i1, loads[r], ln_t)
-        _check_rewards(rewards)
-        if i1 <= n_arms:  # the init round pulls arms 0..K-1 in order
-            coeff[:] = (-1.0 - np.arange(i0, i1))[:, None, None]
-        # forced pulls (arm -1 - c) as one mask; the index sees c = 0 there
+    def step(coeff: np.ndarray, rewards: np.ndarray, chosen: np.ndarray) -> None:
+        n = len(coeff)
+        # forced pulls as one mask; the index sees c = 0 there
         is_forced = coeff[:, :, 0] < 0.0
         forced = np.full((n, n_rows), -1, dtype=np.intp)
         forced[is_forced] = -1.0 - coeff[:, :, 0][is_forced]
@@ -460,7 +399,7 @@ def _run_index_batch(
                 np.divide(coeff[j], pulls, out=index)
                 np.sqrt(index, out=index)
                 np.divide(sums, pulls, out=means)
-                index += means
+                np.add(index, means, out=index)
                 flat = index.argmax(axis=1)
                 if k:
                     flat = np.where(forced[j] >= 0, forced[j], flat)
@@ -472,10 +411,75 @@ def _run_index_batch(
             sums_flat[flat] += flat_rewards[j][flat]
             chosen[j] = flat
         chosen -= base
+
+    return step
+
+
+def _run_index_rows(
+    load_model: LoadModel,
+    reward_model: RewardModel,
+    cells: list[tuple[IndexPolicy, RngStream | None, RngStream | None]],
+    horizon: int,
+    ledger: _Ledger,
+) -> None:
+    """The index family's engine: run every (index policy, load stream,
+    reward stream) cell as one row, a chunk of steps at a time, and account
+    row r in row r of ``ledger``.
+
+    Each step pulls, per row, ``argmax mean + sqrt(c_t / pulls)`` (ties
+    toward the lowest arm) after the init round, as ``select`` would, with
+    ``c_t`` from the policy's exploration schedule.  A chunk of n steps is
+    one ``step(coeff, rewards, chosen)``: it fills ``chosen`` (n, N) with
+    each row's arms, given each row's ``c_t`` (n, N, 1; ``-1 - k`` forces a
+    pull of arm k) and every arm's rewards (n, N, K).  Below
+    :data:`BATCH_ROWS` rows each row takes its own Python loop
+    (:func:`_python_step`) on :data:`CHUNK`-step chunks; from there on all
+    rows advance together (:func:`_numpy_step`) on :data:`BATCH_CHUNK`-step
+    chunks.  Both do the same float arithmetic, and each row draws its
+    loads, rewards and ``c_t`` from its own streams and schedule, so a
+    row's arms depend neither on which step runs nor on the other rows.
+    Loads are drawn a chunk at a time unless the schedule needs the whole
+    run.  The policies are only read; the arm statistics live in the
+    engine.
+    """
+    n_rows, n_arms = len(cells), ledger.pulled.shape[1]
+    batched = n_rows >= BATCH_ROWS
+    size = BATCH_CHUNK if batched else CHUNK
+    step = (_numpy_step if batched else _python_step)(n_rows, n_arms)
+    rows = []  # (load stream, reward stream, quantiles or None, schedule)
+    for policy, load_rng, reward_rng in cells:
+        quantiles = (  # the whole run's loads, kept only inside its quantiles
+            RunningQuantiles(load_model.sample_loads(horizon, load_rng), policy.quantile_probs, policy.window)
+            if policy.quantile_probs
+            else None
+        )
+        rows.append((load_rng, reward_rng, quantiles, policy.exploration_schedule(quantiles)))
+    # per-chunk buffers, step-major: one (N, K) block of rewards per step
+    chunk_loads = np.empty((n_rows, size))
+    chunk_rewards = np.empty((size, n_rows, n_arms))
+    chunk_coeff = np.empty((size, n_rows, 1))
+    chunk_chosen = np.empty((size, n_rows), dtype=np.intp)
+
+    i0 = 0
+    for i1 in _chunk_ends(n_arms, horizon, size):
+        n = i1 - i0
+        ln_t = cache(partial(_log_steps, i0 + 1, i1 + 1))  # built once, if a schedule asks
+        loads, rewards = chunk_loads[:, :n], chunk_rewards[:n]
+        coeff, chosen = chunk_coeff[:n], chunk_chosen[:n]
+        for r, (load_rng, reward_rng, quantiles, schedule) in enumerate(rows):
+            if quantiles is None:
+                loads[r] = load_model.sample_loads(n, load_rng, i0 + 1)
+            else:
+                loads[r] = quantiles.loads(i0, i1)
+            rewards[:, r] = reward_model.reward_rows(i0 + 1, n, reward_rng)
+            if i1 > n_arms:
+                coeff[:, r, 0] = schedule(i1, loads[r], ln_t)
+        _check_rewards(rewards)
+        if i1 <= n_arms:  # the init round pulls arms 0..K-1 in order
+            coeff[:] = (-1.0 - np.arange(i0, i1))[:, None, None]
+        step(coeff, rewards, chosen)
         ledger.add(i0, chosen.T, loads, rewards.transpose(1, 0, 2))
         i0 = i1
-
-    return ledger
 
 
 def _fresh(policy: Policy) -> Policy:
@@ -503,8 +507,8 @@ def run_experiment(
     so results are independent of execution order and of the total number of
     replications requested.  When the index-family cells (every
     :class:`IndexPolicy` x replication) number at least :data:`BATCH_ROWS`,
-    they run together in the batch engine; every other cell runs alone
-    through :func:`run_once`.  Either way the results are the same, and
+    they run together as the rows of one index-engine run; every other cell
+    runs alone through :func:`run_once`.  Either way the results are the same, and
     every cell runs on a reset copy of its policy: ``policies`` are left as
     they are.
     """
@@ -522,8 +526,12 @@ def run_experiment(
         batched = []
     else:
         keys = [(label, rep) for label in batched for rep in range(replications)]
-        cells = [(_fresh(policies[label]), replication_streams(base_seed, label, rep)) for label, rep in keys]
-        ledger = _run_index_batch(bandit, load_model, reward_model, cells, horizon, pts, realized)
+        cells = []
+        for label, rep in keys:
+            streams = replication_streams(base_seed, label, rep)
+            cells.append((_fresh(policies[label]), streams["load"], streams["reward"]))
+        ledger = _Ledger(bandit, pts, horizon, len(cells), realized)
+        _run_index_rows(load_model, reward_model, cells, horizon, ledger)
         for r, (label, rep) in enumerate(keys):
             regret[label][rep] = ledger.ck_regret[r]
             pulls[label][rep] = ledger.ck_pulls[r]

@@ -133,7 +133,7 @@ class TestContinuousRegretCoeff:
             assert conditional_load_mean(UniformLoad(), l_minus) == l_minus / 2.0
 
     def test_uniform_coefficient(self):
-        got = continuous_regret_coeff(2.0, UniformLoad(), 0.5, (0.2, 0.1))
+        got = continuous_regret_coeff(2.0, conditional_load_mean(UniformLoad(), 0.5), (0.2, 0.1))
         assert got == pytest.approx(4.0 * 2.0 * 0.25 * (5.0 + 10.0), rel=1e-12)
 
     def test_beta_conditional_mean_against_quadrature(self):
@@ -203,8 +203,8 @@ class TestAlphaLinearity:
         assert binary_regret_coeff(2 * a, 0.05, gaps) == pytest.approx(
             2 * binary_regret_coeff(a, 0.05, gaps), rel=1e-12
         )
-        assert continuous_regret_coeff(2 * a, UniformLoad(), 0.5, gaps) == pytest.approx(
-            2 * continuous_regret_coeff(a, UniformLoad(), 0.5, gaps), rel=1e-12
+        assert continuous_regret_coeff(2 * a, 0.25, gaps) == pytest.approx(
+            2 * continuous_regret_coeff(a, 0.25, gaps), rel=1e-12
         )
         assert pull_count_log_bound(100, 2 * a, 0.2) == pytest.approx(
             2 * pull_count_log_bound(100, a, 0.2), rel=1e-12

@@ -153,6 +153,27 @@ class TestBounds:
         cols = read_bounds_csv(out / "bounds.csv")
         np.testing.assert_array_equal(cols["regret_log_term"], 0.0)
 
+    @pytest.mark.parametrize("config", ["fig1b", "mvno-synthetic", "dirac-square-wave", "fig1a"])
+    @pytest.mark.parametrize("alpha", ["-1", "0", "nan", "inf"])
+    def test_invalid_alpha_names_flag(self, tmp_path, capsys, config, alpha):
+        out = tmp_path / "b"
+        assert run_cli(["bounds", config, "-o", out, "--horizon", "200", "--alpha", alpha]) == 1
+        assert "config error: --alpha: must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["0", "-1", "nan", "2"])
+    def test_invalid_quadrature_step_names_flag(self, tmp_path, capsys, step):
+        out = tmp_path / "b"
+        assert run_cli(["bounds", "fig1b", "-o", out, "--horizon", "200", "--quadrature-step", step]) == 1
+        assert "config error: --quadrature-step: must be in (0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_quadrature_step_of_one_accepted(self, tmp_path):
+        out = tmp_path / "b"
+        args = ["bounds", "dirac-square-wave", "-o", out, "--horizon", "200", "--quadrature-step", "1"]
+        assert run_cli(args) == 0
+        assert (out / "bounds.csv").exists()
+
     @pytest.mark.parametrize("load", ["square-wave", "trace"])
     def test_single_threshold_without_conditional_mean_names_field(self, tmp_path, capsys, load):
         # AdaUCB's single threshold asks for E[L | L <= l], which only the

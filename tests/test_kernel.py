@@ -1,7 +1,7 @@
-"""The step kernels (the index family's and Thompson sampling's) against the
-per-step reference (``select`` and ``update`` at every step), the index
-family's batch engine against ``run_once``, and the rank-pointer running
-quantiles against the sorted-list sketch."""
+"""The index engine and Thompson sampling's kernel against the per-step
+reference (``select`` and ``update`` at every step), the index engine's
+numpy step (many rows) against its Python step (``run_once``, one row), and
+the rank-pointer running quantiles against the sorted-list sketch."""
 
 import math
 import pickle
@@ -40,6 +40,7 @@ from opbandit.policies import (
 from opbandit.simulator import default_checkpoints, replication_streams, run_experiment, run_once
 
 KINDS = ("ucb", "adaucb", "eadaucb", "eadaucb-window", "rr-greedy", "ts")
+INDEX_KINDS = KINDS[:-1]
 
 
 class PerStep:
@@ -57,8 +58,8 @@ class FixedLoad(LoadModel):
     def __init__(self, loads):
         self.loads = np.asarray(loads, dtype=float)
 
-    def sample_loads(self, horizon, rng):
-        return self.loads[:horizon].copy()
+    def sample_loads(self, horizon, rng, t0=1):
+        return self.loads[t0 - 1 : t0 - 1 + horizon].copy()
 
 
 def make_policy(kind, n_arms, lower, upper):
@@ -77,7 +78,9 @@ def make_policy(kind, n_arms, lower, upper):
 
 def run_both(make, load_model, reward_model, horizon, checkpoints, realized=False, record_steps=False):
     """(reference trace, kernel trace, reference policy, kernel policy); the
-    two runs must leave the policy stream at the same place."""
+    two runs must leave the policy stream at the same place.  Compare index
+    kinds with ``record_steps``: their engine leaves the policy as given, so
+    only the arm pulled at every step shows that both sides agree."""
     out = []
     policies = [make(), make()]
     next_draws = []
@@ -114,16 +117,8 @@ def assert_same_bytes(ref, fast):
 
 
 def assert_same_state(ref, fast):
-    if isinstance(ref, ThompsonPolicy):
-        assert ref.a.tobytes() == fast.a.tobytes() and ref.b.tobytes() == fast.b.tobytes()
-        return
-    assert ref.arm_states == fast.arm_states
-    assert [s.mean_reward for s in ref.arm_states] == [s.mean_reward for s in fast.arm_states]
-    if isinstance(ref, EAdaUcbPolicy):
-        assert ref.thresholds == fast.thresholds
-        assert len(ref.load_sketch) == len(fast.load_sketch)
-    if isinstance(ref, RoundRobinGreedyPolicy):
-        assert ref._next == fast._next
+    """Thompson sampling's posterior, which its kernel updates in place."""
+    assert ref.a.tobytes() == fast.a.tobytes() and ref.b.tobytes() == fast.b.tobytes()
 
 
 # loads drawn from a small grid (ties, and values on the thresholds) in
@@ -180,6 +175,7 @@ class TestKernelMatchesPerStepLoop:
         def make():
             return make_policy(sc["kind"], sc["n_arms"], sc["lower"], sc["upper"])
 
+        ts = sc["kind"] == "ts"
         with mock.patch.object(simulator, "CHUNK", sc["chunk"]):
             ref, fast, p_ref, p_fast = run_both(
                 make,
@@ -188,10 +184,11 @@ class TestKernelMatchesPerStepLoop:
                 sc["horizon"],
                 sc["checkpoints"],
                 sc["realized"],
-                sc["record_steps"],
+                sc["record_steps"] or not ts,
             )
         assert_same_bytes(ref, fast)
-        assert_same_state(p_ref, p_fast)
+        if ts:
+            assert_same_state(p_ref, p_fast)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_long_beta_run_every_kind(self, kind):
@@ -204,10 +201,32 @@ class TestKernelMatchesPerStepLoop:
             3 * simulator.CHUNK + 17,
             default_checkpoints(3 * simulator.CHUNK + 17),
             realized=kind == "ucb",
-            record_steps=kind == "adaucb",
+            record_steps=kind != "ts",
         )
         assert_same_bytes(ref, fast)
-        assert_same_state(p_ref, p_fast)
+        if kind == "ts":
+            assert_same_state(p_ref, p_fast)
+
+    @pytest.mark.parametrize("kind", INDEX_KINDS)
+    def test_run_once_leaves_index_policy_as_given(self, kind):
+        # the engine only reads an index policy: no arm statistics, load
+        # sketch or round-robin cursor of the policy moves
+        policy = make_policy(kind, 3, 0.2, 0.8)
+        before = pickle.dumps(policy)
+        streams = replication_streams(4, "kernel", 0)
+        trace = run_once(
+            BanditInstance((0.3, 0.5, 0.45)),
+            BetaLoad(2.0, 2.0),
+            BernoulliReward((0.3, 0.5, 0.45)),
+            policy,
+            2 * simulator.CHUNK + 31,
+            [1, 3, simulator.CHUNK + 1, 2 * simulator.CHUNK + 31],
+            streams["load"],
+            streams["reward"],
+            streams["policy"],
+        )
+        assert trace.pulls[-1].sum() == 2 * simulator.CHUNK + 31
+        assert pickle.dumps(policy) == before
 
     def test_ln_t_is_math_log_where_numpy_differs(self):
         # np.log is not correctly rounded everywhere; the kernel must use
@@ -334,9 +353,6 @@ class GridLoad(LoadModel):
 
     def _bulk(self, ts, us):
         return np.array(GRID)[(us * len(GRID)).astype(int)]
-
-
-INDEX_KINDS = KINDS[:-1]
 
 
 def reward_model(draw, n_arms):
@@ -485,13 +501,3 @@ class TestRunningQuantiles:
         running = RunningQuantiles(np.array(values), (q, 1.0 - q), window)
         got = [running.advance(min(i + chunk, len(values)))[0] for i in range(0, len(values), chunk)]
         assert np.concatenate(got).tolist() == expected
-
-    def test_extend_equals_inserts(self):
-        rng = RngStream(3, 0)
-        values = rng.random(50).tolist()
-        for window in (None, 1, 7):
-            a, b = LoadQuantileSketch(window), LoadQuantileSketch(window)
-            for v in values:
-                a.insert(v)
-            b.extend(values)
-            assert a._sorted == b._sorted and len(a) == len(b)

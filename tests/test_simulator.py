@@ -240,17 +240,18 @@ class TestDeterminism:
 
 
 class _SpyLoad(LoadModel):
-    """Delegates to an inner model while recording what it produced."""
+    """Delegates to an inner model while recording every draw it produced,
+    in order (``run_once`` may draw a chunk at a time)."""
 
     uses_rng = True
 
     def __init__(self, inner):
         self.inner = inner
-        self.seen = None
+        self.seen = []
 
-    def sample_loads(self, horizon, rng):
-        self.seen = self.inner.sample_loads(horizon, rng)
-        return self.seen
+    def sample_loads(self, horizon, rng, t0=1):
+        self.seen.append(self.inner.sample_loads(horizon, rng, t0))
+        return self.seen[-1]
 
 
 class TestStreamSeparation:
@@ -273,7 +274,8 @@ class TestStreamSeparation:
                 RngStream(7, reward_id),
                 RngStream(7, 300),
             )
-            return spy.seen
+            assert sum(map(len, spy.seen)) == 500
+            return np.concatenate(spy.seen)
 
         np.testing.assert_array_equal(
             loads_with_reward_stream(200), loads_with_reward_stream(201)
