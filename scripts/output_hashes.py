@@ -4,9 +4,16 @@ write for each bundled config, one ``<config> <file> <sha256>`` line each.
 
 Two checkouts whose outputs must be byte-identical print the same lines:
 
-    PYTHONPATH=src python scripts/output_hashes.py --horizon 2100 --replications 2 > a.txt
+    python scripts/output_hashes.py --horizon 2100 --replications 2 > a.txt
     (the same in the other checkout) > b.txt
     diff a.txt b.txt
+
+The script imports opbandit from the ``src/`` next to it, so each checkout
+hashes its own sources.  Short horizons change leaders every few steps;
+a second check at a horizon long enough for runs of hundreds of steps
+covers the index engine's gallop through them:
+
+    python scripts/output_hashes.py --horizon 30000 --replications 1
 
 ``bounds`` runs only for configs whose bound alpha can be inferred (one
 adaptive policy's); the others print no bounds lines.  The files are
@@ -20,8 +27,10 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from opbandit.cli import main as opbandit_main
-from opbandit.report import sha256_file
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from opbandit.cli import main as opbandit_main  # noqa: E402
+from opbandit.report import sha256_file  # noqa: E402
 
 
 def quiet(argv: list[str]) -> tuple[int, str, str]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import logging
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -54,6 +55,8 @@ __all__ = [
     "dump_config",
     "build_plan",
 ]
+
+log = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -503,6 +506,9 @@ def build_plan(cfg: ExperimentConfig) -> ExperimentPlan:
     info: dict[str, dict] = {"policies": resolved}
     if isinstance(load_model, TraceLoad):
         info["trace_load"] = {"scale": load_model.data.scale, "rows": load_model.data.n_rows}
+        wraps = load_model.wraps(cfg.horizon)
+        if wraps:
+            log.info("trace shorter than horizon: wrapping around %d time(s)", wraps)
     if isinstance(reward_model, TraceReward):
         info["trace_reward"] = {"means": list(reward_model.means)}
     return ExperimentPlan(

@@ -14,7 +14,6 @@ its config keys.
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -42,8 +41,6 @@ __all__ = [
     "LOAD_KINDS",
     "REWARD_KINDS",
 ]
-
-log = logging.getLogger(__name__)
 
 
 def _check_eps(name: str, value: float) -> float:
@@ -291,12 +288,12 @@ class TraceLoad(LoadModel):
     uses_rng = False
 
     def _bulk(self, ts: np.ndarray, us=None) -> np.ndarray:
-        n = self.data.n_rows
-        if len(ts):
-            wraps = (int(ts[-1]) - 1) // n - max(int(ts[0]) - 2, 0) // n  # steps n+1, 2n+1, ...
-            if wraps > 0:
-                log.info("trace shorter than horizon: wrapping around %d time(s)", wraps)
-        return self.data.loads[(ts - 1) % n]
+        return self.data.loads[(ts - 1) % self.data.n_rows]
+
+    def wraps(self, horizon: int) -> int:
+        """How many times a run of ``horizon`` steps starts the trace again
+        (at steps n+1, 2n+1, ... for n rows)."""
+        return (horizon - 1) // self.data.n_rows
 
     @cached_property
     def _sorted_loads(self) -> np.ndarray:

@@ -18,6 +18,7 @@ from opbandit.config import (
     parse_config,
 )
 from opbandit.environments import BetaLoad, LoadModel, PeriodicSquareWaveLoad, load_trace
+from opbandit.simulator import run_experiment
 
 MINIMAL = {
     "name": "tiny",
@@ -182,6 +183,25 @@ class TestBuildPlan:
         # one file for both columns: parsed once, shared
         assert parsed == [str(p)]
         assert plan.reward_model.data is plan.load_model.data
+
+    @pytest.mark.parametrize("horizon, wraps", [(3, 0), (4, 1), (6, 1), (7, 2), (50, 16)])
+    def test_trace_wraps_logged_once(self, tmp_path, caplog, horizon, wraps):
+        # steps 4, 7, ... start the 3-row trace again: one record names them
+        # all, however the run draws its loads
+        p = tmp_path / "t.csv"
+        p.write_text("0.5,0.6,0.4\n1.0,0.7,0.2\n2.0,0.6,0.5\n")
+        doc = {
+            "name": "trace",
+            "horizon": horizon,
+            "load": {"kind": "trace", "path": str(p)},
+            "reward": {"kind": "bernoulli", "means": [0.6, 0.4]},
+            "policies": [{"name": "ucb", "kind": "ucb", "alpha": 0.51}],
+        }
+        with caplog.at_level("INFO"):
+            plan = build_plan(parse_config(doc))
+            run_experiment(plan.bandit, plan.load_model, plan.reward_model, plan.policies, horizon, 2, 5, [horizon])
+        records = [r.getMessage() for r in caplog.records if "wrapping" in r.getMessage()]
+        assert records == ([f"trace shorter than horizon: wrapping around {wraps} time(s)"] if wraps else [])
 
     def test_default_checkpoints_generated(self):
         plan = build_plan(parse_config(MINIMAL))

@@ -1,6 +1,7 @@
 """The index engine and Thompson sampling's kernel against the per-step
 reference (``select`` and ``update`` at every step), the index engine's
-numpy step (many rows) against its Python step (``run_once``, one row), and
+numpy step (many rows) against its Python step (``run_once``, one row), the
+Python step's gallop through long runs against the per-step reference, and
 the rank-pointer running quantiles against the sorted-list sketch."""
 
 import math
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from opbandit import simulator
@@ -483,6 +484,133 @@ class TestBatchMatchesRunOnce:
             assert results[label].regret.tobytes() == reference[label].regret.tobytes(), label
             assert results[label].pulls.tobytes() == reference[label].pulls.tobytes(), label
             assert results[label].pulls[:, -1].sum() == sc["replications"] * sc["horizon"]
+
+
+# rewards whose running sums round (0.1, 0.3, 0.7) and whose means often
+# tie exactly (0, 0.5, 1)
+REWARDS = (0.0, 0.1, 0.3, 0.5, 0.7, 1.0)
+
+
+@st.composite
+def gallops(draw):
+    """Runs long enough for leaders to win hundreds of steps in a row: loads
+    in long constant stretches (high ones make adaucb and rr-greedy greedy,
+    ``c == 0``; free ones force rr-greedy's pulls), rewards from
+    :data:`REWARDS`, and small gallop blocks next to the default."""
+    n_arms = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(INDEX_KINDS))
+    lengths = st.integers(1, 4) | st.integers(1, 400)  # short ones put forced pulls inside would-be blocks
+    stretches = draw(st.lists(st.tuples(st.sampled_from(GRID), lengths), min_size=1, max_size=8))
+    loads = [v for v, n in stretches for _ in range(n)]
+    horizon = max(len(loads), 300)
+    loads += [1.0] * (horizon - len(loads))
+    lower = draw(st.sampled_from(GRID))
+    upper = draw(st.sampled_from(GRID).filter(lambda u: u >= lower))
+    reward_kind = draw(st.sampled_from(("dirac", "trace", "bernoulli")))
+    if reward_kind == "trace":
+        rows = draw(st.integers(1, 40))
+        cells = draw(st.lists(st.sampled_from(REWARDS), min_size=rows * n_arms, max_size=rows * n_arms))
+        reward = TraceReward(TraceData(np.ones(rows), np.array(cells).reshape(rows, n_arms), 1.0))
+    else:
+        means = tuple(draw(st.lists(st.sampled_from(REWARDS), min_size=n_arms, max_size=n_arms)))
+        reward = DiracReward(means) if reward_kind == "dirac" else BernoulliReward(means)
+    return dict(
+        kind=kind,
+        n_arms=n_arms,
+        loads=loads,
+        lower=lower,
+        upper=upper,
+        reward=reward,
+        horizon=horizon,
+        realized=draw(st.booleans()),
+        chunk=draw(st.sampled_from((7, 100, simulator.CHUNK))),  # runs cross chunk edges
+        block=draw(st.sampled_from((1, 3, simulator.GALLOP_BLOCK))),
+    )
+
+
+def spied_gallops():
+    """A patch of the Python step's gallop that records the steps each
+    gallop won."""
+    won = []
+    gallop = simulator._gallop
+
+    def spy(*args):
+        won.append(gallop(*args))
+        return won[-1]
+
+    return mock.patch.object(simulator, "_gallop", spy), won
+
+
+class TestGallopMatchesPerStepLoop:
+    @given(gallops())
+    @example(  # two equal arms, greedy: see test_equal_arms_greedy
+        dict(
+            kind="adaucb",
+            n_arms=2,
+            loads=[1.0] * 300,
+            lower=0.0,
+            upper=0.5,
+            reward=DiracReward((0.1, 0.1)),
+            horizon=300,
+            realized=False,
+            chunk=100,
+            block=1,
+        )
+    )
+    def test_random_runs_byte_for_byte(self, sc):
+        def make():
+            return make_index_policy(sc["kind"], sc["n_arms"], sc["lower"], sc["upper"])
+
+        spy, won = spied_gallops()
+        with (
+            spy,
+            mock.patch.object(simulator, "CHUNK", sc["chunk"]),
+            mock.patch.object(simulator, "GALLOP_BLOCK", sc["block"]),
+        ):
+            ref, fast, _, _ = run_both(
+                make, FixedLoad(sc["loads"]), sc["reward"], sc["horizon"], [sc["horizon"]], sc["realized"], True
+            )
+        assume(sum(won))  # a gallop won steps: the case under test
+        assert_same_bytes(ref, fast)
+
+    @pytest.mark.parametrize("x", [0.1, 0.3, 0.7])
+    @pytest.mark.parametrize("block", [1, simulator.GALLOP_BLOCK], ids=["small", "default"])
+    def test_equal_arms_greedy(self, x, block):
+        # two arms that always pay x, and loads that make adaucb greedy: the
+        # leader's running mean drifts by rounding until it ties the other
+        # arm's exactly, and a tie goes to the lower arm; a sum taken in
+        # another order, or a tie given to the leader, picks other arms
+        spy, won = spied_gallops()
+        with spy, mock.patch.object(simulator, "GALLOP_BLOCK", block):
+            ref, fast, _, _ = run_both(
+                lambda: make_policy("adaucb", 2, 0.0, 0.5),
+                FixedLoad([1.0] * 3000),
+                DiracReward((x, x)),
+                3000,
+                [3000],
+                record_steps=True,
+            )
+        assert sum(won) > 0
+        assert_same_bytes(ref, fast)
+
+    @pytest.mark.parametrize("kind", INDEX_KINDS)
+    def test_default_settings_gallop_through_long_runs(self, kind):
+        # a clear best arm and fractional trace rewards: after the first few
+        # hundred steps nearly every step is won in a gallop
+        horizon = 3 * simulator.CHUNK + 300
+        rewards = np.array([[0.1, 0.3, 0.7], [0.3, 0.1, 1.0], [0.1, 0.3, 0.7], [0.3, 0.1, 0.5]])
+        spy, won = spied_gallops()
+        with spy:
+            ref, fast, _, _ = run_both(
+                lambda: make_index_policy(kind, 3, 0.05, 0.95),
+                BetaLoad(2.0, 2.0),
+                TraceReward(TraceData(np.ones(len(rewards)), rewards, 1.0)),
+                horizon,
+                [horizon],
+                record_steps=True,
+            )
+        assert_same_bytes(ref, fast)
+        assert sum(won) > horizon // 2
 
 
 class TestRunningQuantiles:
