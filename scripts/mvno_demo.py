@@ -15,10 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from opbandit.config import build_plan, parse_config
-from opbandit.core import RngStream
-from opbandit.environments import SemiPeriodicLoad
-from opbandit.simulator import run_experiment
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from opbandit.config import build_plan, parse_config  # noqa: E402
+from opbandit.core import RngStream  # noqa: E402
+from opbandit.environments import SemiPeriodicLoad  # noqa: E402
+from opbandit.simulator import run_experiment  # noqa: E402
 
 
 def generate_trace(path: Path, rows: int, seed: int) -> None:

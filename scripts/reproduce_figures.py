@@ -6,22 +6,22 @@ Full scale takes a while (the 50-replication scenarios dominate); pass
 """
 
 import argparse
+import io
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
-from opbandit.cli import main as opbandit_main
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-SCENARIOS = [
-    "fig1a",
-    "fig1b",
-    "fig2b-beta",
-    "dirac-square-wave",
-    "square-wave-bernoulli",
-    "binary-small-rho",
-    "beta-small-rho",
-    "linucb-alpha-sweep",
-    "mvno-synthetic",
-]
+from opbandit.cli import main as opbandit_main  # noqa: E402
+
+
+def bundled_names() -> list[str]:
+    """The bundled scenario names, as ``opbandit list-configs`` prints them."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        opbandit_main(["list-configs"])
+    return out.getvalue().split()
 
 
 def main() -> int:
@@ -31,7 +31,7 @@ def main() -> int:
     parser.add_argument("--only", nargs="*", default=None, help="subset of scenario names")
     args = parser.parse_args()
 
-    names = args.only or SCENARIOS
+    names = args.only or bundled_names()
     for name in names:
         out = Path(args.out) / name
         cmd = ["run", name, "-o", str(out), "--plot"]

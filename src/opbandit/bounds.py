@@ -215,13 +215,11 @@ def conditional_load_mean(
     Monte-Carlo sample for the beta model.  Rejects thresholds with zero
     probability mass below them.
     """
+    if isinstance(load_model, (UniformLoad, BetaLoad)) and not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1] for {load_model.kind} load, got {threshold}")
     if isinstance(load_model, UniformLoad):
-        return load_model.conditional_mean_below(threshold)
+        return threshold / 2.0
     if isinstance(load_model, BetaLoad):
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError(
-                f"threshold must be in (0, 1] for beta load, got {threshold}"
-            )
         us = RngStream(mc_seed, derive_stream_id("conditional-load-mean")).random(mc_samples)
         # The costly inverse CDF runs only where its value can pass the
         # filter below.  A load betaincinv(a, b, u) is at or below the
@@ -350,10 +348,8 @@ def evaluate_bounds(
             grid, curve = deterministic_pull_lower_curve(
                 float(taus.max()), alpha, gap, quadrature_step
             )
-            step = grid[1] - grid[0] if len(grid) > 1 else 1.0
-            for i, tau in enumerate(taus):
-                if tau >= 2:
-                    lower[i] = curve[int(round((tau - 2.0) / step))]
+            # integer taus fall between grid points unless the step divides 1
+            lower[taus >= 2] = np.interp(taus[taus >= 2], grid, curve)
         report.columns["pull_lower"] = lower
         report.columns["regret_log_term"] = np.array(
             [deterministic_regret_log_term(int(t), alpha, gap, load_model.eps0) for t in pts]

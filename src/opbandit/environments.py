@@ -161,12 +161,6 @@ class UniformLoad(LoadModel):
         _check_prob(p)
         return p
 
-    def conditional_mean_below(self, x: float) -> float:
-        """E[L | L <= x] = x / 2 for the uniform marginal."""
-        if not 0.0 < x <= 1.0:
-            raise ValueError(f"threshold must be in (0, 1] for uniform load, got {x}")
-        return x / 2.0
-
 
 def _check_prob(p: float) -> None:
     if not 0.0 < p < 1.0:

@@ -140,8 +140,10 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [float(v) for v in np.arange(start, hi + step / 2, step)]
 
 
-def write_regret_svg(path, results: dict[str, RegretTrace], title: str = "", log_x: bool = True) -> None:
-    """Mean regret vs t, one polyline per policy, as a standalone SVG."""
+def write_regret_svg(path, results: dict[str, RegretTrace], title: str = "") -> None:
+    """Mean regret vs log t, one polyline per policy, as a standalone SVG."""
+    from html import escape  # here: html.entities adds 0.4 MiB to every run's RSS
+
     width, height = 720, 460
     ml, mr, mt, mb = 70, 160, 40, 50
     pw, ph = width - ml - mr, height - mt - mb
@@ -154,13 +156,10 @@ def write_regret_svg(path, results: dict[str, RegretTrace], title: str = "", log
     y_max = max(1e-9, max(y.max() for y in ys_all) * 1.05)
 
     def x_pos(x):
-        if log_x:
-            lo, hi = np.log10(max(x_min, 1.0)), np.log10(max(x_max, 2.0))
-            if hi <= lo:
-                hi = lo + 1.0
-            return ml + (np.log10(np.maximum(x, 1.0)) - lo) / (hi - lo) * pw
-        span = max(x_max - x_min, 1e-9)
-        return ml + (x - x_min) / span * pw
+        lo, hi = np.log10(max(x_min, 1.0)), np.log10(max(x_max, 2.0))
+        if hi <= lo:
+            hi = lo + 1.0
+        return ml + (np.log10(np.maximum(x, 1.0)) - lo) / (hi - lo) * pw
 
     def y_pos(y):
         return mt + ph - (y - y_min) / (y_max - y_min) * ph
@@ -169,21 +168,17 @@ def write_regret_svg(path, results: dict[str, RegretTrace], title: str = "", log
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{ml}" y="22" font-size="14">{title}</text>',
+        f'<text x="{ml}" y="22" font-size="14">{escape(title)}</text>',
         f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>',
     ]
 
-    if log_x:
-        d_lo = int(np.floor(np.log10(max(x_min, 1.0))))
-        d_hi = int(np.ceil(np.log10(max(x_max, 2.0))))
-        x_ticks = [10.0**d for d in range(d_lo, d_hi + 1) if x_min <= 10.0**d <= x_max]
-        x_ticks = x_ticks or [x_min, x_max]
-    else:
-        x_ticks = _ticks(x_min, x_max)
-    for xv in x_ticks:
+    d_lo = int(np.floor(np.log10(max(x_min, 1.0))))
+    d_hi = int(np.ceil(np.log10(max(x_max, 2.0))))
+    x_ticks = [10.0**d for d in range(d_lo, d_hi + 1) if x_min <= 10.0**d <= x_max]
+    for xv in x_ticks or [x_min, x_max]:
         px = x_pos(np.asarray(xv))
-        label = f"1e{int(np.log10(xv))}" if log_x and xv >= 10 else f"{xv:g}"
+        label = f"1e{int(np.log10(xv))}" if xv >= 10 else f"{xv:g}"
         parts.append(f'<line x1="{px:.1f}" y1="{mt + ph}" x2="{px:.1f}" y2="{mt + ph + 4}" stroke="black"/>')
         parts.append(f'<text x="{px:.1f}" y="{mt + ph + 18}" text-anchor="middle">{label}</text>')
     for yv in _ticks(y_min, y_max):
@@ -206,7 +201,7 @@ def write_regret_svg(path, results: dict[str, RegretTrace], title: str = "", log
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.6" points="{points}"/>')
         ly = mt + 16 + 18 * i
         parts.append(f'<line x1="{ml + pw + 12}" y1="{ly - 4}" x2="{ml + pw + 34}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{ml + pw + 40}" y="{ly}">{label}</text>')
+        parts.append(f'<text x="{ml + pw + 40}" y="{ly}">{escape(label)}</text>')
 
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

@@ -9,7 +9,9 @@ the policy's class.  The index family (``ucb``, ``adaucb``, ``eadaucb`` and
 ``rr-greedy``, every :class:`~opbandit.policies.IndexPolicy`) runs in the
 index engine (:func:`_run_index_rows`): the policy supplies each step's
 exploration coefficient ``c_t`` and the engine picks the arms, without
-calling ``select`` or ``update`` and without changing the policy.
+calling ``select`` or ``update`` and without changing the policy.  One
+row takes a Python loop that checks each long run of one arm's wins in
+one numpy block; more rows take one numpy argmax over all rows per step.
 Thompson sampling (``ts``) takes its own kernel, which draws a chunk's
 policy uniforms at once.  Everything else (``linucb``, ``oracle``, and any
 object that only offers ``select`` and ``update``, such as a proxy that
@@ -21,8 +23,7 @@ its stream as it would.
 :func:`run_experiment` runs each (policy, replication) cell through
 :func:`run_once`, a one-row run of the index engine for an index policy,
 except when the index-family cells number at least :data:`BATCH_ROWS`:
-then they run as the rows of one engine run, which advances them together
-with one numpy argmax over all rows per step.  Each row keeps its own
+then they run as the rows of one engine run.  Each row keeps its own
 streams and schedule, so the outputs do not depend on which path ran.
 Every cell runs on a reset copy of its policy: the policies given to
 :func:`run_experiment` are not changed.
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import copy
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import islice
@@ -139,20 +141,20 @@ CHUNK = 1024
 #: every row's chunk
 BATCH_CHUNK = 128
 
-#: index-family rows (policies x replications) from which the index engine
-#: takes its numpy step, and ``run_experiment`` runs its index cells as one
-#: engine run: below it, the dozen numpy calls per step that the rows share
-#: cost more than each row's own Python loop, galloping as it does (the
+#: index-family cells (policies x replications) from which
+#: ``run_experiment`` runs them as the rows of one engine run, in the numpy
+#: step: below it, the dozen numpy calls per step that the rows share cost
+#: more than each cell's own one-row run, galloping as it does (the
 #: measured crossover is 9-12 rows for fig2b-beta's mix of ucb, adaucb and
 #: eadaucb at T = 1e4)
 BATCH_ROWS = 10
 
-#: the Python step's gallop: the wins in a row after which a row gallops,
-#: the fewest steps ahead worth a gallop and the steps of its first block
-#: (on a 2-vCPU x86-64 host such a block costs about 15 us of numpy calls,
-#: the loop about 1 us a step; a threshold of 8 wins, fixed or adapted per
-#: row as in timsort, starts 2.6-5.5 times as many gallops on short runs,
-#: most of which fail)
+#: the Python step's gallop: the wins in a row after which the row
+#: gallops, and the fewest steps ahead worth a gallop (on a 2-vCPU x86-64
+#: host a gallop's numpy block costs about 25 us over 32 steps and 55-65 us
+#: over 1024, the loop about 1 us a step; a threshold of 8 wins, fixed or
+#: adapted as in timsort, starts 2.6-5.5 times as many gallops on short
+#: runs, most of which fail)
 GALLOP_BLOCK = 32
 
 
@@ -348,112 +350,97 @@ def _thompson_kernel(policy: ThompsonPolicy, policy_rng: RngStream | None) -> Ch
 
 def _gallop(means: list, pulls: list, sums: list, lead: int, coeff: np.ndarray, rewards: np.ndarray) -> int:
     """How many of the steps of ``coeff`` (n,; no forced pull) and
-    ``rewards`` (n, K) the arm ``lead`` wins in a row, checked a block at a
-    time in numpy; the row's statistics are advanced by that many pulls.
+    ``rewards`` (n, K) the arm ``lead`` wins in a row, checked in one numpy
+    block; the row's statistics are advanced by that many pulls.
 
-    Each block takes every arm's index on the hypothesis that the leader
+    The block takes every arm's index on the hypothesis that the leader
     wins every step of it: its pulls count up one a step and its sums are a
     running sum in step order, while the other arms keep theirs.  The
     index is the loop's ``mean + sqrt(c / pulls)`` (with ``c == 0`` it is
     the mean), so the first step whose argmax (ties toward the lowest arm)
-    is not the leader is exactly where the loop's leader would lose.  The
-    blocks double in length while the leader wins them whole.
+    is not the leader is exactly where the loop's leader would lose.
     """
     n = len(coeff)
-    p, s = pulls[lead], sums[lead]
-    others_mean, others_pulls = np.array(means), np.array(pulls, dtype=float)
-    won, size = 0, GALLOP_BLOCK
-    while won < n:
-        c = coeff[won : won + size]
-        m = len(c)
-        running = np.empty(m + 1)
-        running[0] = s
-        running[1:] = rewards[won : won + m, lead]
-        np.cumsum(running, out=running)  # s, s + x1, (s + x1) + x2, ...
-        lead_pulls = np.arange(p, p + m, dtype=float)
-        index = np.sqrt(c[:, None] / others_pulls) + others_mean
-        index[:, lead] = np.sqrt(c / lead_pulls) + running[:m] / lead_pulls
-        lost = np.flatnonzero(index.argmax(axis=1) != lead)
-        k = int(lost[0]) if len(lost) else m
-        p += k
-        s = running[k].item()
-        won += k
-        if k < m:
-            break
-        size *= 2
+    running = np.empty(n + 1)
+    running[0] = sums[lead]
+    running[1:] = rewards[:, lead]
+    np.cumsum(running, out=running)  # s, s + x1, (s + x1) + x2, ...
+    lead_pulls = np.arange(pulls[lead], pulls[lead] + n, dtype=float)
+    index = np.sqrt(coeff[:, None] / np.array(pulls, dtype=float)) + np.array(means)
+    index[:, lead] = np.sqrt(coeff / lead_pulls) + running[:n] / lead_pulls
+    lost = np.flatnonzero(index.argmax(axis=1) != lead)
+    won = int(lost[0]) if len(lost) else n
     if won:
-        pulls[lead] = p
-        sums[lead] = s
-        means[lead] = s / p
+        pulls[lead] += won
+        sums[lead] = running[won].item()
+        means[lead] = sums[lead] / pulls[lead]
     return won
 
 
-def _python_step(n_rows: int, n_arms: int) -> Callable:
-    """The step for a few rows: a Python loop per row over the chunk, with
-    the arm statistics as Python numbers, that gallops through runs.
+def _python_step(n_arms: int) -> Callable:
+    """The step for one row: a Python loop over the chunk, with the arm
+    statistics as Python numbers, that gallops through runs.
 
     As in timsort's galloping mode, once one arm (the leader) has won
-    :data:`GALLOP_BLOCK` steps in a row, the row checks the steps that
-    follow, up to its next forced pull, a block at a time
-    (:func:`_gallop`) and takes the plain loop again at the step the leader
-    loses.  Leaders and streaks carry over from chunk to chunk.
+    :data:`GALLOP_BLOCK` steps in a row and at least as many steps lie
+    ahead before the next forced pull or the chunk's end, the step checks
+    all of those steps in one numpy block (:func:`_gallop`) and takes the
+    plain loop again at the step the leader loses.  The leader and its
+    streak carry over from chunk to chunk.
     """
-    stats = [([0.0] * n_arms, [0] * n_arms, [0.0] * n_arms) for _ in range(n_rows)]
-    runs = [(-1, 0)] * n_rows  # each row's leader and its streak
+    means, pulls, sums = [0.0] * n_arms, [0] * n_arms, [0.0] * n_arms
+    lead, streak = -1, 0
     block = GALLOP_BLOCK
     sqrt = math.sqrt
     arm_range = range(n_arms)
     floor = -math.inf
 
     def step(coeff: np.ndarray, rewards: np.ndarray, chosen: np.ndarray) -> None:
-        n = len(coeff)
-        for r, (means, pulls, sums) in enumerate(stats):
-            lead, streak = runs[r]
-            c_row, x_row = coeff[:, r, 0], rewards[:, r]
-            # the steps after each step before the next forced pull or the chunk's end
-            ends = np.append(np.flatnonzero(c_row < 0.0), n)
-            after = np.arange(1, n + 1)
-            room = ends[np.searchsorted(ends, after)] - after
-            flat = x_row.ravel().tolist()
-            steps = zip(c_row.tolist(), range(0, len(flat), n_arms), room.tolist())
-            arms = []
-            while True:
-                for c, row, ahead in steps:
-                    if c < 0.0:  # forced pull of arm -1 - c
-                        arm = -1 - int(c)
-                    elif c == 0.0:  # greedy: each index is its mean (max keeps the first)
-                        arm = means.index(max(means))
-                    else:
-                        best = floor
-                        for k in arm_range:
-                            v = means[k] + sqrt(c / pulls[k])
-                            if v > best:
-                                best = v
-                                arm = k
-                    x = flat[row + arm]
-                    p = pulls[arm] + 1
-                    s = sums[arm] + x
-                    pulls[arm] = p
-                    sums[arm] = s
-                    means[arm] = s / p
-                    arms.append(arm)
-                    if arm != lead:
-                        lead = arm
-                        streak = 1
-                    else:
-                        streak += 1
-                        if streak >= block and ahead >= block:
+        nonlocal lead, streak
+        c_row, x_row = coeff[:, 0, 0], rewards[:, 0]
+        # where a gallop must stop: each forced pull, and the chunk's end
+        stops = [*np.flatnonzero(c_row < 0.0).tolist(), len(c_row)]
+        flat = x_row.ravel().tolist()
+        steps = zip(c_row.tolist(), range(0, len(flat), n_arms))
+        arms = []
+        while True:
+            for c, row in steps:
+                if c < 0.0:  # forced pull of arm -1 - c
+                    arm = -1 - int(c)
+                elif c == 0.0:  # greedy: each index is its mean (max keeps the first)
+                    arm = means.index(max(means))
+                else:
+                    best = floor
+                    for k in arm_range:
+                        v = means[k] + sqrt(c / pulls[k])
+                        if v > best:
+                            best = v
+                            arm = k
+                x = flat[row + arm]
+                p = pulls[arm] + 1
+                s = sums[arm] + x
+                pulls[arm] = p
+                sums[arm] = s
+                means[arm] = s / p
+                arms.append(arm)
+                if arm != lead:
+                    lead = arm
+                    streak = 1
+                else:
+                    streak += 1
+                    if streak >= block:
+                        i = row // n_arms + 1  # the steps done
+                        ahead = stops[bisect_left(stops, i)] - i
+                        if ahead >= block:
                             break
-                else:  # the chunk is done
-                    break
-                i = row // n_arms + 1
-                won = _gallop(means, pulls, sums, lead, c_row[i : i + ahead], x_row[i : i + ahead])
-                if won:
-                    arms += [lead] * won
-                    streak += won
-                    next(islice(steps, won, won), None)  # skip the steps won
-            chosen[:, r] = arms
-            runs[r] = lead, streak
+            else:  # the chunk is done
+                break
+            won = _gallop(means, pulls, sums, lead, c_row[i : i + ahead], x_row[i : i + ahead])
+            if won:
+                arms += [lead] * won
+                streak += won
+                next(islice(steps, won, won), None)  # skip the steps won
+        chosen[:, 0] = arms
 
     return step
 
@@ -516,23 +503,23 @@ def _run_index_rows(
     ``c_t`` from the policy's exploration schedule.  A chunk of n steps is
     one ``step(coeff, rewards, chosen)``: it fills ``chosen`` (n, N) with
     each row's arms, given each row's ``c_t`` (n, N, 1; ``-1 - k`` forces a
-    pull of arm k) and every arm's rewards (n, N, K).  Below
-    :data:`BATCH_ROWS` rows each row takes its own Python loop, which
-    gallops through runs of one arm's wins (:func:`_python_step`), on
-    :data:`CHUNK`-step chunks; from there on all rows advance together
-    (:func:`_numpy_step`) on :data:`BATCH_CHUNK`-step chunks.  Every row
-    shares each chunk's ``ln t`` and buffers.  Both steps do the same float
-    arithmetic as ``select`` and ``update``, and each row draws its
-    loads, rewards and ``c_t`` from its own streams and schedule, so a
+    pull of arm k) and every arm's rewards (n, N, K).  One row takes a
+    Python loop that gallops through runs of one arm's wins
+    (:func:`_python_step`), on :data:`CHUNK`-step chunks; more rows advance
+    together (:func:`_numpy_step`) on :data:`BATCH_CHUNK`-step chunks.
+    Every row shares each chunk's ``ln t`` and buffers.  Both steps do the
+    same float arithmetic as ``select`` and ``update``, and each row draws
+    its loads, rewards and ``c_t`` from its own streams and schedule, so a
     row's arms depend neither on which step runs nor on the other rows.
     Loads are drawn a chunk at a time unless the schedule needs the whole
     run.  The policies are only read; the arm statistics live in the
     engine.
     """
     n_rows, n_arms = len(cells), ledger.pulled.shape[1]
-    batched = n_rows >= BATCH_ROWS
-    size = BATCH_CHUNK if batched else CHUNK
-    step = (_numpy_step if batched else _python_step)(n_rows, n_arms)
+    if n_rows == 1:
+        size, step = CHUNK, _python_step(n_arms)
+    else:
+        size, step = BATCH_CHUNK, _numpy_step(n_rows, n_arms)
     rows = []  # (load stream, reward stream, quantiles or None, schedule)
     for policy, load_rng, reward_rng in cells:
         quantiles = (  # the whole run's loads, kept only inside its quantiles

@@ -27,6 +27,7 @@ from opbandit.environments import (
     PeriodicSquareWaveLoad,
     UniformLoad,
 )
+from opbandit.simulator import default_checkpoints
 
 
 class TestDeterministicPullUpper:
@@ -169,9 +170,9 @@ class TestContinuousRegretCoeff:
         assert a == b
 
     def test_rejects_zero_mass_threshold(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\] for uniform load"):
             conditional_load_mean(UniformLoad(), 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\] for beta load"):
             conditional_load_mean(BetaLoad(2, 2), 0.0)
 
     def test_rejects_unsupported_model(self):
@@ -231,6 +232,26 @@ class TestEvaluateBounds:
         assert np.isnan(report.columns["pull_lower"][0])
         assert np.isfinite(report.columns["pull_lower"][3])
         assert np.all(np.isfinite(report.columns["pull_upper"]))
+
+    @pytest.mark.parametrize("step", [0.25, 0.3, 0.5, 0.7, 1.0])
+    def test_pull_lower_read_at_each_tau(self, step):
+        # the column at step t is f(t // 2); a quadrature step that does not
+        # divide 1 puts integer taus between grid points
+        pts = default_checkpoints(2000)
+        report = evaluate_bounds(
+            BanditInstance((0.6, 0.4)),
+            PeriodicSquareWaveLoad(0.05, 0.05),
+            DiracReward((0.6, 0.4)),
+            2.0,
+            pts,
+            quadrature_step=step,
+        )
+        lower = report.columns["pull_lower"]
+        for t, got in zip(pts, lower):
+            if t // 2 < 2:
+                assert np.isnan(got)
+            else:
+                assert got == pytest.approx(deterministic_pull_lower(t // 2, 2.0, 0.2, step), abs=0.01), t
 
     def test_zero_eps0_binary_scenario_has_all_zero_regret_term(self):
         with pytest.warns(RuntimeWarning):

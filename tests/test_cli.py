@@ -3,6 +3,7 @@ error reporting and exit codes."""
 
 import json
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -28,6 +29,20 @@ class TestRun:
         header = (out / "results.csv").read_text().splitlines()[0].split(",")
         assert header[:4] == ["policy", "t", "mean_regret", "std_regret"]
         assert header[4:] == [f"mean_pulls_arm_{k}" for k in range(1, 6)]
+
+    def test_plot_escapes_names(self, tmp_path):
+        name, label = "A & B <test>", "u<&>"
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            f"name: '{name}'\nhorizon: 100\n"
+            "load: {kind: uniform}\nreward: {kind: bernoulli, means: [0.6, 0.4]}\n"
+            f"policies: [{{name: '{label}', kind: ucb, alpha: 0.5}}]\n"
+        )
+        out = tmp_path / "o"
+        assert run_cli(["run", cfg, "-o", out, "--plot"]) == 0
+        texts = [e.text for e in ElementTree.parse(out / "regret.svg").iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[0] == name
+        assert label in texts
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import betaincinv
 
 from opbandit import environments
+from opbandit.bounds import conditional_load_mean
 from opbandit.core import RngStream
 from opbandit.environments import (
     BernoulliReward,
@@ -102,9 +103,9 @@ class TestUniformLoad:
         np.testing.assert_array_equal(UniformLoad().sample_loads(100, rng), us)
 
     def test_conditional_mean_below(self):
-        assert UniformLoad().conditional_mean_below(0.4) == 0.2
-        with pytest.raises(ValueError):
-            UniformLoad().conditional_mean_below(0.0)
+        assert conditional_load_mean(UniformLoad(), 0.4) == 0.2
+        with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\] for uniform load"):
+            conditional_load_mean(UniformLoad(), 0.0)
 
 
 class TestSemiPeriodic:
@@ -300,3 +301,54 @@ class TestTraces:
         else:
             assert fast.rewards.shape == reference.rewards.shape
             assert fast.rewards.tobytes() == reference.rewards.tobytes()
+
+    @given(data=st.data(), n_cols=st.integers(1, 4), n_rows=st.integers(2, 20))
+    def test_bad_line_named(self, data, n_cols, n_rows):
+        # a valid trace, then one data line after the first corrupted, and
+        # maybe a second one further down: the error names the first
+        draw = data.draw
+        rows = [
+            [repr(draw(st.floats(0.0, 1e6)))] + [repr(draw(st.floats(0.0, 1.0))) for _ in range(n_cols - 1)]
+            for _ in range(n_rows)
+        ]
+        bad = draw(st.lists(st.integers(1, n_rows - 1), min_size=1, max_size=2, unique=True).map(sorted))
+        phrases = [self.corrupt(draw, rows[i], n_cols) for i in bad]
+        sep = draw(st.sampled_from([",", " , "]))
+        lines = ["load" + ",r" * (n_cols - 1)] if draw(st.booleans()) else []
+        linenos = []
+        for cells in rows:
+            if draw(st.booleans()):
+                lines.append("")
+            lines.append(sep.join(cells))
+            linenos.append(len(lines))
+        newline = draw(st.sampled_from(["\n", "\r\n"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "t.csv"
+            p.write_bytes(newline.join(lines).encode())
+            with pytest.raises(ValueError) as err:
+                load_trace(p)
+        assert str(err.value).startswith(f"{p}: line {linenos[bad[0]]}: {phrases[0]}")
+
+    @staticmethod
+    def corrupt(draw, cells, n_cols):
+        """Corrupt one data line's ``cells`` in place; the line loop's
+        phrase for it."""
+        kinds = ["non-numeric", "load", "too many"] + (["reward", "too few"] if n_cols > 1 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "non-numeric":  # an empty cell only where the line stays non-blank
+            cells[draw(st.integers(0, n_cols - 1))] = draw(
+                st.sampled_from(["x", "n/a", "1.0.0", "0x1f", "1e", "--1"] + [""] * (n_cols > 1))
+            )
+            return "non-numeric cell"
+        if kind == "load":
+            cells[0] = draw(st.sampled_from(["nan", "inf", "-inf", "-0.5", "-1e-300"]))
+            return "load must be finite and >= 0"
+        if kind == "reward":
+            column = draw(st.integers(1, n_cols - 1))
+            cells[column] = draw(st.sampled_from(["nan", "-0.1", "1.5", "inf", "-inf"]))
+            return f"reward column {column + 1} value"
+        if kind == "too many":
+            cells.append("0.5")
+        else:
+            cells.pop()
+        return f"expected {n_cols} columns, got {len(cells)}"

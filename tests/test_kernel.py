@@ -593,6 +593,24 @@ class TestGallopMatchesPerStepLoop:
         assert sum(won) > 0
         assert_same_bytes(ref, fast)
 
+    def test_gallops_stop_before_forced_pulls(self):
+        # rr-greedy on a clear best arm: greedy stretches of 100 steps, each
+        # ended by a free slot whose forced pull goes to each arm in turn; a
+        # gallop that took the forced step in would give it to arm 0
+        loads = ([1.0] * 100 + [0.0]) * 30
+        spy, won = spied_gallops()
+        with spy:
+            ref, fast, _, _ = run_both(
+                lambda: make_policy("rr-greedy", 2, 0.2, 0.8),
+                FixedLoad(loads),
+                DiracReward((0.9, 0.1)),
+                len(loads),
+                [len(loads)],
+                record_steps=True,
+            )
+        assert sum(won) > len(loads) // 2
+        assert_same_bytes(ref, fast)
+
     @pytest.mark.parametrize("kind", INDEX_KINDS)
     def test_default_settings_gallop_through_long_runs(self, kind):
         # a clear best arm and fractional trace rewards: after the first few

@@ -1,0 +1,39 @@
+"""The scripts under ``scripts/`` run from a bare checkout: as subprocesses,
+without ``PYTHONPATH``, at tiny scale."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, args, cwd):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_reproduce_figures(tmp_path):
+    proc = run_script("reproduce_figures.py", ["--quick", "--only", "dirac-square-wave"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "== dirac-square-wave =="
+    assert lines[-1] == "OVERALL: PASS"
+    run, bounds = tmp_path / "results" / "dirac-square-wave", tmp_path / "results" / "dirac-square-wave-bounds"
+    assert {p.name for p in run.iterdir()} == {"results.csv", "metadata.json", "regret.svg"}
+    assert {p.name for p in bounds.iterdir()} == {"bounds.csv", "metadata.json"}
+
+
+def test_mvno_demo(tmp_path):
+    args = ["--rows", "300", "--horizon", "400", "--replications", "1", "--trace", "trace.csv"]
+    proc = run_script("mvno_demo.py", args, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "trace written to trace.csv (300 rows)"
+    assert [line.split(":")[0] for line in lines[1:5]] == ["adaucb", "eadaucb", "ucb", "ts"]
+    assert lines[5].startswith("adaucb/ucb regret ratio: ")
+    assert lines[6].startswith("eadaucb/ucb regret ratio: ")
+    assert len((tmp_path / "trace.csv").read_text().splitlines()) == 301  # header and rows
