@@ -43,35 +43,36 @@ def main() -> int:
     parser.add_argument("--horizon", type=int, default=50_000)
     parser.add_argument("--replications", type=int, default=20)
     parser.add_argument("--seed", type=int, default=20180405)
-    parser.add_argument("--trace", default=None, help="write the trace here (default: temp file)")
+    parser.add_argument("--trace", default=None, help="write the trace here (default: a temporary file, then removed)")
     args = parser.parse_args()
 
-    trace_path = Path(args.trace) if args.trace else Path(tempfile.mkstemp(suffix=".csv")[1])
-    generate_trace(trace_path, args.rows, args.seed)
-    print(f"trace written to {trace_path} ({args.rows} rows)")
-
-    cfg = parse_config(
-        {
-            "name": "mvno-trace-demo",
-            "horizon": args.horizon,
-            "replications": args.replications,
-            "base_seed": args.seed,
-            "load": {"kind": "trace", "path": str(trace_path)},
-            "reward": {"kind": "trace", "path": str(trace_path)},
-            "policies": [
-                {
-                    "name": "adaucb",
-                    "kind": "adaucb",
-                    "alpha": 0.51,
-                    "thresholds": {"lower_prob": 0.05, "upper_prob": 0.05},
-                },
-                {"name": "eadaucb", "kind": "eadaucb", "alpha": 0.51},
-                {"name": "ucb", "kind": "ucb", "alpha": 0.51},
-                {"name": "ts", "kind": "ts"},
-            ],
-        }
-    )
-    plan = build_plan(cfg)
+    # the trace is read whole by build_plan; a default one lives only that long
+    with tempfile.TemporaryDirectory() as tmp:
+        trace_path = Path(args.trace) if args.trace else Path(tmp) / "trace.csv"
+        generate_trace(trace_path, args.rows, args.seed)
+        print(f"trace written to {trace_path} ({args.rows} rows)")
+        cfg = parse_config(
+            {
+                "name": "mvno-trace-demo",
+                "horizon": args.horizon,
+                "replications": args.replications,
+                "base_seed": args.seed,
+                "load": {"kind": "trace", "path": str(trace_path)},
+                "reward": {"kind": "trace", "path": str(trace_path)},
+                "policies": [
+                    {
+                        "name": "adaucb",
+                        "kind": "adaucb",
+                        "alpha": 0.51,
+                        "thresholds": {"lower_prob": 0.05, "upper_prob": 0.05},
+                    },
+                    {"name": "eadaucb", "kind": "eadaucb", "alpha": 0.51},
+                    {"name": "ucb", "kind": "ucb", "alpha": 0.51},
+                    {"name": "ts", "kind": "ts"},
+                ],
+            }
+        )
+        plan = build_plan(cfg)
     results = run_experiment(
         plan.bandit,
         plan.load_model,

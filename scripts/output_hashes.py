@@ -15,6 +15,11 @@ covers the index engine's gallop through them:
 
     python scripts/output_hashes.py --horizon 30000 --replications 1
 
+``--only NAME`` (repeatable, or several names after one flag) hashes just
+those configs, for a quick diff of the ones a change touches:
+
+    python scripts/output_hashes.py --only mvno-synthetic --horizon 600 --replications 1
+
 ``bounds`` runs only for configs whose bound alpha can be inferred (one
 adaptive policy's); the others print no bounds lines.  The files are
 written to a temporary directory, which is removed afterwards.
@@ -46,6 +51,7 @@ def main() -> int:
     parser.add_argument("--horizon", type=int, default=None, help="override every config's horizon")
     parser.add_argument("--replications", type=int, default=None, help="override the replication count of `run`")
     parser.add_argument("--seed", type=int, default=None, help="override every config's base seed")
+    parser.add_argument("--only", action="extend", nargs="+", metavar="NAME", help="hash only these configs")
     args = parser.parse_args()
 
     overrides = []
@@ -58,8 +64,14 @@ def main() -> int:
         run_overrides = overrides + ["--replications", str(args.replications)]
 
     _, listing, _ = quiet(["list-configs"])
+    names = listing.split()
+    if args.only:
+        unknown = sorted(set(args.only) - set(names))
+        if unknown:
+            parser.error(f"unknown config {unknown[0]!r}; bundled: {', '.join(names)}")
+        names = [name for name in names if name in args.only]
     with tempfile.TemporaryDirectory() as tmp:
-        for name in listing.split():
+        for name in names:
             for command, extra in (("run", run_overrides), ("bounds", overrides)):
                 out = Path(tmp) / name / command
                 code, _, err = quiet([command, name, "-o", str(out), *extra])

@@ -2,9 +2,10 @@
 
 A config names the load model, the reward model, the policy roster (with
 per-policy parameters), the horizon/replication schedule, and the base seed.
-Truncation thresholds may be given as absolute levels, as probabilities
-resolved against the load model's quantile function, or as the literal
-string ``binary`` (lower threshold at the model's low level, upper at 1).
+Truncation thresholds may be given as absolute levels in [0, 1], as
+probabilities resolved against the load model's quantile function, or as the
+literal string ``binary`` (lower threshold at the model's low level, upper
+at 1).
 
 No kind is listed here.  Each load, reward and policy kind is a class in a
 registry (``environments.LOAD_KINDS``, ``environments.REWARD_KINDS``,
@@ -139,6 +140,9 @@ class ThresholdSpec:
         if has_abs:
             lo = _as_number(_require(value, "lower", ctx), f"{ctx}.lower")
             hi = _as_number(_require(value, "upper", ctx), f"{ctx}.upper")
+            for name, level in (("lower", lo), ("upper", hi)):
+                if not 0.0 <= level <= 1.0:
+                    raise ConfigError(f"{ctx}.{name}", f"must be in [0, 1], where every load lies, got {level}")
             if lo > hi:
                 raise ConfigError(f"{ctx}.lower", f"lower {lo} exceeds upper {hi}")
             return cls(mode="absolute", lower=lo, upper=hi)

@@ -327,15 +327,59 @@ class SemiPeriodicLoad(LoadModel):
         return self._envelope(ts) * betaincinv(self.noise_a, self.noise_b, us)
 
     @cached_property
-    def _reference_sample(self) -> np.ndarray:
-        # drawn and sorted once per model, however many thresholds it resolves
-        n = max(1, 200_000 // self.period) * self.period
-        return np.sort(self.sample_loads(n, RngStream(0x5EED_10AD, 0)))
+    def _noise_brackets(self) -> tuple[np.ndarray, np.ndarray]:
+        # F^-1 at u = i/4096 for i = 0..4096, widened below and above (see quantile)
+        grid = betaincinv(self.noise_a, self.noise_b, np.arange(4097) / 4096)
+        return grid * (1.0 - 1e-6) - 1e-9, (grid * (1.0 + 1e-6) + 1e-9)[1:]
 
     def quantile(self, p: float) -> float:
-        """Empirical marginal quantile from a fixed-seed reference sample
-        spanning whole periods (the marginal mixes the envelope phase)."""
-        return nearest_rank_quantile(self._reference_sample, p)
+        """Empirical marginal quantile from a fixed-seed reference sample of n
+        loads spanning whole periods (the marginal mixes the envelope phase):
+        its nearest-rank p-quantile, the k-th smallest for k = max(1, ceil(p*n)).
+
+        Only a few of the sample's loads are computed.  Load v = env * F^-1(u),
+        F^-1 being the noise's inverse CDF, has its uniform u in
+        [i/4096, (i+1)/4096) for i = floor(4096*u), exactly, since 4096 is a
+        power of two.  F^-1 is non-decreasing, so a 4097-point table of it
+        brackets the load: lo = env * F^-1(i/4096) <= v <= env * F^-1((i+1)/4096)
+        = hi.  Rounding (about 1e-15 relative in betaincinv) can move a table
+        entry by a hair, so the table sits 1e-6 relative plus 1e-9 absolute
+        outside it, orders of magnitude beyond; env >= 0 and products round
+        monotonically, so the brackets hold for the computed loads too.  With
+        L and H the k-th smallest lo and hi, the answer V lies in [L, H].  Every
+        load with hi < L lies below V and every load with lo > H above it, so V
+        is the (k - #{hi < L})-th smallest of the loads left in between, the
+        only ones computed (15-80 of 199,872 for mvno-synthetic's model).
+        """
+        _check_prob(p)
+        n = max(1, 200_000 // self.period) * self.period
+        k = max(1, math.ceil(p * n))
+        env = self._envelope(np.arange(1, n + 1))  # before us: its temporaries set the peak
+        us = RngStream(0x5EED_10AD, 0).random(n)
+        lower, upper = self._noise_brackets
+        cell = (us * 4096.0).astype(np.uint16)  # floor(4096*u), u in [0, 1)
+
+        def bracket(table: np.ndarray) -> np.ndarray:
+            # one float array of n at a time keeps the peak below a full sample's
+            loads = table[cell]
+            loads *= env
+            return loads
+
+        lo = bracket(lower)
+        lo.partition(k - 1)
+        low = lo[k - 1]
+        del lo
+        hi = bracket(upper)
+        candidate = hi >= low
+        below = n - np.count_nonzero(candidate)
+        hi.partition(k - 1)
+        high = hi[k - 1]
+        del hi
+        candidate &= bracket(lower) <= high
+        picked = np.flatnonzero(candidate)
+        loads = env[picked] * betaincinv(self.noise_a, self.noise_b, us[picked])
+        loads.partition(k - below - 1)
+        return float(loads[k - below - 1])
 
 
 # ---------------------------------------------------------------------------

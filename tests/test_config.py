@@ -6,6 +6,8 @@ from importlib import resources
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import betaincinv
 
 from opbandit import config, environments
@@ -150,6 +152,30 @@ class TestThresholdResolution:
         with pytest.raises(ConfigError, match="mix"):
             ThresholdSpec.from_value({"lower": 0.1, "upper_prob": 0.05}, "x")
 
+    @given(
+        lower=st.one_of(st.floats(0.0, 1.0), st.floats()),
+        upper=st.one_of(st.floats(0.0, 1.0), st.floats()),
+    )
+    def test_absolute_outside_load_support_named(self, lower, upper):
+        # every load model lives in [0, 1]; a level outside it is named when parsed
+        import copy
+
+        doc = copy.deepcopy(MINIMAL)
+        doc["load"] = {"kind": "beta", "a": 2.0, "b": 2.0}
+        doc["policies"][0]["thresholds"] = {"lower": lower, "upper": upper}
+        outside = [name for name, level in (("lower", lower), ("upper", upper)) if not 0.0 <= level <= 1.0]
+        if outside:
+            with pytest.raises(ConfigError, match=r"must be in \[0, 1\]") as err:
+                parse_config(doc)
+            assert err.value.fieldpath == f"policies[0].thresholds.{outside[0]}"
+        elif lower > upper:
+            with pytest.raises(ConfigError, match="exceeds") as err:
+                parse_config(doc)
+            assert err.value.fieldpath == "policies[0].thresholds.lower"
+        else:
+            info = build_plan(parse_config(doc)).resolved["policies"]["adaucb"]
+            assert (info["lower"], info["upper"]) == (lower, upper)
+
     def test_crossed_probabilities_rejected(self):
         spec = ThresholdSpec.from_value({"lower_prob": 0.9, "upper_prob": 0.9}, "x")
         with pytest.raises(ConfigError, match="exceeds"):
@@ -164,6 +190,13 @@ class TestBuildPlan:
         assert (info["lower"], info["upper"]) == (0.0, 1.0)
         assert set(plan.policies) == {"adaucb", "ucb"}
         assert plan.bandit.n_arms == 2
+
+    def test_semiperiodic_thresholds_pinned(self):
+        # mvno-synthetic's 5% and 95% nearest-rank quantiles of its 199,872-load
+        # reference sample, as sorting the whole sample gives them
+        path = resources.files("opbandit") / "configs" / "mvno-synthetic.yaml"
+        info = build_plan(parse_config(yaml.safe_load(path.read_text(encoding="utf-8")))).resolved["policies"]["adaucb"]
+        assert (info["lower"], info["upper"]) == (0.19191539847564798, 0.8314647541629999)
 
     def test_trace_scale_recorded(self, tmp_path, monkeypatch):
         parsed = []

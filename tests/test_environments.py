@@ -7,13 +7,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betaincinv
 
 from opbandit import environments
 from opbandit.bounds import conditional_load_mean
-from opbandit.core import RngStream
+from opbandit.core import RngStream, nearest_rank_quantile
 from opbandit.environments import (
     BernoulliReward,
     BetaLoad,
@@ -124,7 +124,8 @@ class TestSemiPeriodic:
 
     def test_reference_sample_drawn_once(self, monkeypatch):
         model = SemiPeriodicLoad(period=100)
-        # the quantile of a 200k-sample reference drawn afresh, as each call once did
+        # the quantile of the whole 200k-load reference sample, sorted; the
+        # model finds it without drawing that sample
         reference = np.sort(model.sample_loads(200_000, RngStream(0x5EED_10AD, 0)))
         calls = []
         sample_loads = SemiPeriodicLoad.sample_loads
@@ -135,7 +136,30 @@ class TestSemiPeriodic:
         )
         for p in (0.05, 0.95):
             assert model.quantile(p) == float(reference[math.ceil(p * 200_000) - 1])
-        assert calls == [200_000]
+        assert calls == []
+
+    @settings(max_examples=25)
+    @given(
+        period=st.integers(2, 5000),
+        base=st.floats(0.0, 1.0),
+        swing=st.floats(0.0, 1.0),
+        noise=st.tuples(st.floats(0.05, 60.0), st.floats(0.05, 60.0)),
+        where=st.one_of(
+            st.sampled_from(["k=1", "k=n", 1e-7, 1.0 - 1e-7]),
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        ),
+    )
+    # the noise's tails, where the table's absolute margin decides the brackets
+    @example(period=288, base=0.6, swing=0.875, noise=(0.05, 1.0), where=1e-7)
+    @example(period=2, base=0.5, swing=1.0, noise=(60.0, 0.05), where=1.0 - 1e-7)
+    def test_quantile_equals_full_sample_quantile(self, period, base, swing, noise, where):
+        # the bracket selection against sorting the whole reference sample
+        amplitude = swing * min(base, 1.0 - base)
+        model = SemiPeriodicLoad(period, base, amplitude, *noise)
+        n = max(1, 200_000 // period) * period
+        p = {"k=1": 0.5 / n, "k=n": 1.0 - 0.5 / n}.get(where, where)
+        sample = np.sort(model.sample_loads(n, RngStream(0x5EED_10AD, 0)))
+        assert model.quantile(p) == nearest_rank_quantile(sample, p)
 
     def test_rejects_bad_envelope(self):
         with pytest.raises(ValueError):

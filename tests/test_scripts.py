@@ -9,8 +9,8 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name, args, cwd):
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+def run_script(name, args, cwd, **env_vars):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"} | env_vars
     return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
     )
@@ -37,3 +37,13 @@ def test_mvno_demo(tmp_path):
     assert lines[5].startswith("adaucb/ucb regret ratio: ")
     assert lines[6].startswith("eadaucb/ucb regret ratio: ")
     assert len((tmp_path / "trace.csv").read_text().splitlines()) == 301  # header and rows
+
+
+def test_mvno_demo_removes_its_default_trace(tmp_path):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    args = ["--rows", "50", "--horizon", "60", "--replications", "1"]
+    proc = run_script("mvno_demo.py", args, tmp_path, TMPDIR=str(temp))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"trace written to {temp}")
+    assert list(temp.iterdir()) == []
