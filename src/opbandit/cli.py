@@ -19,7 +19,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .bounds import DEFAULT_QUADRATURE_STEP, evaluate_bounds
 from .config import ConfigError, ExperimentConfig, build_plan, load_config, parse_config
@@ -50,7 +49,7 @@ def _resolve_config(arg: str) -> ExperimentConfig:
     root = resources.files("opbandit") / "configs"
     candidate = root / f"{arg}.yaml"
     if candidate.is_file():
-        return parse_config(yaml.safe_load(candidate.read_text(encoding="utf-8")))
+        return load_config(candidate)
     raise ConfigError(
         "config",
         f"{arg!r} is neither a file nor a bundled config (available: {', '.join(_bundled_names())})",

@@ -24,6 +24,7 @@ import functools
 import inspect
 import logging
 from dataclasses import dataclass
+from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
@@ -460,10 +461,31 @@ def parse_config(doc: dict) -> ExperimentConfig:
     )
 
 
+#: PyYAML's safe loader, on libyaml where PyYAML was built with it: the
+#: same constructor, so the same documents, at about a sixth of the time
+_SAFE_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+def _read_yaml(text: str, source: str):
+    """The document of a YAML ``text`` read from ``source``; malformed YAML is
+    a :class:`ConfigError` that names the source and the line."""
+    try:
+        return yaml.load(text, Loader=_SAFE_LOADER)
+    except yaml.YAMLError as exc:
+        mark, start = getattr(exc, "problem_mark", None), getattr(exc, "context_mark", None)
+        where = f"{source}: line {mark.line + 1}" if mark is not None else source
+        problem = getattr(exc, "problem", None) or str(exc)
+        if start is not None and mark is not None and start.line != mark.line:
+            # an unclosed bracket or quote shows only further on: name its start
+            problem += f" ({exc.context} from line {start.line + 1})"
+        raise ConfigError(where, f"malformed YAML: {problem}") from None
+
+
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    return parse_config(doc)
+    """Parse the config file at ``path``, a file path or a package resource."""
+    if isinstance(path, str):
+        path = Path(path)
+    return parse_config(_read_yaml(path.read_text(encoding="utf-8"), str(path)))
 
 
 def dump_config(cfg: ExperimentConfig) -> str:

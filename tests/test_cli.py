@@ -110,6 +110,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert "config error" in err and "load.kind" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text, line, start",
+        [
+            ("name: x\nhorizon: [100\n", 3, "from line 2)"),  # found unclosed at the document's end
+            ("name: x\nload: kind: binary\n", 2, ""),
+            ("name: x\n\thorizon: 100\n", 2, ""),
+        ],
+        ids=["unclosed", "nested-mapping", "tab"],
+    )
+    def test_malformed_yaml_names_file_and_line(self, tmp_path, capsys, text, line, start):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        assert run_cli(["run", bad, "-o", tmp_path / "x"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad}: line {line}: malformed YAML: ")
+        assert err.rstrip().endswith(start) and "Traceback" not in err
+
 
 @pytest.mark.parametrize("command", ["run", "bounds"])
 @pytest.mark.parametrize("seed", [-1, 2**64])

@@ -60,6 +60,19 @@ def test_round_trip_is_identity_for_bundled(path):
     assert_round_trip(yaml.safe_load(path.read_text(encoding="utf-8")))
 
 
+@pytest.mark.parametrize("path", sorted((resources.files("opbandit") / "configs").iterdir()), ids=lambda p: p.name)
+def test_bundled_configs_parse_equal_under_both_loaders(path):
+    # the config reader takes libyaml's loader where PyYAML has it; the
+    # documents must be the ones the pure-Python loader reads (repr: the
+    # same values of the same types, 1 and 1.0 apart)
+    text = path.read_text(encoding="utf-8")
+    doc = repr(yaml.load(text, Loader=yaml.SafeLoader))
+    assert repr(config._read_yaml(text, path.name)) == doc
+    assert config._SAFE_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    if yaml.__with_libyaml__:
+        assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == doc
+
+
 @pytest.mark.parametrize(
     "mutate, field",
     [

@@ -1,8 +1,9 @@
 """The index engine and Thompson sampling's kernel against the per-step
 reference (``select`` and ``update`` at every step), the index engine's
 numpy step (many rows) against its Python step (``run_once``, one row), the
-Python step's gallop through long runs against the per-step reference, and
-the rank-pointer running quantiles against the sorted-list sketch."""
+Python step's gallop through long runs and the Thompson kernel's screen of
+held leads against the per-step reference, and the rank-pointer running
+quantiles against the sorted-list sketch."""
 
 import math
 import pickle
@@ -77,16 +78,32 @@ def make_policy(kind, n_arms, lower, upper):
     return RoundRobinGreedyPolicy(n_arms, Thresholds(lower, upper))
 
 
-def run_both(make, load_model, reward_model, horizon, checkpoints, realized=False, record_steps=False):
+class GridGenerator:
+    """A generator's uniforms snapped onto ``grid``, one draw of the
+    generator per value however they are batched, as its own are."""
+
+    def __init__(self, gen, grid):
+        self.gen = gen
+        self.grid = np.array(grid)
+
+    def random(self, size=None):
+        snapped = self.grid[(np.asarray(self.gen.random(size)) * len(self.grid)).astype(int)]
+        return snapped if size is not None else float(snapped)
+
+
+def run_both(make, load_model, reward_model, horizon, checkpoints, realized=False, record_steps=False, policy_grid=None):
     """(reference trace, kernel trace, reference policy, kernel policy); the
     two runs must leave the policy stream at the same place.  Compare index
     kinds with ``record_steps``: their engine leaves the policy as given, so
-    only the arm pulled at every step shows that both sides agree."""
+    only the arm pulled at every step shows that both sides agree.  With
+    ``policy_grid``, the policy stream's uniforms are snapped onto it."""
     out = []
     policies = [make(), make()]
     next_draws = []
     for policy, wrapped in zip(policies, (PerStep(policies[0]), policies[1])):
         streams = replication_streams(4, "kernel", 0)
+        if policy_grid is not None:
+            streams["policy"]._gen = GridGenerator(streams["policy"]._gen, policy_grid)
         out.append(
             run_once(
                 BanditInstance(reward_model.means),
@@ -629,6 +646,113 @@ class TestGallopMatchesPerStepLoop:
             )
         assert_same_bytes(ref, fast)
         assert sum(won) > horizon // 2
+
+
+#: posterior uniforms on a grid that holds the screen's levels: a leader's
+#: uniform lands exactly on a level, and two arms with equal posteriors
+#: draw exactly equal values
+SCREEN_GRID = (0.0, *simulator.SCREEN_LEVELS, 0.7, 0.99)
+
+
+@st.composite
+def screens(draw):
+    """Thompson runs whose leads hold: rewards that are mostly Dirac 0 or 1
+    (their degenerate Beta(1, n) and Beta(n, 1) posteriors, and exact ties
+    between arms), horizons across small chunks, and a small streak, slack
+    and window, so that tables are taken, spent and dropped within a few
+    hundred steps."""
+    n_arms = draw(st.integers(2, 6))
+    means = tuple(draw(st.lists(st.sampled_from((0.0, 1.0, 0.3, 0.7)), min_size=n_arms, max_size=n_arms)))
+    return dict(
+        n_arms=n_arms,
+        reward=draw(st.sampled_from((DiracReward, DiracReward, BernoulliReward)))(means),
+        horizon=draw(st.integers(n_arms, 400)),
+        chunk=draw(st.sampled_from((1, 7, 64, simulator.CHUNK))),
+        streak=draw(st.sampled_from((2, 2, 3, simulator.SCREEN_STREAK))),
+        slack=draw(st.sampled_from((0, 0, 1, 5, simulator.SCREEN_SLACK))),
+        window=draw(st.sampled_from((1, 3, simulator.SCREEN_WINDOW))),
+        grid=draw(st.sampled_from((None, SCREEN_GRID, SCREEN_GRID))),
+    )
+
+
+def spied_inverses():
+    """A patch of the Thompson kernel's inverse that counts the steps it
+    takes the inverse over the arms."""
+    taken = []
+    inverse = simulator.betaincinv
+
+    def spy(*args, **kwargs):
+        taken.append("out" in kwargs)
+        return inverse(*args, **kwargs)
+
+    return mock.patch.object(simulator, "betaincinv", spy), taken
+
+
+class TestThompsonScreenMatchesPerStepLoop:
+    @given(screens())
+    @example(  # two equal arms, uniforms on the levels: a leader's margin decides
+        dict(
+            n_arms=2,
+            reward=DiracReward((0.0, 0.0)),
+            horizon=25,
+            chunk=1,
+            streak=2,
+            slack=0,
+            window=1,
+            grid=SCREEN_GRID,
+        )
+    )
+    @example(  # Beta(1, n) posteriors: a table past the leader's slack decides wrongly
+        dict(
+            n_arms=3,
+            reward=DiracReward((0.0, 0.0, 0.3)),
+            horizon=23,
+            chunk=1,
+            streak=2,
+            slack=0,
+            window=1,
+            grid=None,
+        )
+    )
+    def test_random_runs_byte_for_byte(self, sc):
+        spy, taken = spied_inverses()
+        with (
+            spy,
+            mock.patch.object(simulator, "CHUNK", sc["chunk"]),
+            mock.patch.object(simulator, "SCREEN_STREAK", sc["streak"]),
+            mock.patch.object(simulator, "SCREEN_SLACK", sc["slack"]),
+            mock.patch.object(simulator, "SCREEN_WINDOW", sc["window"]),
+        ):
+            ref, fast, p_ref, p_fast = run_both(
+                lambda: ThompsonPolicy(sc["n_arms"]),
+                FixedLoad([0.5] * sc["horizon"]),
+                sc["reward"],
+                sc["horizon"],
+                [sc["horizon"]],
+                record_steps=True,
+                policy_grid=sc["grid"],
+            )
+        assume(sc["horizon"] - sc["n_arms"] > sum(taken))  # the screen decided steps: the case under test
+        assert_same_bytes(ref, fast)
+        assert_same_state(p_ref, p_fast)
+
+    def test_default_settings_decide_most_steps(self):
+        # three well-separated arms: once the best arm leads, nearly every
+        # step is decided without an inverse
+        horizon = 3 * simulator.CHUNK + 17
+        spy, taken = spied_inverses()
+        with spy:
+            ref, fast, p_ref, p_fast = run_both(
+                lambda: ThompsonPolicy(3),
+                BetaLoad(2.0, 2.0),
+                BernoulliReward((0.2, 0.5, 0.8)),
+                horizon,
+                [horizon],
+                record_steps=True,
+            )
+        assert_same_bytes(ref, fast)
+        assert_same_state(p_ref, p_fast)
+        assert sum(taken) < horizon // 4
 
 
 class TestRunningQuantiles:

@@ -2,6 +2,7 @@
 without ``PYTHONPATH``, at tiny scale."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +48,22 @@ def test_mvno_demo_removes_its_default_trace(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(f"trace written to {temp}")
     assert list(temp.iterdir()) == []
+
+
+def test_output_hashes(tmp_path):
+    args = ["--only", "dirac-square-wave", "fig1a", "--horizon", "300", "--replications", "1"]
+    first, second = (run_script("output_hashes.py", args, tmp_path) for _ in range(2))
+    assert first.returncode == 0, first.stderr
+    lines = [line.split(" ") for line in first.stdout.splitlines()]
+    assert all(len(line) == 3 and re.fullmatch("[0-9a-f]{64}", line[2]) for line in lines), first.stdout
+    files = ["run/metadata.json", "run/results.csv", "bounds/bounds.csv", "bounds/metadata.json"]
+    assert [line[:2] for line in lines] == [[name, f] for name in ("dirac-square-wave", "fig1a") for f in files]
+    assert second.stdout == first.stdout
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_hashes_rejects_unknown_config(tmp_path):
+    proc = run_script("output_hashes.py", ["--only", "no-such-config", "--horizon", "300"], tmp_path)
+    assert proc.returncode != 0
+    assert "unknown config 'no-such-config'" in proc.stderr
+    assert proc.stdout == ""
