@@ -4,9 +4,12 @@ write for each bundled config, one ``<config> <file> <sha256>`` line each.
 
 Two checkouts whose outputs must be byte-identical print the same lines:
 
-    python scripts/output_hashes.py --horizon 2100 --replications 2 > a.txt
+    python scripts/output_hashes.py --horizon 2100 --replications 5 > a.txt
     (the same in the other checkout) > b.txt
     diff a.txt b.txt
+
+At 5 replications every config with two or more index policies runs them
+in the batched index engine (``BATCH_ROWS`` is 10 cells).
 
 The script imports opbandit from the ``src/`` next to it, so each checkout
 hashes its own sources.  Short horizons change leaders every few steps;

@@ -207,7 +207,6 @@ def conditional_load_mean(
     load_model: LoadModel,
     threshold: float,
     mc_samples: int = 1_000_000,
-    mc_seed: int = _MC_SEED,
 ) -> float:
     """E[L | L <= threshold] under the load model.
 
@@ -220,7 +219,7 @@ def conditional_load_mean(
     if isinstance(load_model, UniformLoad):
         return threshold / 2.0
     if isinstance(load_model, BetaLoad):
-        us = RngStream(mc_seed, derive_stream_id("conditional-load-mean")).random(mc_samples)
+        us = RngStream(_MC_SEED, derive_stream_id("conditional-load-mean")).random(mc_samples)
         # The costly inverse CDF runs only where its value can pass the
         # filter below.  A load betaincinv(a, b, u) is at or below the
         # threshold only if u is at or below I = betainc(a, b, threshold),
@@ -301,7 +300,6 @@ def evaluate_bounds(
     checkpoints,
     single_threshold: float | None = None,
     quadrature_step: float = DEFAULT_QUADRATURE_STEP,
-    mc_samples: int = 1_000_000,
 ) -> BoundReport:
     """Evaluate every envelope that applies to the given scenario at the
     given checkpoints.
@@ -364,7 +362,7 @@ def evaluate_bounds(
         report.params["regret_log_coeff"] = coeff
         report.columns["regret_log_term"] = coeff * regret_log_t
     elif single_threshold is not None:
-        cond = conditional_load_mean(load_model, single_threshold, mc_samples)
+        cond = conditional_load_mean(load_model, single_threshold)
         coeff = continuous_regret_coeff(alpha, cond, bandit.suboptimal_gaps())
         report.params["l_minus"] = single_threshold
         report.params["conditional_load_mean"] = cond

@@ -451,6 +451,7 @@ class TraceReward(RewardModel):
         if self.data.rewards is None:
             raise ValueError("trace has no reward columns")
         object.__setattr__(self, "means", tuple(float(m) for m in self.data.rewards.mean(axis=0)))
+        _check_means(self.means)
 
     def reward_rows(self, t0: int, n: int, rng=None) -> np.ndarray:
         return self.data.rewards[np.arange(t0 - 1, t0 - 1 + n) % self.data.n_rows]

@@ -4,7 +4,8 @@ nominal reward, update the policy, accumulate load-weighted regret.
 :func:`run_once` walks the horizon a chunk of steps at a time.  Per chunk,
 the reward model gives every arm's reward (``reward_rows``), the arms are
 chosen, and the regret, pull counts and checkpoints are accounted from the
-chosen arms (:class:`_Ledger`).  The arms are chosen one of three ways, by
+chosen arms in one pass (:class:`_Ledger`); the checkpoints are the only
+recording.  The arms are chosen one of three ways, by
 the policy's class.  The index family (``ucb``, ``adaucb``, ``eadaucb`` and
 ``rr-greedy``, every :class:`~opbandit.policies.IndexPolicy`) runs in the
 index engine (:func:`_run_index_rows`): the policy supplies each step's
@@ -70,13 +71,13 @@ __all__ = [
 
 @dataclass
 class ReplicationTrace:
-    """Checkpointed regret and pull counts of a single replication."""
+    """Checkpointed regret and pull counts of a single replication: the
+    only recording, so a per-step trace is the trace of the checkpoints
+    ``np.arange(1, T + 1)``."""
 
     checkpoints: np.ndarray  # (C,) int
     regret: np.ndarray  # (C,) cumulative regret at each checkpoint
     pulls: np.ndarray  # (C, K) cumulative pull counts
-    full_regret: np.ndarray | None = None  # (T,) when per-step recording is on
-    full_pulls: np.ndarray | None = None  # (T, K)
 
 
 @dataclass
@@ -204,9 +205,13 @@ def _check_rewards(rows: np.ndarray) -> np.ndarray:
 class _Ledger:
     """Regret, pull and checkpoint accounting of ``n_rows`` runs of one
     bandit, a chunk of chosen arms at a time: the one accounting block of
-    ``run_once`` (one row) and the index engine."""
+    ``run_once`` (one row) and the index engine.
 
-    def __init__(self, bandit, checkpoints, horizon, n_rows, realized, record_steps=False):
+    The checkpoints are the only recording: each chunk is accounted in one
+    pass, whatever the number of its checkpoints, so a per-step trace is
+    ``checkpoints=np.arange(1, horizon + 1)``."""
+
+    def __init__(self, bandit, checkpoints, horizon, n_rows, realized):
         n_arms = bandit.n_arms
         if horizon < n_arms:
             raise ValueError(f"horizon {horizon} is shorter than the init round of {n_arms} arms")
@@ -216,52 +221,42 @@ class _Ledger:
         self.realized = realized
         self.regret = np.zeros(n_rows)
         self.pulled = np.zeros((n_rows, n_arms), dtype=np.int64)
-        self.offsets = np.arange(0, n_rows * n_arms, n_arms)[:, None]
-        self.pt_list = self.pts.tolist()
         self.next_pt = 0
-        self.ck_regret = np.empty((n_rows, len(self.pt_list)))
-        self.ck_pulls = np.empty((n_rows, len(self.pt_list), n_arms), dtype=np.int64)
-        self.full_regret = np.empty((n_rows, horizon)) if record_steps else None
-        self.full_pulls = np.empty((n_rows, horizon, n_arms), dtype=np.int64) if record_steps else None
-
-    def _counts(self, arms: np.ndarray) -> np.ndarray:
-        n_rows, n_arms = self.pulled.shape
-        flat = (arms + self.offsets).ravel()
-        return np.bincount(flat, minlength=n_rows * n_arms).reshape(n_rows, n_arms)
+        self.ck_regret = np.empty((n_rows, len(self.pts)))
+        self.ck_pulls = np.empty((n_rows, len(self.pts), n_arms), dtype=np.int64)
 
     def add(self, i0: int, arms: np.ndarray, loads: np.ndarray, rewards: np.ndarray) -> None:
         """Account steps i0+1..i0+n: ``arms`` and ``loads`` are (rows, n),
         ``rewards`` every arm's reward, (rows, n, K)."""
+        n_rows, n_arms = self.pulled.shape
+        n = arms.shape[1]
         if self.realized:
             drawn = np.take_along_axis(rewards, arms[:, :, None], axis=2)[:, :, 0]
             cost = loads * (self.best_mean - drawn)
         else:
             cost = loads * self.gaps[arms]
-        # cumulative sums in step order, row by row
-        running = np.cumsum(np.concatenate((self.regret[:, None], cost), axis=1), axis=1)[:, 1:]
-        self.regret = running[:, -1].copy()
-        i1 = i0 + arms.shape[1]
-        if self.full_regret is not None:
-            steps = np.eye(self.pulled.shape[1], dtype=np.int64)[arms]
-            self.full_regret[:, i0:i1] = running
-            self.full_pulls[:, i0:i1] = self.pulled[:, None] + np.cumsum(steps, axis=1)
-        pt_list = self.pt_list
-        while self.next_pt < len(pt_list) and pt_list[self.next_pt] <= i1:
-            j = pt_list[self.next_pt] - i0  # steps of this chunk up to the checkpoint
-            self.ck_regret[:, self.next_pt] = running[:, j - 1]
-            self.ck_pulls[:, self.next_pt] = self.pulled + self._counts(arms[:, :j])
-            self.next_pt += 1
-        self.pulled += self._counts(arms)
+        # cumulative sums in step order, row by row, from the regret so far
+        cost[:, 0] += self.regret
+        np.cumsum(cost, axis=1, out=cost)
+        self.regret = cost[:, -1].copy()
+        first, self.next_pt = self.next_pt, int(self.pts.searchsorted(i0 + n, side="right"))
+        js = self.pts[first : self.next_pt] - i0  # the chunk's checkpoints, in steps of it
+        self.ck_regret[:, first : self.next_pt] = cost[:, js - 1]
+        # a step's segment is the number of the chunk's checkpoints before
+        # it; the pulls per (row, segment, arm), summed over the segments,
+        # are the pulls at each checkpoint and at the chunk's end
+        n_segs = len(js) + 1
+        cells = arms + np.searchsorted(js, np.arange(n), side="right") * n_arms
+        cells += np.arange(0, n_rows * n_segs * n_arms, n_segs * n_arms)[:, None]
+        counts = np.bincount(cells.ravel(order="K"), minlength=n_rows * n_segs * n_arms)  # a count: any order
+        counts = counts.reshape(n_rows, n_segs, n_arms)
+        np.cumsum(counts, axis=1, out=counts)
+        counts += self.pulled[:, None]
+        self.ck_pulls[:, first : self.next_pt] = counts[:, :-1]
+        self.pulled = counts[:, -1].copy()
 
     def trace(self, row: int) -> ReplicationTrace:
-        full = self.full_regret is not None
-        return ReplicationTrace(
-            checkpoints=self.pts,
-            regret=self.ck_regret[row],
-            pulls=self.ck_pulls[row],
-            full_regret=self.full_regret[row] if full else None,
-            full_pulls=self.full_pulls[row] if full else None,
-        )
+        return ReplicationTrace(checkpoints=self.pts, regret=self.ck_regret[row], pulls=self.ck_pulls[row])
 
 
 def run_once(
@@ -275,15 +270,16 @@ def run_once(
     reward_rng: RngStream | None,
     policy_rng: RngStream | None,
     realized: bool = False,
-    record_steps: bool = False,
 ) -> ReplicationTrace:
     """Run a single replication and return its checkpointed trace.
 
-    The policy must be freshly constructed or reset; the caller owns the
+    The checkpoints are all that is recorded; ``np.arange(1, horizon + 1)``
+    records every step, at about the cost of the chunked run itself.  The
+    policy must be freshly constructed or reset; the caller owns the
     streams.  An index policy runs as the one row of the index engine and
     is only read; any other policy is left as its own calls leave it.
     """
-    ledger = _Ledger(bandit, checkpoints, horizon, 1, realized, record_steps)
+    ledger = _Ledger(bandit, checkpoints, horizon, 1, realized)
     if load_model.uses_rng and load_rng is None:
         raise ValueError("stochastic load model needs a load stream")
     if reward_model.uses_rng and reward_rng is None:

@@ -55,7 +55,7 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def dirac_run():
     """Deterministic scenario: Dirac (0.6, 0.4), square wave eps0=eps1=0.05,
-    alpha=2, T=1e5, full per-step recording."""
+    alpha=2, T=1e5, a checkpoint at every step."""
     bandit = BanditInstance((0.6, 0.4))
     policy = AdaUcbPolicy(2, alpha=2.0, thresholds=Thresholds(0.05, 1.0))
     streams = replication_streams(SEED, "adaucb", 0)
@@ -66,11 +66,10 @@ def dirac_run():
         DiracReward((0.6, 0.4)),
         policy,
         100_000,
-        [100_000],
+        np.arange(1, 100_001),
         streams["load"],
         streams["reward"],
         streams["policy"],
-        record_steps=True,
     )
     elapsed = time.perf_counter() - start
     return trace, elapsed
@@ -181,7 +180,7 @@ class TestCriterion1DeterministicPullEnvelopes:
     def test_hard_envelopes_hold_at_every_step(self, dirac_run):
         trace, elapsed = dirac_run
         alpha, gap = 2.0, 0.2
-        c2 = trace.full_pulls[:, 1].astype(float)
+        c2 = trace.pulls[:, 1].astype(float)
         t = np.arange(1, len(c2) + 1, dtype=float)
 
         upper = alpha * np.log(t) / gap**2 + 1.0
@@ -209,7 +208,7 @@ class TestCriterion2DeterministicRegretGrowth:
 
     def test_log_envelope_with_fitted_constant(self, dirac_run):
         trace, elapsed = dirac_run
-        regret = trace.full_regret
+        regret = trace.regret
         t = np.arange(1, len(regret) + 1, dtype=float)
         term = self.EPS0 * self.ALPHA * np.log(t) / self.GAP
         # fit the additive constant on the early window, then check at T
@@ -236,10 +235,10 @@ class TestCriterion2DeterministicRegretGrowth:
         # implementation.  The check is kept faithful to its stated
         # tolerance rather than loosened to match the dynamics.
         trace, _ = dirac_run
-        regret = trace.full_regret
+        regret = trace.regret
         t = np.arange(1, len(regret) + 1, dtype=float)
 
-        pulls2_step = np.diff(np.concatenate([[0], trace.full_pulls[:, 1]]))
+        pulls2_step = np.diff(np.concatenate([[0], trace.pulls[:, 1]]))
         odd_window = (t >= 10_000) & (t.astype(int) % 2 == 1)
         assert int(pulls2_step[odd_window].sum()) == 0  # only cheap pulls
 

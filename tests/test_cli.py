@@ -290,6 +290,23 @@ class TestCompare:
 
 
 class TestTracePipeline:
+    def test_one_reward_column_names_reward(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("0.5,0.6\n1.0,0.7\n0.2,0.1\n")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "name: one-arm\nhorizon: 50\n"
+            f"load: {{kind: trace, path: {trace}}}\n"
+            f"reward: {{kind: trace, path: {trace}}}\n"
+            "policies: [{name: ucb, kind: ucb, alpha: 0.51}]\n"
+        )
+        out = tmp_path / "o"
+        assert run_cli(["run", cfg, "-o", out]) == 1
+        err = capsys.readouterr().err
+        assert "config error: reward: reward model needs at least 2 arms" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_trace_config_end_to_end(self, tmp_path):
         trace = tmp_path / "trace.csv"
         rows = ["load,a,b,c"]

@@ -230,6 +230,21 @@ class TestBuildPlan:
         assert parsed == [str(p)]
         assert plan.reward_model.data is plan.load_model.data
 
+    def test_one_reward_column_names_reward(self, tmp_path):
+        # a load,a trace as both the load and the reward trace: one arm
+        p = tmp_path / "t.csv"
+        p.write_text("0.5,0.6\n1.0,0.7\n0.2,0.1\n")
+        doc = {
+            "name": "trace",
+            "horizon": 50,
+            "load": {"kind": "trace", "path": str(p)},
+            "reward": {"kind": "trace", "path": str(p)},
+            "policies": [{"name": "ucb", "kind": "ucb", "alpha": 0.51}],
+        }
+        with pytest.raises(ConfigError, match="at least 2 arms") as err:
+            build_plan(parse_config(doc))
+        assert err.value.fieldpath == "reward"
+
     @pytest.mark.parametrize("horizon, wraps", [(3, 0), (4, 1), (6, 1), (7, 2), (50, 16)])
     def test_trace_wraps_logged_once(self, tmp_path, caplog, horizon, wraps):
         # steps 4, 7, ... start the 3-row trace again: one record names them

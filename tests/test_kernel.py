@@ -91,10 +91,15 @@ class GridGenerator:
         return snapped if size is not None else float(snapped)
 
 
-def run_both(make, load_model, reward_model, horizon, checkpoints, realized=False, record_steps=False, policy_grid=None):
+def every_step(horizon):
+    """The checkpoints of a per-step trace."""
+    return np.arange(1, horizon + 1)
+
+
+def run_both(make, load_model, reward_model, horizon, checkpoints, realized=False, policy_grid=None):
     """(reference trace, kernel trace, reference policy, kernel policy); the
     two runs must leave the policy stream at the same place.  Compare index
-    kinds with ``record_steps``: their engine leaves the policy as given, so
+    kinds at :func:`every_step`: their engine leaves the policy as given, so
     only the arm pulled at every step shows that both sides agree.  With
     ``policy_grid``, the policy stream's uniforms are snapped onto it."""
     out = []
@@ -116,7 +121,6 @@ def run_both(make, load_model, reward_model, horizon, checkpoints, realized=Fals
                 streams["reward"],
                 streams["policy"],
                 realized=realized,
-                record_steps=record_steps,
             )
         )
         next_draws.append(streams["policy"].random())
@@ -125,13 +129,10 @@ def run_both(make, load_model, reward_model, horizon, checkpoints, realized=Fals
 
 
 def assert_same_bytes(ref, fast):
-    for field in ("checkpoints", "regret", "pulls", "full_regret", "full_pulls"):
+    for field in ("checkpoints", "regret", "pulls"):
         a, b = getattr(ref, field), getattr(fast, field)
-        if a is None:
-            assert b is None, field
-        else:
-            assert a.dtype == b.dtype and a.shape == b.shape, field
-            assert a.tobytes() == b.tobytes(), field
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
 
 
 def assert_same_state(ref, fast):
@@ -182,7 +183,7 @@ def scenarios(draw):
         horizon=horizon,
         checkpoints=sorted(pts),
         realized=draw(st.booleans()),
-        record_steps=draw(st.booleans()),
+        every_step=draw(st.booleans()),
         chunk=draw(st.integers(1, 8) | st.integers(1, 50)),  # some below K: init spans chunks
     )
 
@@ -200,9 +201,8 @@ class TestKernelMatchesPerStepLoop:
                 FixedLoad(sc["loads"]),
                 sc["reward"],
                 sc["horizon"],
-                sc["checkpoints"],
+                every_step(sc["horizon"]) if sc["every_step"] or not ts else sc["checkpoints"],
                 sc["realized"],
-                sc["record_steps"] or not ts,
             )
         assert_same_bytes(ref, fast)
         if ts:
@@ -217,9 +217,8 @@ class TestKernelMatchesPerStepLoop:
             BetaLoad(2.0, 2.0),
             BernoulliReward(means),
             3 * simulator.CHUNK + 17,
-            default_checkpoints(3 * simulator.CHUNK + 17),
+            (default_checkpoints if kind == "ts" else every_step)(3 * simulator.CHUNK + 17),
             realized=kind == "ucb",
-            record_steps=kind != "ts",
         )
         assert_same_bytes(ref, fast)
         if kind == "ts":
@@ -261,8 +260,7 @@ class TestKernelMatchesPerStepLoop:
                 BetaLoad(2.0, 2.0),
                 BernoulliReward((0.5, 0.52, 0.55)),
                 horizon,
-                [t - 1, t, horizon],
-                record_steps=True,
+                every_step(horizon),
             )
             assert_same_bytes(ref, fast)
         # the batch engine hands every row's schedule the same exact ln t
@@ -302,8 +300,7 @@ class TestKernelMatchesPerStepLoop:
                 BetaLoad(2.0, 2.0),
                 BernoulliReward((0.3, 0.5, 0.5, 0.7, 0.2)),
                 23,
-                [1, 3, 5, 6, 23],
-                record_steps=True,
+                every_step(23),
             )
         assert_same_bytes(ref, fast)
         assert_same_state(p_ref, p_fast)
@@ -585,7 +582,7 @@ class TestGallopMatchesPerStepLoop:
             mock.patch.object(simulator, "GALLOP_BLOCK", sc["block"]),
         ):
             ref, fast, _, _ = run_both(
-                make, FixedLoad(sc["loads"]), sc["reward"], sc["horizon"], [sc["horizon"]], sc["realized"], True
+                make, FixedLoad(sc["loads"]), sc["reward"], sc["horizon"], every_step(sc["horizon"]), sc["realized"]
             )
         assume(sum(won))  # a gallop won steps: the case under test
         assert_same_bytes(ref, fast)
@@ -604,8 +601,7 @@ class TestGallopMatchesPerStepLoop:
                 FixedLoad([1.0] * 3000),
                 DiracReward((x, x)),
                 3000,
-                [3000],
-                record_steps=True,
+                every_step(3000),
             )
         assert sum(won) > 0
         assert_same_bytes(ref, fast)
@@ -622,8 +618,7 @@ class TestGallopMatchesPerStepLoop:
                 FixedLoad(loads),
                 DiracReward((0.9, 0.1)),
                 len(loads),
-                [len(loads)],
-                record_steps=True,
+                every_step(len(loads)),
             )
         assert sum(won) > len(loads) // 2
         assert_same_bytes(ref, fast)
@@ -641,8 +636,7 @@ class TestGallopMatchesPerStepLoop:
                 BetaLoad(2.0, 2.0),
                 TraceReward(TraceData(np.ones(len(rewards)), rewards, 1.0)),
                 horizon,
-                [horizon],
-                record_steps=True,
+                every_step(horizon),
             )
         assert_same_bytes(ref, fast)
         assert sum(won) > horizon // 2
@@ -728,8 +722,7 @@ class TestThompsonScreenMatchesPerStepLoop:
                 FixedLoad([0.5] * sc["horizon"]),
                 sc["reward"],
                 sc["horizon"],
-                [sc["horizon"]],
-                record_steps=True,
+                every_step(sc["horizon"]),
                 policy_grid=sc["grid"],
             )
         assume(sc["horizon"] - sc["n_arms"] > sum(taken))  # the screen decided steps: the case under test
@@ -747,8 +740,7 @@ class TestThompsonScreenMatchesPerStepLoop:
                 BetaLoad(2.0, 2.0),
                 BernoulliReward((0.2, 0.5, 0.8)),
                 horizon,
-                [horizon],
-                record_steps=True,
+                every_step(horizon),
             )
         assert_same_bytes(ref, fast)
         assert_same_state(p_ref, p_fast)

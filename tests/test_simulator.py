@@ -3,6 +3,8 @@ independence, and determinism."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from opbandit.core import BanditInstance, RngStream, Thresholds
 from opbandit.environments import (
@@ -14,6 +16,7 @@ from opbandit.environments import (
 )
 from opbandit.policies import AdaUcbPolicy, OraclePolicy, UcbPolicy
 from opbandit.simulator import (
+    _Ledger,
     default_checkpoints,
     replication_streams,
     run_experiment,
@@ -24,7 +27,7 @@ DIRAC_2ARM = BanditInstance((0.6, 0.4))
 SQUARE = PeriodicSquareWaveLoad(0.05, 0.05)
 
 
-def dirac_run(policy, horizon=2000, checkpoints=None, record_steps=False, seed=1):
+def dirac_run(policy, horizon=2000, checkpoints=None, seed=1):
     streams = replication_streams(seed, "x", 0)
     return run_once(
         DIRAC_2ARM,
@@ -36,7 +39,6 @@ def dirac_run(policy, horizon=2000, checkpoints=None, record_steps=False, seed=1
         streams["load"],
         streams["reward"],
         streams["policy"],
-        record_steps=record_steps,
     )
 
 
@@ -108,9 +110,9 @@ class TestRegretAccounting:
         np.testing.assert_allclose(trace.regret, 0.2 * trace.pulls[:, 1], rtol=1e-9)
 
     def test_pseudo_regret_nonnegative_and_nondecreasing(self):
-        trace = dirac_run(UcbPolicy(2, 2.0), record_steps=True)
-        assert np.all(trace.full_regret >= 0)
-        assert np.all(np.diff(trace.full_regret) >= -1e-15)
+        trace = dirac_run(UcbPolicy(2, 2.0), checkpoints=np.arange(1, 2001))
+        assert np.all(trace.regret >= 0)
+        assert np.all(np.diff(trace.regret) >= -1e-15)
 
     def test_pull_counts_sum_to_t(self):
         trace = dirac_run(UcbPolicy(2, 2.0))
@@ -132,6 +134,64 @@ class TestRegretAccounting:
             realized=True,
         )
         np.testing.assert_allclose(a.regret, b.regret, rtol=1e-12)
+
+
+@st.composite
+def ledger_runs(draw):
+    """Chosen arms, loads and rewards of 1-12 rows, split into chunks of
+    random sizes (1-step chunks among them), with checkpoints at every
+    step or at a random set that may hold step 1, the chunk edges and the
+    horizon."""
+    n_rows, n_arms = draw(st.integers(1, 12)), draw(st.integers(2, 6))
+    horizon = draw(st.integers(n_arms, 200))
+    sizes = draw(st.lists(st.sampled_from((1, 1, 2, 7)) | st.integers(1, 80), min_size=1, max_size=60))
+    ends = sorted({min(e, horizon) for e in np.cumsum(sizes).tolist()} | {horizon})
+    if draw(st.booleans()):
+        pts = set(range(1, horizon + 1))
+    else:
+        pts = set(draw(st.lists(st.integers(1, horizon), max_size=12)))
+        pts |= set(ends) if draw(st.booleans()) else set()
+        pts |= {1} if draw(st.booleans()) else set()
+        pts |= {horizon} if draw(st.booleans()) or not pts else set()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return dict(
+        bandit=BanditInstance(draw(st.lists(st.floats(0.0, 1.0), min_size=n_arms, max_size=n_arms))),
+        arms=rng.integers(0, n_arms, (n_rows, horizon)),
+        loads=rng.choice((0.0, 0.05, 0.5, 1.0, *rng.random(4)), (n_rows, horizon)),
+        rewards=rng.random((n_rows, horizon, n_arms)),
+        ends=ends,
+        checkpoints=sorted(pts),
+        realized=draw(st.booleans()),
+    )
+
+
+class TestLedgerMatchesReference:
+    @given(ledger_runs())
+    def test_chunked_accounting_byte_for_byte(self, run):
+        # the reference: whole-run cumulative sums of the cost and of the
+        # one-hot pulls, read at the checkpoints
+        bandit, arms, loads, rewards = run["bandit"], run["arms"], run["loads"], run["rewards"]
+        n_rows, horizon = arms.shape
+        if run["realized"]:
+            drawn = np.take_along_axis(rewards, arms[:, :, None], axis=2)[:, :, 0]
+            cost = loads * (bandit.best_mean - drawn)
+        else:
+            cost = loads * np.array(bandit.gaps)[arms]
+        pts = np.array(run["checkpoints"])
+        # + 0.0: a run's regret starts at +0.0, and a realized cost can be -0.0
+        regret = np.cumsum(cost, axis=1)[:, pts - 1] + 0.0
+        pulls = np.cumsum(np.eye(bandit.n_arms, dtype=np.int64)[arms], axis=1)[:, pts - 1]
+
+        ledger = _Ledger(bandit, pts, horizon, n_rows, run["realized"])
+        i0 = 0
+        for i1 in run["ends"]:
+            ledger.add(i0, arms[:, i0:i1], loads[:, i0:i1], rewards[:, i0:i1])
+            i0 = i1
+        for row in range(n_rows):
+            trace = ledger.trace(row)
+            assert trace.checkpoints.tobytes() == pts.tobytes()
+            assert trace.regret.dtype == regret.dtype and trace.regret.tobytes() == regret[row].tobytes()
+            assert trace.pulls.dtype == pulls.dtype and trace.pulls.tobytes() == pulls[row].tobytes()
 
 
 class TestDeterminism:
