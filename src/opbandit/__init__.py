@@ -7,6 +7,10 @@ load is low and should exploit when it is high.  This package provides the
 load-adaptive UCB policy family, classic baselines, deterministic replayable
 experiment machinery, and closed-form bound evaluation for cross-checking
 simulated regret curves.
+
+scipy is imported inside the functions that use it, never at module top:
+``scipy.special``'s import takes about 0.23 s and 17 MiB, and a trace-driven
+run with index policies calls none of it.
 """
 
 __version__ = "0.1.0"

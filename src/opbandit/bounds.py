@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
 from .core import RngStream, derive_stream_id
 from .environments import (
@@ -219,6 +218,8 @@ def conditional_load_mean(
     if isinstance(load_model, UniformLoad):
         return threshold / 2.0
     if isinstance(load_model, BetaLoad):
+        from scipy.special import betainc, betaincinv
+
         us = RngStream(_MC_SEED, derive_stream_id("conditional-load-mean")).random(mc_samples)
         # The costly inverse CDF runs only where its value can pass the
         # filter below.  A load betaincinv(a, b, u) is at or below the

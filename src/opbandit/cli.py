@@ -8,6 +8,9 @@
 ``<config>`` is a YAML file path or the name of a bundled scenario.  Exit
 codes: 0 success, 1 configuration or input error, 2 a hard pull-count
 envelope was violated by the compared run.
+
+The simulator and the bounds are imported by the command that runs them, so
+planning a config (and ``list-configs``) loads neither.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import DEFAULT_QUADRATURE_STEP, evaluate_bounds
 from .config import ConfigError, ExperimentConfig, build_plan, load_config, parse_config
 from .report import (
     load_metadata,
@@ -32,7 +34,6 @@ from .report import (
     write_regret_svg,
     write_results_csv,
 )
-from .simulator import run_experiment
 
 __all__ = ["main"]
 
@@ -67,6 +68,8 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
+    from .simulator import run_experiment
+
     cfg = _apply_overrides(_resolve_config(args.config), args)
     plan = build_plan(cfg)
     out = Path(args.output)
@@ -126,10 +129,13 @@ def _single_threshold(plan) -> tuple[str | None, float | None]:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import DEFAULT_QUADRATURE_STEP, evaluate_bounds
+
+    step = DEFAULT_QUADRATURE_STEP if args.quadrature_step is None else args.quadrature_step
     if args.alpha is not None and not 0.0 < args.alpha < math.inf:
         raise ConfigError("--alpha", f"must be finite and > 0, got {args.alpha}")
-    if not 0.0 < args.quadrature_step <= 1.0:
-        raise ConfigError("--quadrature-step", f"must be in (0, 1], got {args.quadrature_step}")
+    if not 0.0 < step <= 1.0:
+        raise ConfigError("--quadrature-step", f"must be in (0, 1], got {step}")
     cfg = _apply_overrides(_resolve_config(args.config), args)
     plan = build_plan(cfg)
     alpha = _pick_alpha(plan, args.alpha)
@@ -142,7 +148,7 @@ def _cmd_bounds(args) -> int:
             alpha,
             plan.checkpoints,
             single_threshold=threshold,
-            quadrature_step=args.quadrature_step,
+            quadrature_step=step,
         )
     except TypeError as exc:  # no conditional load mean below the threshold
         if field is None:
@@ -178,6 +184,10 @@ def _cmd_compare(args) -> int:
     }
     bounds = read_bounds_csv(bounds_dir / "bounds.csv")
     ts = bounds["t"].astype(int)
+    if "pull_upper" in bounds:
+        # the hard envelopes bound the one suboptimal arm, the arm of the
+        # file's only generic pull envelope
+        (arm,) = (c.rsplit("_", 1)[1] for c in bounds if c.startswith("pull_log_bound_arm_"))
 
     lines = []
     hard_fail = False
@@ -189,18 +199,18 @@ def _cmd_compare(args) -> int:
                 f"run and bounds checkpoints differ for policy {label!r}",
             )
         if kinds.get(label) == "adaucb" and "pull_upper" in bounds:
-            pulls2 = rec["mean_pulls_arm_2"]
+            pulls = rec[f"mean_pulls_arm_{arm}"]
             upper = bounds["pull_upper"]
             lower = bounds.get("pull_lower", np.full_like(upper, np.nan))
             for i, t in enumerate(ts):
-                up_ok = pulls2[i] <= upper[i] + 1e-9
-                lo_ok = np.isnan(lower[i]) or pulls2[i] >= lower[i] - 1e-9
+                up_ok = pulls[i] <= upper[i] + 1e-9
+                lo_ok = np.isnan(lower[i]) or pulls[i] >= lower[i] - 1e-9
                 status = "PASS" if up_ok and lo_ok else "FAIL"
                 if status == "FAIL":
                     hard_fail = True
                 lo_txt = "-inf" if np.isnan(lower[i]) else f"{lower[i]:.3f}"
                 lines.append(
-                    f"{label} t={int(t)} pulls_arm_2={pulls2[i]:.3f} "
+                    f"{label} t={int(t)} pulls_arm_{arm}={pulls[i]:.3f} "
                     f"in [{lo_txt}, {upper[i]:.3f}]: {status}"
                 )
         if "regret_log_term" in bounds:
@@ -250,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument(
         "--quadrature-step",
         type=float,
-        default=DEFAULT_QUADRATURE_STEP,
+        default=None,
         help="trapezoid step for the lower pull envelope",
     )
     p_bounds.set_defaults(func=_cmd_bounds)

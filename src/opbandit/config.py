@@ -30,7 +30,7 @@ from typing import ClassVar
 import numpy as np
 import yaml
 
-from .core import BanditInstance, Thresholds
+from .core import BanditInstance, Thresholds, default_checkpoints
 from .environments import (
     LOAD_KINDS,
     REWARD_KINDS,
@@ -42,7 +42,6 @@ from .environments import (
     load_trace,
 )
 from .policies import POLICY_KINDS, Policy
-from .simulator import default_checkpoints
 
 __all__ = [
     "ConfigError",

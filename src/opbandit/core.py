@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaincinv
 
 __all__ = [
     "ArmState",
@@ -31,6 +30,7 @@ __all__ = [
     "normalize_loads",
     "binary_normalize",
     "nearest_rank_quantile",
+    "default_checkpoints",
 ]
 
 
@@ -186,6 +186,14 @@ def nearest_rank_quantile(values, p: float) -> float:
     return float(values[max(1, math.ceil(p * len(values))) - 1])
 
 
+def default_checkpoints(horizon: int, count: int = 50) -> np.ndarray:
+    """``count`` log-spaced recording points plus the horizon itself."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    pts = np.unique(np.round(np.geomspace(1, horizon, count)).astype(int))
+    return np.unique(np.append(pts, horizon))
+
+
 def derive_stream_id(*parts) -> int:
     """Hash a sequence of labels (policy name, replication index, role, ...)
     into a 64-bit stream id.
@@ -229,6 +237,8 @@ class RngStream:
         (exactly one uniform per draw), so the stream contract extends to
         beta-distributed values.
         """
+        from scipy.special import betaincinv
+
         return betaincinv(a, b, self._gen.random(size))
 
     def clone(self) -> "RngStream":

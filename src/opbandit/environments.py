@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .core import RngStream, nearest_rank_quantile
 
@@ -141,9 +140,13 @@ class BetaLoad(LoadModel):
             raise ValueError(f"beta shape parameters must be > 0, got ({self.a}, {self.b})")
 
     def _bulk(self, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
+        from scipy.special import betaincinv
+
         return betaincinv(self.a, self.b, us)
 
     def quantile(self, p: float) -> float:
+        from scipy.special import betaincinv
+
         _check_prob(p)
         return float(betaincinv(self.a, self.b, p))
 
@@ -324,10 +327,14 @@ class SemiPeriodicLoad(LoadModel):
         return self.base + self.amplitude * np.sin(2.0 * np.pi * np.asarray(t) / self.period)
 
     def _bulk(self, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
+        from scipy.special import betaincinv
+
         return self._envelope(ts) * betaincinv(self.noise_a, self.noise_b, us)
 
     @cached_property
     def _noise_brackets(self) -> tuple[np.ndarray, np.ndarray]:
+        from scipy.special import betaincinv
+
         # F^-1 at u = i/4096 for i = 0..4096, widened below and above (see quantile)
         grid = betaincinv(self.noise_a, self.noise_b, np.arange(4097) / 4096)
         return grid * (1.0 - 1e-6) - 1e-9, (grid * (1.0 + 1e-6) + 1e-9)[1:]
@@ -351,6 +358,8 @@ class SemiPeriodicLoad(LoadModel):
         is the (k - #{hi < L})-th smallest of the loads left in between, the
         only ones computed (15-80 of 199,872 for mvno-synthetic's model).
         """
+        from scipy.special import betaincinv
+
         _check_prob(p)
         n = max(1, 200_000 // self.period) * self.period
         k = max(1, math.ceil(p * n))

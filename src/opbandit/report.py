@@ -11,13 +11,15 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy
 
 from . import __version__
-from .bounds import BoundReport
-from .simulator import RegretTrace
+
+if TYPE_CHECKING:
+    from .bounds import BoundReport
+    from .simulator import RegretTrace
 
 __all__ = [
     "fmt",
@@ -104,6 +106,8 @@ def sha256_file(path) -> str:
 
 def write_metadata(path, config_dict: dict, resolved: dict, extras: dict | None = None) -> None:
     """Everything needed to reproduce the results file bit-for-bit."""
+    import scipy
+
     doc = {
         "tool": {"name": "opbandit", "version": __version__},
         "environment": {"numpy": np.__version__, "scipy": scipy.__version__},

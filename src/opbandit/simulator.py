@@ -53,9 +53,8 @@ from itertools import islice, repeat
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
-from .core import BanditInstance, RngStream, derive_stream_id
+from .core import BanditInstance, RngStream, default_checkpoints, derive_stream_id
 from .environments import LoadModel, RewardModel
 from .policies import IndexPolicy, Policy, RunningQuantiles, ThompsonPolicy
 
@@ -107,14 +106,6 @@ class RegretTrace:
     @property
     def mean_pulls(self) -> np.ndarray:
         return self.pulls.mean(axis=0)
-
-
-def default_checkpoints(horizon: int, count: int = 50) -> np.ndarray:
-    """``count`` log-spaced recording points plus the horizon itself."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    pts = np.unique(np.round(np.geomspace(1, horizon, count)).astype(int))
-    return np.unique(np.append(pts, horizon))
 
 
 def _validate_checkpoints(checkpoints, horizon: int) -> np.ndarray:
@@ -362,6 +353,8 @@ def _thompson_kernel(policy: ThompsonPolicy, policy_rng: RngStream | None) -> Ch
     another arm wins.  Until a lead has held, no table is taken and a step
     costs what the inverse costs.
     """
+    from scipy.special import betainc, betaincinv
+
     if policy_rng is None:
         raise ValueError("Thompson sampling needs a policy stream")
     n_arms = policy.n_arms

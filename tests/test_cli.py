@@ -2,12 +2,16 @@
 error reporting and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
+import opbandit
 from opbandit.cli import main
 from opbandit.report import read_results_csv, sha256_file
 
@@ -288,6 +292,26 @@ class TestCompare:
         run_cli(["compare", run_dir, bounds_dir, "-o", verdict])
         assert "OVERALL" in verdict.read_text()
 
+    def test_checks_the_suboptimal_arm(self, tmp_path, capsys):
+        # arm 1 is the suboptimal one: the hard envelopes bound its pulls
+        cfg = tmp_path / "swapped.yaml"
+        cfg.write_text(
+            "name: swapped\nhorizon: 2000\nbase_seed: 20180301\n"
+            "load: {kind: square-wave, eps0: 0.05, eps1: 0.05}\n"
+            "reward: {kind: dirac, means: [0.4, 0.6]}\n"
+            "policies:\n"
+            "  - {name: adaucb, kind: adaucb, alpha: 2.0, thresholds: binary}\n"
+        )
+        run_dir, bounds_dir = tmp_path / "run", tmp_path / "bounds"
+        assert run_cli(["run", cfg, "-o", run_dir]) == 0
+        assert run_cli(["bounds", cfg, "-o", bounds_dir]) == 0
+        capsys.readouterr()
+        assert run_cli(["compare", run_dir, bounds_dir]) == 0
+        out = capsys.readouterr().out
+        assert "adaucb t=2000 pulls_arm_1=" in out
+        assert "pulls_arm_2" not in out
+        assert "OVERALL: PASS" in out
+
 
 class TestTracePipeline:
     def test_one_reward_column_names_reward(self, tmp_path, capsys):
@@ -337,3 +361,61 @@ def test_list_configs(capsys):
     assert run_cli(["list-configs"]) == 0
     names = capsys.readouterr().out.split()
     assert "fig1a" in names and "fig2b-beta" in names
+
+
+STARTUP_SCRIPT = """
+import sys
+from importlib import resources
+
+from opbandit.cli import main
+from opbandit.config import build_plan, load_config
+
+cfg, work = sys.argv[1:]
+
+
+def loaded():
+    print("loaded:", [m for m in ("scipy.special", "opbandit.simulator") if m in sys.modules])
+
+
+build_plan(load_config(cfg))
+assert main(["list-configs"]) == 0
+loaded()
+assert main(["run", cfg, "-o", work + "/trace"]) == 0
+assert main(["run", "dirac-square-wave", "-o", work + "/run", "--horizon", "300"]) == 0
+assert main(["bounds", "dirac-square-wave", "-o", work + "/bounds", "--horizon", "300"]) == 0
+assert main(["compare", work + "/run", work + "/bounds"]) == 0
+loaded()
+build_plan(load_config(resources.files("opbandit") / "configs" / "fig2b-beta.yaml"))
+loaded()
+"""
+
+
+def test_commands_load_only_what_they_run(tmp_path):
+    # a fresh interpreter: scipy.special only where a command calls it, and
+    # no simulator for planning
+    trace = tmp_path / "trace.csv"
+    rows = ["load,a,b,c"] + [f"{0.1 + 0.8 * (t % 7) / 6:.3f},0.4,0.55,0.7" for t in range(40)]
+    trace.write_text("\n".join(rows) + "\n")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "name: trace-startup\nhorizon: 300\nreplications: 2\n"
+        f"load: {{kind: trace, path: {trace}}}\n"
+        f"reward: {{kind: trace, path: {trace}}}\n"
+        "policies:\n"
+        "  - {name: adaucb, kind: adaucb, alpha: 0.51, thresholds: {lower_prob: 0.1, upper_prob: 0.1}}\n"
+        "  - {name: eadaucb, kind: eadaucb, alpha: 0.51}\n"
+        "  - {name: ucb, kind: ucb, alpha: 0.51}\n"
+        "  - {name: rr-greedy, kind: rr-greedy, thresholds: {single_prob: 0.3}}\n"
+    )
+    env = os.environ | {"PYTHONPATH": str(Path(opbandit.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, str(cfg), str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    planned, commands, beta = [line for line in done.stdout.splitlines() if line.startswith("loaded:")]
+    assert planned == "loaded: []"
+    assert commands == "loaded: ['opbandit.simulator']"
+    assert beta == "loaded: ['scipy.special', 'opbandit.simulator']"  # not vacuous
