@@ -173,33 +173,46 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _column(table: dict, name: str, path: Path) -> np.ndarray:
+    """``table[name]``, read from ``path``; a missing column is an error
+    that names both."""
+    if name not in table:
+        raise ValueError(f"{path}: no {name} column")
+    return table[name]
+
+
 def _cmd_compare(args) -> int:
-    run_dir = Path(args.run)
-    bounds_dir = Path(args.bounds)
-    results = read_results_csv(run_dir / "results.csv")
-    meta = load_metadata(run_dir / "metadata.json")
+    results_path = Path(args.run) / "results.csv"
+    bounds_path = Path(args.bounds) / "bounds.csv"
+    results = read_results_csv(results_path)
+    meta = load_metadata(Path(args.run) / "metadata.json")
     kinds = {
         label: info.get("kind", "")
         for label, info in meta.get("resolved", {}).get("policies", {}).items()
     }
-    bounds = read_bounds_csv(bounds_dir / "bounds.csv")
-    ts = bounds["t"].astype(int)
+    bounds = read_bounds_csv(bounds_path)
+    ts = _column(bounds, "t", bounds_path).astype(int)
     if "pull_upper" in bounds:
         # the hard envelopes bound the one suboptimal arm, the arm of the
         # file's only generic pull envelope
-        (arm,) = (c.rsplit("_", 1)[1] for c in bounds if c.startswith("pull_log_bound_arm_"))
+        arms = [c.rsplit("_", 1)[1] for c in bounds if c.startswith("pull_log_bound_arm_")]
+        if len(arms) != 1:
+            raise ValueError(
+                f"{bounds_path}: pull_upper needs exactly one pull_log_bound_arm_<k> column, found {len(arms)}"
+            )
+        (arm,) = arms
 
     lines = []
     hard_fail = False
     for label, rec in results.items():
-        run_ts = rec["t"].astype(int)
+        run_ts = _column(rec, "t", results_path).astype(int)
         if len(run_ts) != len(ts) or np.any(run_ts != ts):
             raise ConfigError(
                 "checkpoints",
                 f"run and bounds checkpoints differ for policy {label!r}",
             )
         if kinds.get(label) == "adaucb" and "pull_upper" in bounds:
-            pulls = rec[f"mean_pulls_arm_{arm}"]
+            pulls = _column(rec, f"mean_pulls_arm_{arm}", results_path)
             upper = bounds["pull_upper"]
             lower = bounds.get("pull_lower", np.full_like(upper, np.nan))
             for i, t in enumerate(ts):
@@ -216,7 +229,7 @@ def _cmd_compare(args) -> int:
         if "regret_log_term" in bounds:
             term = bounds["regret_log_term"]
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(term > 0, rec["mean_regret"] / term, np.nan)
+                ratio = np.where(term > 0, _column(rec, "mean_regret", results_path) / term, np.nan)
             finite = ratio[np.isfinite(ratio)]
             if len(finite):
                 lines.append(

@@ -4,8 +4,11 @@ Models are drawn in bulk only: a load model gives the loads of a span of
 steps (``sample_loads``, by default a whole run from step 1) and a reward
 model every arm's rewards over a span of steps (``reward_rows``).  Every
 stochastic model consumes exactly one uniform draw per time step, so a span
-drawn in pieces equals the span drawn at once.  Time indices are 1-based
-throughout.
+drawn in pieces equals the span drawn at once.  A load is an elementwise
+function of its step and its uniform, so the loads of a subset of a span's
+steps (``sample_loads(..., where=mask)``) equal those loads of the whole
+span, bit for bit, and the stream advances as for the whole span.  Time
+indices are 1-based throughout.
 
 Each concrete class names its config ``kind`` and sits in
 :data:`LOAD_KINDS` or :data:`REWARD_KINDS`; its constructor parameters are
@@ -56,8 +59,9 @@ def _check_eps(name: str, value: float) -> float:
 class LoadModel:
     """Base class for load generators.
 
-    Subclasses implement :meth:`_bulk`, the loads of the given steps as a
-    function of one uniform per step (for stochastic models).
+    Subclasses implement :meth:`_bulk`, the loads of the given steps as an
+    elementwise function of each step and its one uniform (for stochastic
+    models).
     """
 
     #: the config kind of a concrete model
@@ -65,10 +69,21 @@ class LoadModel:
     #: whether one uniform is consumed per step
     uses_rng: bool = True
 
-    def sample_loads(self, horizon: int, rng: RngStream | None, t0: int = 1) -> np.ndarray:
-        """Loads for the ``horizon`` steps t0..t0+horizon-1 as one array."""
+    def sample_loads(
+        self, horizon: int, rng: RngStream | None, t0: int = 1, where: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Loads for the ``horizon`` steps t0..t0+horizon-1 as one array.
+
+        With a boolean mask ``where`` (horizon,), only the loads at the mask
+        are computed, equal to the loads without it, and the rest are 0; the
+        stream takes the ``horizon`` uniforms all the same."""
         us = rng.random(horizon) if self.uses_rng else None
-        return self._bulk(np.arange(t0, t0 + horizon), us)
+        if where is None:
+            return self._bulk(np.arange(t0, t0 + horizon), us)
+        at = np.flatnonzero(where)
+        loads = np.zeros(horizon)
+        loads[at] = self._bulk(at + t0, None if us is None else us[at])
+        return loads
 
     def _bulk(self, ts: np.ndarray, us: np.ndarray | None) -> np.ndarray:
         raise NotImplementedError

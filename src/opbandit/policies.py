@@ -78,6 +78,11 @@ class Policy:
     """Common select/update/reset contract."""
 
     kind: str = "abstract"
+    #: whether the arms chosen depend on the loads: a fact about the class.
+    #: Where not, the simulator computes a load only where the regret reads
+    #: it: at the pulls of an arm with a positive gap, or at every step for
+    #: realized regret
+    reads_loads: bool = True
 
     def __init__(self, n_arms: int):
         if n_arms < 2:
@@ -191,6 +196,7 @@ class UcbPolicy(IndexPolicy):
     """Plain UCB(alpha); ignores the load entirely.  alpha=2 is classic UCB1."""
 
     kind = "ucb"
+    reads_loads = False
 
     def __init__(self, n_arms: int, alpha: float):
         super().__init__(n_arms)
@@ -411,6 +417,7 @@ class ThompsonPolicy(Policy):
     """
 
     kind = "ts"
+    reads_loads = False
 
     def __init__(self, n_arms: int):
         super().__init__(n_arms)

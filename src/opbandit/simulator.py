@@ -23,6 +23,16 @@ per-step way is also the reference: the engine and the kernel choose the
 arms it would, bit for bit, and the Thompson kernel leaves the policy and
 its stream as it would.
 
+A load is read by the regret only where the chosen arm's gap is positive
+(``load * 0`` adds nothing), and by the arm choice only if the policy's
+class ``reads_loads``.  For a cell that does not (``ucb`` in the index
+engine, ``ts`` in its kernel), each chunk's loads are drawn after its arms
+are chosen, and only the charged steps' loads are computed
+(:meth:`_Ledger.charged`; every step for realized regret).  The load
+stream takes the same uniforms either way, and an uncharged step's cost is
+``0 * gap = +0.0`` instead of ``load * 0 = +0.0``, so the outputs are the
+same bytes.
+
 :func:`run_experiment` runs each (policy, replication) cell through
 :func:`run_once`, a one-row run of the index engine for an index policy,
 except when the index-family cells number at least :data:`BATCH_ROWS`:
@@ -188,7 +198,8 @@ def _chunk_ends(n_arms: int, horizon: int, size: int) -> list[int]:
 
 
 def _check_rewards(rows: np.ndarray) -> np.ndarray:
-    if not ((rows >= 0.0) & (rows <= 1.0)).all():
+    # a NaN makes min() NaN, which fails the comparison
+    if not (rows.min() >= 0.0 and rows.max() <= 1.0):
         raise ValueError("nominal rewards must be in [0, 1]")
     return rows
 
@@ -208,6 +219,7 @@ class _Ledger:
             raise ValueError(f"horizon {horizon} is shorter than the init round of {n_arms} arms")
         self.pts = _validate_checkpoints(checkpoints, horizon)
         self.gaps = np.array(bandit.gaps)
+        self.suboptimal = self.gaps > 0.0
         self.best_mean = bandit.best_mean
         self.realized = realized
         self.regret = np.zeros(n_rows)
@@ -215,6 +227,13 @@ class _Ledger:
         self.next_pt = 0
         self.ck_regret = np.empty((n_rows, len(self.pts)))
         self.ck_pulls = np.empty((n_rows, len(self.pts), n_arms), dtype=np.int64)
+
+    def charged(self, arms: np.ndarray) -> np.ndarray | None:
+        """The steps of one row's ``arms`` whose cost reads the load: the
+        pulls of an arm with a positive gap, or None, every step, for
+        realized regret.  Elsewhere the cost is ``load * 0``, so a load of 0
+        there leaves every sum as it is."""
+        return None if self.realized else self.suboptimal[arms]
 
     def add(self, i0: int, arms: np.ndarray, loads: np.ndarray, rewards: np.ndarray) -> None:
         """Account steps i0+1..i0+n: ``arms`` and ``loads`` are (rows, n),
@@ -280,17 +299,21 @@ def run_once(
         return ledger.trace(0)
 
     n_arms = bandit.n_arms
-    loads = load_model.sample_loads(horizon, load_rng)
-    if isinstance(policy, ThompsonPolicy):
-        choose = _thompson_kernel(policy, policy_rng)
+    if isinstance(policy, ThompsonPolicy):  # its class does not read loads
+        choose, loads = _thompson_kernel(policy, policy_rng), None
     else:
+        loads = load_model.sample_loads(horizon, load_rng)
         choose = _select_each_step(policy, n_arms, loads, policy_rng)
 
     i0 = 0
     for i1 in _chunk_ends(n_arms, horizon, CHUNK):
         rows = _check_rewards(reward_model.reward_rows(i0 + 1, i1 - i0, reward_rng))
         arms = np.array(choose(i0, i1, rows.ravel().tolist()))
-        ledger.add(i0, arms[None], loads[None, i0:i1], rows[None])
+        if loads is None:  # drawn after the arms, computed where charged
+            chunk_loads = load_model.sample_loads(i1 - i0, load_rng, i0 + 1, where=ledger.charged(arms))
+        else:
+            chunk_loads = loads[i0:i1]
+        ledger.add(i0, arms[None], chunk_loads[None], rows[None])
         i0 = i1
     return ledger.trace(0)
 
@@ -591,22 +614,25 @@ def _run_index_rows(
     ``c_t`` from its own streams and schedule, so a row's arms depend
     neither on which step runs nor on the other rows.
     Loads are drawn a chunk at a time unless the schedule needs the whole
-    run.  The policies are only read; the arm statistics live in the
-    engine.
+    run; a row whose policy does not read them draws them after the step,
+    computing only the charged steps' (:meth:`_Ledger.charged`).  The
+    policies are only read; the arm statistics live in the engine.
     """
     n_rows, n_arms = len(cells), ledger.pulled.shape[1]
     if n_rows == 1:
         size, step = CHUNK, _python_step(n_arms)
     else:
         size, step = BATCH_CHUNK, _numpy_step(n_rows, n_arms)
-    rows = []  # (load stream, reward stream, quantiles or None, schedule)
+    rows = []  # (load stream, reward stream, quantiles or None, schedule, reads loads)
     for policy, load_rng, reward_rng in cells:
         quantiles = (  # the whole run's loads, kept only inside its quantiles
             RunningQuantiles(load_model.sample_loads(horizon, load_rng), policy.quantile_probs, policy.window)
             if policy.quantile_probs
             else None
         )
-        rows.append((load_rng, reward_rng, quantiles, policy.exploration_schedule(quantiles)))
+        schedule = policy.exploration_schedule(quantiles)
+        rows.append((load_rng, reward_rng, quantiles, schedule, policy.reads_loads))
+    lazy = [(r, load_rng) for r, (load_rng, *_, reads) in enumerate(rows) if not reads]
 
     def ln_t_of(i0: int, i1: int) -> np.ndarray:  # the table is built once, if a schedule asks
         return _log_table(horizon)[i0:i1]
@@ -623,18 +649,20 @@ def _run_index_rows(
         ln_t = partial(ln_t_of, i0, i1)
         loads, rewards = chunk_loads[:, :n], chunk_rewards[:n]
         coeff, chosen = chunk_coeff[:n], chunk_chosen[:n]
-        for r, (load_rng, reward_rng, quantiles, schedule) in enumerate(rows):
-            if quantiles is None:
-                loads[r] = load_model.sample_loads(n, load_rng, i0 + 1)
-            else:
+        for r, (load_rng, reward_rng, quantiles, schedule, reads) in enumerate(rows):
+            if quantiles is not None:
                 loads[r] = quantiles.loads(i0, i1)
+            elif reads:
+                loads[r] = load_model.sample_loads(n, load_rng, i0 + 1)
             rewards[:, r] = reward_model.reward_rows(i0 + 1, n, reward_rng)
-            if i1 > n_arms:
+            if i1 > n_arms:  # a schedule that does not read loads takes only their number
                 coeff[:, r, 0] = schedule(i1, loads[r], ln_t)
         _check_rewards(rewards)
         if i1 <= n_arms:  # the init round pulls arms 0..K-1 in order
             coeff[:] = (-1.0 - np.arange(i0, i1))[:, None, None]
         step(coeff, rewards, chosen)
+        for r, load_rng in lazy:
+            loads[r] = load_model.sample_loads(n, load_rng, i0 + 1, where=ledger.charged(chosen[:, r]))
         ledger.add(i0, chosen.T, loads, rewards.transpose(1, 0, 2))
         i0 = i1
 

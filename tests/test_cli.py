@@ -292,6 +292,44 @@ class TestCompare:
         run_cli(["compare", run_dir, bounds_dir, "-o", verdict])
         assert "OVERALL" in verdict.read_text()
 
+    @staticmethod
+    def edit_columns(csv, edit):
+        """Rewrite ``csv`` with ``edit(columns)`` applied to its columns."""
+        rows = [line.split(",") for line in csv.read_text().splitlines()]
+        columns = edit([list(col) for col in zip(*rows)])
+        csv.write_text("\n".join(",".join(row) for row in zip(*columns)) + "\n")
+
+    @staticmethod
+    def one_line_error(capsys):
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1, err
+        return err
+
+    def test_missing_pulls_column_named(self, dirac_pair, capsys):
+        run_dir, bounds_dir = dirac_pair
+        csv = run_dir / "results.csv"
+        self.edit_columns(csv, lambda cols: [c for c in cols if c[0] != "mean_pulls_arm_2"])
+        capsys.readouterr()
+        assert run_cli(["compare", run_dir, bounds_dir]) == 1
+        err = self.one_line_error(capsys)
+        assert str(csv) in err and "mean_pulls_arm_2" in err
+
+    @pytest.mark.parametrize("n_envelopes", [0, 2])
+    def test_pull_envelope_arm_must_be_one(self, dirac_pair, capsys, n_envelopes):
+        run_dir, bounds_dir = dirac_pair
+        csv = bounds_dir / "bounds.csv"
+
+        def edit(cols):
+            (envelope,) = [c for c in cols if c[0] == "pull_log_bound_arm_2"]
+            others = [c for c in cols if c is not envelope]
+            return others + [envelope, ["pull_log_bound_arm_3", *envelope[1:]]][:n_envelopes]
+
+        self.edit_columns(csv, edit)
+        capsys.readouterr()
+        assert run_cli(["compare", run_dir, bounds_dir]) == 1
+        err = self.one_line_error(capsys)
+        assert str(csv) in err and "pull_log_bound_arm_<k>" in err
+
     def test_checks_the_suboptimal_arm(self, tmp_path, capsys):
         # arm 1 is the suboptimal one: the hard envelopes bound its pulls
         cfg = tmp_path / "swapped.yaml"

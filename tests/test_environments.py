@@ -191,6 +191,38 @@ def test_loads_drawn_in_chunks_equal_one_draw(model, caplog):
     assert not [r for r in caplog.records if "wrapping" in r.getMessage()]
 
 
+#: one model of every load kind; the trace's 7 rows wrap within a span
+MASKED = {
+    "square-wave": PeriodicSquareWaveLoad(0.1, 0.2),
+    "binary": BinaryRandomLoad(0.05, 0.1, rho=0.3),
+    "beta": BetaLoad(0.5, 3.0),
+    "uniform": UniformLoad(),
+    "trace": TraceLoad(TraceData(np.arange(1.0, 8.0) / 7, None, 7.0)),
+    "semiperiodic": SemiPeriodicLoad(period=24),
+}
+
+
+@given(
+    kind=st.sampled_from(sorted(environments.LOAD_KINDS)),
+    mask=st.lists(st.booleans(), min_size=1, max_size=120),
+    t0=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="trace", mask=[True, False, True] * 5, t0=5, seed=0)  # across the wrap at step 8
+def test_masked_loads_equal_the_full_draw_there(kind, mask, t0, seed):
+    # the loads computed at a mask are the whole span's there, bit for bit,
+    # the rest are +0.0, and the stream ends where the whole span's does
+    model, mask = MASKED[kind], np.array(mask)
+    streams = [RngStream(seed, 4), RngStream(seed, 4)] if model.uses_rng else [None, None]
+    whole = model.sample_loads(len(mask), streams[0], t0)
+    masked = model.sample_loads(len(mask), streams[1], t0, where=mask)
+    assert masked.dtype == whole.dtype == np.float64
+    np.testing.assert_array_equal(masked[mask].view(np.int64), whole[mask].view(np.int64))
+    assert not masked[~mask].view(np.int64).any()
+    if model.uses_rng:
+        assert streams[0].random() == streams[1].random()
+
+
 class TestRewardModels:
     def test_dirac_is_deterministic(self):
         model = DiracReward((0.6, 0.4))

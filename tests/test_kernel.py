@@ -56,13 +56,15 @@ class PerStep:
 
 
 class FixedLoad(LoadModel):
+    """The given loads, step by step."""
+
     uses_rng = False
 
     def __init__(self, loads):
         self.loads = np.asarray(loads, dtype=float)
 
-    def sample_loads(self, horizon, rng, t0=1):
-        return self.loads[t0 - 1 : t0 - 1 + horizon].copy()
+    def _bulk(self, ts, us=None):
+        return self.loads[ts - 1]
 
 
 def make_policy(kind, n_arms, lower, upper):
@@ -361,6 +363,53 @@ class TestKernelMatchesPerStepLoop:
                 None,
             )
 
+    @pytest.mark.parametrize("realized", [False, True], ids=["pseudo", "realized"])
+    @pytest.mark.parametrize("means", [(0.6, 0.3, 0.6), (0.3, 0.5, 0.45)], ids=["tied-best", "distinct"])
+    @pytest.mark.parametrize("kind", ["ucb", "ts"])
+    def test_lazy_loads_byte_for_byte(self, kind, means, realized):
+        # ucb and ts compute a load only where the regret reads it: at a
+        # pull of an arm with a positive gap (never one of two tied best
+        # arms), or at every step for realized regret
+        assert not make_policy(kind, 3, 0.2, 0.8).reads_loads
+        horizon = 3 * simulator.CHUNK + 17
+        ref, fast, p_ref, p_fast = run_both(
+            lambda: make_policy(kind, 3, 0.2, 0.8),
+            BetaLoad(2.0, 2.0),
+            BernoulliReward(means),
+            horizon,
+            every_step(horizon),
+            realized=realized,
+        )
+        assert_same_bytes(ref, fast)
+        assert ref.regret[-1] > 0.0
+        if kind == "ts":
+            assert_same_state(p_ref, p_fast)
+
+    @pytest.mark.parametrize("kind", ["per-step", "ucb", "ts"])
+    def test_nan_reward_rejected(self, kind):
+        class NanAtStep11(RewardModel):
+            means = (0.6, 0.4)
+            uses_rng = False
+
+            def reward_rows(self, t0, n, rng):
+                rows = np.full((n, 2), 0.5)
+                rows[np.arange(t0, t0 + n) == 11] = math.nan
+                return rows
+
+        policy = ThompsonPolicy(2) if kind == "ts" else UcbPolicy(2, 0.51)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            run_once(
+                BanditInstance((0.6, 0.4)),
+                FixedLoad([0.5] * 20),
+                NanAtStep11(),
+                PerStep(policy) if kind == "per-step" else policy,
+                20,
+                [20],
+                None,
+                None,
+                RngStream(1, 0),
+            )
+
 
 class GridLoad(LoadModel):
     """I.i.d. loads from :data:`GRID` (ties, and values on the thresholds)."""
@@ -499,6 +548,30 @@ class TestBatchMatchesRunOnce:
             assert results[label].regret.tobytes() == reference[label].regret.tobytes(), label
             assert results[label].pulls.tobytes() == reference[label].pulls.tobytes(), label
             assert results[label].pulls[:, -1].sum() == sc["replications"] * sc["horizon"]
+
+
+    def test_batch_mixing_lazy_and_eager_rows(self):
+        # ucb rows draw their loads after the step, adaucb rows before it;
+        # at BATCH_ROWS cells they share one engine run
+        sc = dict(
+            reward=BernoulliReward((0.3, 0.5, 0.45)),
+            load=BetaLoad(2.0, 2.0),
+            horizon=2 * simulator.BATCH_CHUNK + 31,
+            replications=simulator.BATCH_ROWS // 2 + 1,
+            checkpoints=[1, 3, simulator.BATCH_CHUNK + 1, 2 * simulator.BATCH_CHUNK + 31],
+            realized=False,
+        )
+
+        def policies():
+            return {"ucb": make_policy("ucb", 3, 0.2, 0.8), "adaucb": make_policy("adaucb", 3, 0.2, 0.8)}
+
+        with mock.patch.object(simulator, "_run_index_rows", wraps=simulator._run_index_rows) as engine:
+            batch = experiment(policies(), sc, simulator.BATCH_ROWS)
+        assert [len(call.args[2]) for call in engine.call_args_list] == [2 * sc["replications"]]
+        alone = experiment(policies(), sc, batch_rows=10**9)  # every cell through run_once
+        for label in ("ucb", "adaucb"):
+            assert batch[label].regret.tobytes() == alone[label].regret.tobytes(), label
+            assert batch[label].pulls.tobytes() == alone[label].pulls.tobytes(), label
 
 
 # rewards whose running sums round (0.1, 0.3, 0.7) and whose means often

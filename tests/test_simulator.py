@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from opbandit.core import BanditInstance, RngStream, Thresholds
 from opbandit.environments import (
     BernoulliReward,
+    BetaLoad,
     BinaryRandomLoad,
     DiracReward,
     LoadModel,
     PeriodicSquareWaveLoad,
 )
-from opbandit.policies import AdaUcbPolicy, OraclePolicy, UcbPolicy
+from opbandit.policies import AdaUcbPolicy, OraclePolicy, ThompsonPolicy, UcbPolicy
 from opbandit.simulator import (
     _Ledger,
     default_checkpoints,
@@ -300,8 +301,9 @@ class TestDeterminism:
 
 
 class _SpyLoad(LoadModel):
-    """Delegates to an inner model while recording every draw it produced,
-    in order (``run_once`` may draw a chunk at a time)."""
+    """Delegates to an inner model while recording every load its stream
+    yields, in order, whatever the ``where`` mask (``run_once`` may draw a
+    chunk at a time, and compute only the loads the regret reads)."""
 
     uses_rng = True
 
@@ -309,9 +311,9 @@ class _SpyLoad(LoadModel):
         self.inner = inner
         self.seen = []
 
-    def sample_loads(self, horizon, rng, t0=1):
+    def sample_loads(self, horizon, rng, t0=1, where=None):
         self.seen.append(self.inner.sample_loads(horizon, rng, t0))
-        return self.seen[-1]
+        return self.seen[-1] if where is None else np.where(where, self.seen[-1], 0.0)
 
 
 class TestStreamSeparation:
@@ -341,12 +343,29 @@ class TestStreamSeparation:
             loads_with_reward_stream(200), loads_with_reward_stream(201)
         )
 
+    @pytest.mark.parametrize("make", [lambda: UcbPolicy(2, 2.0), lambda: ThompsonPolicy(2)], ids=["ucb", "ts"])
+    def test_lazy_loads_take_one_uniform_per_step(self, make):
+        # a cell that computes only its charged steps' loads still takes
+        # exactly horizon uniforms from its load stream
+        load_rng = RngStream(7, 100)
+        run_once(
+            BanditInstance((0.6, 0.4)),
+            BetaLoad(2.0, 2.0),
+            BernoulliReward((0.6, 0.4)),
+            make(),
+            2500,
+            [2500],
+            load_rng,
+            RngStream(7, 200),
+            RngStream(7, 300),
+        )
+        assert load_rng.random() == RngStream(7, 100).random(2501)[-1]
+
 
 class TestLinUcbAlphaSensitivity:
     def test_regret_varies_strongly_with_alpha(self):
         # the contextual baseline's regret depends heavily on its
         # exploration constant (spread well above noise level)
-        from opbandit.environments import BetaLoad
         from opbandit.policies import LinUcbDisjointPolicy
 
         results = run_experiment(
