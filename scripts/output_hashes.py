@@ -9,7 +9,11 @@ Two checkouts whose outputs must be byte-identical print the same lines:
     diff a.txt b.txt
 
 At 5 replications every config with two or more index policies runs them
-in the batched index engine (``BATCH_ROWS`` is 10 cells).
+in the batched index engine (``BATCH_ROWS`` is 10 cells), on chunks whose
+length the engine's byte budget (``BATCH_BYTES``) sets from the number of
+rows and arms; EAdaUCB rows join that batch while the whole run's loads
+they hold (14 bytes a step) fit the same budget, and the rest run alone: at
+the configs' default horizons and replications most of them do.
 
 The script imports opbandit from the ``src/`` next to it, so each checkout
 hashes its own sources.  Short horizons change leaders every few steps;

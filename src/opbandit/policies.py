@@ -303,6 +303,13 @@ class RunningQuantiles:
         self._pointer = [-1] * len(probs)
         self._seen = 0
 
+    @staticmethod
+    def held_bytes(n: int, n_probs: int) -> int:
+        """The bytes an instance over n < 2**31 loads holds until it is
+        dropped: per load, its sorted value (8), its rank (4) and one mark
+        per probability."""
+        return (12 + n_probs) * n
+
     def advance(self, stop: int) -> np.ndarray:
         """Take in the loads up to index ``stop`` (exclusive); one row per
         probability holds the quantile in effect after each of them."""

@@ -62,15 +62,16 @@ def read_results_csv(path) -> dict[str, dict[str, np.ndarray]]:
     if not text:
         raise ValueError(f"{path}: empty results file")
     header = text[0].split(",")
+    if header[0] != "policy":
+        raise ValueError(f"{path}: no policy column (the first column is {header[0]!r})")
     out: dict[str, dict[str, list]] = {}
     for line in text[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(f"{path}: malformed row {line!r}")
-        row = dict(zip(header, cells))
-        rec = out.setdefault(row["policy"], {c: [] for c in header[1:]})
-        for c in header[1:]:
-            rec[c].append(float(row[c]))
+        rec = out.setdefault(cells[0], {c: [] for c in header[1:]})
+        for c, v in zip(header[1:], cells[1:]):
+            rec[c].append(_number(path, c, v))
     return {
         policy: {c: np.asarray(v) for c, v in rec.items()} for policy, rec in out.items()
     }
@@ -96,8 +97,17 @@ def read_bounds_csv(path) -> dict[str, np.ndarray]:
         if len(cells) != len(header):
             raise ValueError(f"{path}: malformed row {line!r}")
         for c, v in zip(header, cells):
-            cols[c].append(float(v))
+            cols[c].append(_number(path, c, v))
     return {c: np.asarray(v) for c, v in cols.items()}
+
+
+def _number(path, column: str, cell: str) -> float:
+    """``float(cell)``; a cell that is no number is an error that names the
+    file and the column."""
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(f"{path}: {column} cell {cell!r} is not a number") from None
 
 
 def sha256_file(path) -> str:

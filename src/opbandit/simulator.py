@@ -36,9 +36,14 @@ same bytes.
 :func:`run_experiment` runs each (policy, replication) cell through
 :func:`run_once`, a one-row run of the index engine for an index policy,
 except when the index-family cells number at least :data:`BATCH_ROWS`:
-then they run as the rows of one engine run.  Each row keeps its own
-streams and schedule, so the outputs do not depend on which path ran.
-Every cell runs on a reset copy of its policy: the policies given to
+then they run as the rows of one engine run.  One byte budget,
+:data:`BATCH_BYTES`, bounds that run's memory twice: a chunk's arrays,
+which sets the chunk length (:func:`_chunk_steps`, at most :data:`CHUNK`),
+and the loads that EAdaUCB rows hold for the whole run, 14 bytes a step.
+EAdaUCB cells join the batch while the loads they hold fit it; the rest
+run alone.  Each row keeps its own streams and schedule, so the outputs
+depend neither on which path ran nor on the chunk length.  Every cell runs
+on a reset copy of its policy: the policies given to
 :func:`run_experiment` are not changed.
 
 Regret is expected pseudo-regret by default: each step adds
@@ -138,12 +143,22 @@ def replication_streams(base_seed: int, policy_label: str, replication: int) -> 
 
 
 #: steps per chunk of the run loop: enough to amortize the numpy calls made
-#: per chunk, few enough that no horizon-long Python list is held
+#: per chunk, few enough that no horizon-long Python list is held; also the
+#: index engine's longest chunk
 CHUNK = 1024
 
-#: steps per chunk of the index engine's numpy step, whose buffers hold
-#: every row's chunk
-BATCH_CHUNK = 128
+#: the bytes an index-engine run may hold for its rows, twice over: once for
+#: a chunk's arrays, which sets the chunk length (:func:`_chunk_steps`), and
+#: once for the whole run's loads that its quantile rows (EAdaUCB's) hold:
+#: ``run_experiment`` lets such rows into a batch while their loads fit and
+#: runs the rest alone.  Longer chunks take fewer Python calls per row.  A
+#: quantile row costs less CPU in the batch than alone at every shape
+#: measured, so the second use is a memory cap, not a speed crossover.  On a
+#: 2-vCPU x86-64 host, fig2b-beta's index cells at T = 1e4 and R = 10 (30
+#: rows: 655-step chunks, 1.4 MB of EAdaUCB loads) took 0.27-0.30 s of CPU
+#: against 0.30-0.35 s on 128-step chunks; 1 MiB (7 of the 10 EAdaUCB rows
+#: in the batch) took 0.27-0.32 s, and 2 MiB 0.25-0.27 s with 0.5 MiB more
+BATCH_BYTES = 3 * 2**19  # 1.5 MiB
 
 #: index-family cells (policies x replications) from which
 #: ``run_experiment`` runs them as the rows of one engine run, in the numpy
@@ -192,6 +207,15 @@ def _log_table(horizon: int) -> np.ndarray:
     return table
 
 
+def _chunk_steps(n_rows: int, n_arms: int) -> int:
+    """Steps per chunk of an index-engine run of ``n_rows`` rows: as many as
+    keep the chunk's arrays within :data:`BATCH_BYTES`, at most
+    :data:`CHUNK` and at least 1.  A row-step takes K + 5 words: its K
+    rewards, load, ``c_t`` and arm in the engine's buffers, the ledger's
+    cost, and a word for the step's forced-pull mask (a byte)."""
+    return max(1, min(CHUNK, BATCH_BYTES // (n_rows * (n_arms + 5) * 8)))
+
+
 def _chunk_ends(n_arms: int, horizon: int, size: int) -> list[int]:
     # the init round ends a chunk of its own
     return sorted({n_arms, horizon, *range(size, horizon, size)})
@@ -237,14 +261,16 @@ class _Ledger:
 
     def add(self, i0: int, arms: np.ndarray, loads: np.ndarray, rewards: np.ndarray) -> None:
         """Account steps i0+1..i0+n: ``arms`` and ``loads`` are (rows, n),
-        ``rewards`` every arm's reward, (rows, n, K)."""
+        ``rewards`` every arm's reward, (rows, n, K).  ``arms`` is spent:
+        the accounting overwrites it."""
         n_rows, n_arms = self.pulled.shape
         n = arms.shape[1]
         if self.realized:
-            drawn = np.take_along_axis(rewards, arms[:, :, None], axis=2)[:, :, 0]
-            cost = loads * (self.best_mean - drawn)
+            cost = np.take_along_axis(rewards, arms[:, :, None], axis=2)[:, :, 0]  # drawn
+            np.subtract(self.best_mean, cost, out=cost)
         else:
-            cost = loads * self.gaps[arms]
+            cost = self.gaps.take(arms)
+        cost *= loads  # each step's load-weighted regret
         # cumulative sums in step order, row by row, from the regret so far
         cost[:, 0] += self.regret
         np.cumsum(cost, axis=1, out=cost)
@@ -256,7 +282,8 @@ class _Ledger:
         # it; the pulls per (row, segment, arm), summed over the segments,
         # are the pulls at each checkpoint and at the chunk's end
         n_segs = len(js) + 1
-        cells = arms + np.searchsorted(js, np.arange(n), side="right") * n_arms
+        cells = arms  # each step's (row, segment, arm) cell, in place
+        cells += np.searchsorted(js, np.arange(n), side="right") * n_arms
         cells += np.arange(0, n_rows * n_segs * n_arms, n_segs * n_arms)[:, None]
         counts = np.bincount(cells.ravel(order="K"), minlength=n_rows * n_segs * n_arms)  # a count: any order
         counts = counts.reshape(n_rows, n_segs, n_arms)
@@ -559,15 +586,17 @@ def _numpy_step(n_rows: int, n_arms: int) -> Callable:
 
     def step(coeff: np.ndarray, rewards: np.ndarray, chosen: np.ndarray) -> None:
         n = len(coeff)
-        # forced pulls as one mask; the index sees c = 0 there
+        # forced pulls as one mask; each step's forced arms (-1: none) wait
+        # in its row of ``chosen``, and the index sees c = 0 there
         is_forced = coeff[:, :, 0] < 0.0
-        forced = np.full((n, n_rows), -1, dtype=np.intp)
-        forced[is_forced] = -1.0 - coeff[:, :, 0][is_forced]
+        chosen.fill(-1)
+        chosen[is_forced] = -1.0 - coeff[:, :, 0][is_forced]
         n_forced = is_forced.sum(axis=1).tolist()
         np.maximum(coeff, 0.0, out=coeff)
 
         flat_rewards = rewards.reshape(n, -1)
         for j, k in enumerate(n_forced):
+            forced = chosen[j]
             if k < n_rows:
                 np.divide(coeff[j], pulls, out=index)
                 np.sqrt(index, out=index)
@@ -575,10 +604,10 @@ def _numpy_step(n_rows: int, n_arms: int) -> Callable:
                 np.add(index, means, out=index)
                 flat = index.argmax(axis=1)
                 if k:
-                    flat = np.where(forced[j] >= 0, forced[j], flat)
+                    flat = np.where(forced >= 0, forced, flat)
                 flat += base
             else:
-                flat = forced[j] + base
+                flat = forced + base
             # ArmState.update of each row's arm (one per row): p + 1, s + x
             pulls_flat[flat] += 1.0
             sums_flat[flat] += flat_rewards[j][flat]
@@ -606,10 +635,13 @@ def _run_index_rows(
     each row's arms, given each row's ``c_t`` (n, N, 1; ``-1 - k`` forces a
     pull of arm k) and every arm's rewards (n, N, K).  One row takes a
     Python loop that gallops through runs of one arm's wins
-    (:func:`_python_step`), on :data:`CHUNK`-step chunks; more rows advance
-    together (:func:`_numpy_step`) on :data:`BATCH_CHUNK`-step chunks.
-    Every row shares each chunk's ``ln t`` (a slice of one table per
-    horizon) and buffers.  Both steps do the same float arithmetic as
+    (:func:`_python_step`); more rows advance together
+    (:func:`_numpy_step`).  A chunk is the most steps whose arrays fit
+    :data:`BATCH_BYTES` (:func:`_chunk_steps`), at most :data:`CHUNK`, which
+    one row on a few arms takes.  Every row shares each chunk's ``ln t`` (a
+    slice of one table per horizon) and buffers; the step and the ledger
+    reuse ``chosen`` for the forced pulls and the ledger's cells.  Both
+    steps do the same float arithmetic as
     ``select`` and ``update``, and each row draws its loads, rewards and
     ``c_t`` from its own streams and schedule, so a row's arms depend
     neither on which step runs nor on the other rows.
@@ -619,10 +651,8 @@ def _run_index_rows(
     policies are only read; the arm statistics live in the engine.
     """
     n_rows, n_arms = len(cells), ledger.pulled.shape[1]
-    if n_rows == 1:
-        size, step = CHUNK, _python_step(n_arms)
-    else:
-        size, step = BATCH_CHUNK, _numpy_step(n_rows, n_arms)
+    size = _chunk_steps(n_rows, n_arms)
+    step = _python_step(n_arms) if n_rows == 1 else _numpy_step(n_rows, n_arms)
     rows = []  # (load stream, reward stream, quantiles or None, schedule, reads loads)
     for policy, load_rng, reward_rng in cells:
         quantiles = (  # the whole run's loads, kept only inside its quantiles
@@ -693,9 +723,11 @@ def run_experiment(
     replications requested.  When the index-family cells (every
     :class:`IndexPolicy` x replication) number at least :data:`BATCH_ROWS`,
     they run together as the rows of one index-engine run; every other cell
-    runs alone through :func:`run_once`.  Either way the results are the same, and
-    every cell runs on a reset copy of its policy: ``policies`` are left as
-    they are.
+    runs alone through :func:`run_once`.  A cell of a policy with
+    ``quantile_probs`` (EAdaUCB's) joins the batch only while the loads it
+    and the cells before it hold for the whole run fit :data:`BATCH_BYTES`.
+    Either way the results are the same, and every cell runs on a reset
+    copy of its policy: ``policies`` are left as they are.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
@@ -706,11 +738,18 @@ def run_experiment(
     n_arms = bandit.n_arms
     regret = {label: np.empty((replications, len(pts))) for label in policies}
     pulls = {label: np.empty((replications, len(pts), n_arms), dtype=np.int64) for label in policies}
-    batched = [label for label, policy in policies.items() if isinstance(policy, IndexPolicy)]
-    if len(batched) * replications < BATCH_ROWS:
-        batched = []
+    keys, room = [], BATCH_BYTES  # the batch's (label, replication) rows
+    for label, policy in policies.items():
+        if isinstance(policy, IndexPolicy):
+            k = len(policy.quantile_probs)
+            held = RunningQuantiles.held_bytes(horizon, k) if k else 0
+            for rep in range(replications):
+                if held <= room:  # a quantile row joins while the loads it holds fit
+                    keys.append((label, rep))
+                    room -= held
+    if len(keys) < BATCH_ROWS:
+        keys = []
     else:
-        keys = [(label, rep) for label in batched for rep in range(replications)]
         cells = []
         for label, rep in keys:
             streams = replication_streams(base_seed, label, rep)
@@ -721,10 +760,11 @@ def run_experiment(
             regret[label][rep] = ledger.ck_regret[r]
             pulls[label][rep] = ledger.ck_pulls[r]
 
+    batched = set(keys)
     for label, policy in policies.items():
-        if label in batched:
-            continue
         for rep in range(replications):
+            if (label, rep) in batched:
+                continue
             streams = replication_streams(base_seed, label, rep)
             trace = run_once(
                 bandit,

@@ -137,18 +137,18 @@ def small_rho_binary_run():
 
 
 @pytest.fixture(scope="module")
-def small_rho_beta_run():
+def small_rho_beta_run(beta_run):
+    """adaucb with a 0.5% lower quantile; its ucb is :func:`beta_run`'s,
+    which runs on the same load, seed, label, horizon and replications."""
     lo = float(betaincinv(2, 2, 0.005))
     hi = float(betaincinv(2, 2, 0.99))
-    return _experiment(
+    results, elapsed = _experiment(
         BetaLoad(2, 2),
-        {
-            "adaucb": AdaUcbPolicy(5, 0.51, Thresholds(lo, hi)),
-            "ucb": UcbPolicy(5, 0.51),
-        },
+        {"adaucb": AdaUcbPolicy(5, 0.51, Thresholds(lo, hi))},
         100_000,
         [100_000],
     )
+    return results | {"ucb": beta_run[0]["ucb"]}, elapsed
 
 
 @pytest.fixture(scope="module")

@@ -314,6 +314,31 @@ class TestCompare:
         err = self.one_line_error(capsys)
         assert str(csv) in err and "mean_pulls_arm_2" in err
 
+    def test_missing_policy_column_named(self, dirac_pair, capsys):
+        run_dir, bounds_dir = dirac_pair
+        csv = run_dir / "results.csv"
+        self.edit_columns(csv, lambda cols: cols[1:])
+        capsys.readouterr()
+        assert run_cli(["compare", run_dir, bounds_dir]) == 1
+        err = self.one_line_error(capsys)
+        assert err.startswith(f"error: {csv}: no policy column")
+
+    @pytest.mark.parametrize("name", ["results", "bounds"])
+    def test_non_numeric_cell_named(self, dirac_pair, capsys, name):
+        run_dir, bounds_dir = dirac_pair
+        csv = (run_dir if name == "results" else bounds_dir) / f"{name}.csv"
+
+        def edit(cols):
+            (t,) = [c for c in cols if c[0] == "t"]
+            t[2] = "n/a"
+            return cols
+
+        self.edit_columns(csv, edit)
+        capsys.readouterr()
+        assert run_cli(["compare", run_dir, bounds_dir]) == 1
+        err = self.one_line_error(capsys)
+        assert err.startswith(f"error: {csv}: t cell 'n/a'")
+
     @pytest.mark.parametrize("n_envelopes", [0, 2])
     def test_pull_envelope_arm_must_be_one(self, dirac_pair, capsys, n_envelopes):
         run_dir, bounds_dir = dirac_pair

@@ -474,6 +474,13 @@ def make_index_policy(kind, n_arms, lower, upper):
     return make_policy(kind, n_arms, lower, upper)
 
 
+def chunks_of(steps):
+    """Patches the chunk length that :data:`simulator.BATCH_BYTES` gives an
+    index-engine run to ``steps`` steps; which rows join the batch is left
+    to the budget."""
+    return mock.patch.object(simulator, "_chunk_steps", lambda n_rows, n_arms: steps)
+
+
 def experiment(policies, sc, batch_rows):
     with mock.patch.object(simulator, "BATCH_ROWS", batch_rows):
         return run_experiment(
@@ -497,8 +504,13 @@ class TestBatchMatchesRunOnce:
 
         labels = {f"{kind}-{i}": kind for i, kind in enumerate(sc["kinds"])}
         policies = {label: make(kind) for label, kind in labels.items()}
-        with mock.patch.object(simulator, "BATCH_CHUNK", sc["chunk"]):
+        with (
+            chunks_of(sc["chunk"]),
+            mock.patch.object(simulator, "_run_index_rows", wraps=simulator._run_index_rows) as engine,
+        ):
             batch = experiment(policies, sc, batch_rows=1)
+        # every cell, EAdaUCB's included, is a row of the one engine run
+        assert [len(call.args[2]) for call in engine.call_args_list] == [len(policies) * sc["replications"]]
         with mock.patch.object(simulator, "CHUNK", sc["chunk"]):
             for label, kind in labels.items():
                 for rep in range(sc["replications"]):
@@ -524,9 +536,9 @@ class TestBatchMatchesRunOnce:
         sc = dict(
             reward=BernoulliReward((0.3, 0.5, 0.45)),
             load=BetaLoad(2.0, 2.0),
-            horizon=2 * simulator.BATCH_CHUNK + 31,
+            horizon=2 * 128 + 31,
             replications=3,
-            checkpoints=[1, 3, simulator.BATCH_CHUNK + 1, 2 * simulator.BATCH_CHUNK + 31],
+            checkpoints=[1, 3, 128 + 1, 2 * 128 + 31],
             realized=False,
         )
 
@@ -541,7 +553,8 @@ class TestBatchMatchesRunOnce:
             for t in range(1, 7):  # a history of its own, which no run may touch
                 policy.update(policy.select(t, 0.15 * t, rng), 0.5, rng)
         before = {label: pickle.dumps(policy) for label, policy in policies.items()}
-        results = experiment(policies, sc, batch_rows)
+        with chunks_of(128):
+            results = experiment(policies, sc, batch_rows)
         reference = experiment(make_policies(), sc, batch_rows=10**9)  # every cell through run_once
         for label, policy in policies.items():
             assert pickle.dumps(policy) == before[label], label
@@ -556,22 +569,86 @@ class TestBatchMatchesRunOnce:
         sc = dict(
             reward=BernoulliReward((0.3, 0.5, 0.45)),
             load=BetaLoad(2.0, 2.0),
-            horizon=2 * simulator.BATCH_CHUNK + 31,
+            horizon=2 * 128 + 31,
             replications=simulator.BATCH_ROWS // 2 + 1,
-            checkpoints=[1, 3, simulator.BATCH_CHUNK + 1, 2 * simulator.BATCH_CHUNK + 31],
+            checkpoints=[1, 3, 128 + 1, 2 * 128 + 31],
             realized=False,
         )
 
         def policies():
             return {"ucb": make_policy("ucb", 3, 0.2, 0.8), "adaucb": make_policy("adaucb", 3, 0.2, 0.8)}
 
-        with mock.patch.object(simulator, "_run_index_rows", wraps=simulator._run_index_rows) as engine:
+        with (
+            chunks_of(128),
+            mock.patch.object(simulator, "_run_index_rows", wraps=simulator._run_index_rows) as engine,
+        ):
             batch = experiment(policies(), sc, simulator.BATCH_ROWS)
         assert [len(call.args[2]) for call in engine.call_args_list] == [2 * sc["replications"]]
         alone = experiment(policies(), sc, batch_rows=10**9)  # every cell through run_once
         for label in ("ucb", "adaucb"):
             assert batch[label].regret.tobytes() == alone[label].regret.tobytes(), label
             assert batch[label].pulls.tobytes() == alone[label].pulls.tobytes(), label
+
+    @pytest.mark.parametrize("steps", [1, 7, None], ids=["1-step", "7-step", "capped"])
+    def test_chunk_length_from_the_budget(self, steps):
+        # every index kind, quantile rows included, as the rows of one engine
+        # run whose chunks the budget sets; each row equals its cell alone
+        means, reps, horizon = (0.3, 0.5, 0.45, 0.4), 2, simulator.CHUNK + 31
+        labels = [(kind, rep) for kind in INDEX_KINDS for rep in range(reps)]
+        # a row-step takes K + 5 words of the budget
+        budget = steps * len(labels) * (4 + 5) * 8 if steps else simulator.BATCH_BYTES
+        with mock.patch.object(simulator, "BATCH_BYTES", budget):
+            assert simulator._chunk_steps(len(labels), 4) == (steps or simulator.CHUNK)
+            cells = []
+            for kind, rep in labels:
+                streams = replication_streams(3, kind, rep)
+                cells.append((make_policy(kind, 4, 0.2, 0.8), streams["load"], streams["reward"]))
+            ledger = simulator._Ledger(BanditInstance(means), every_step(horizon), horizon, len(cells), False)
+            simulator._run_index_rows(BetaLoad(2.0, 2.0), BernoulliReward(means), cells, horizon, ledger)
+        for r, (kind, rep) in enumerate(labels):
+            streams = replication_streams(3, kind, rep)
+            alone = run_once(
+                BanditInstance(means),
+                BetaLoad(2.0, 2.0),
+                BernoulliReward(means),
+                make_policy(kind, 4, 0.2, 0.8),
+                horizon,
+                every_step(horizon),
+                streams["load"],
+                streams["reward"],
+                streams["policy"],
+            )
+            assert_same_bytes(alone, ledger.trace(r))
+
+    def test_quantile_rows_join_while_their_loads_fit(self):
+        sc = dict(
+            reward=BernoulliReward((0.3, 0.5, 0.45)),
+            load=BetaLoad(2.0, 2.0),
+            horizon=2 * 128 + 31,
+            replications=simulator.BATCH_ROWS // 2,  # enough for the other rows to batch alone
+            checkpoints=[1, 3, 128 + 1, 2 * 128 + 31],
+            realized=False,
+        )
+        held = RunningQuantiles.held_bytes(sc["horizon"], 2)  # one eadaucb row's
+        reps = sc["replications"]
+
+        def run(budget):
+            policies = {kind: make_policy(kind, 3, 0.2, 0.8) for kind in ("ucb", "adaucb", "eadaucb")}
+            with (
+                mock.patch.object(simulator, "BATCH_BYTES", budget),
+                mock.patch.object(simulator, "_run_index_rows", wraps=simulator._run_index_rows) as engine,
+            ):
+                results = experiment(policies, sc, simulator.BATCH_ROWS)
+            return results, [len(call.args[2]) for call in engine.call_args_list]
+
+        stayed, rows = run(held * reps)
+        assert rows == [3 * reps]
+        for budget, expected in [(held * reps - 1, [3 * reps - 1, 1]), (held - 1, [2 * reps] + [1] * reps)]:
+            results, rows = run(budget)
+            assert rows == expected, budget
+            for label in stayed:
+                assert results[label].regret.tobytes() == stayed[label].regret.tobytes(), label
+                assert results[label].pulls.tobytes() == stayed[label].pulls.tobytes(), label
 
 
 # rewards whose running sums round (0.1, 0.3, 0.7) and whose means often
@@ -838,3 +915,9 @@ class TestRunningQuantiles:
         running = RunningQuantiles(np.array(values), (q, 1.0 - q), window)
         got = [running.advance(min(i + chunk, len(values)))[0] for i in range(0, len(values), chunk)]
         assert np.concatenate(got).tolist() == expected
+
+    @pytest.mark.parametrize("probs", [(0.05, 0.95), (0.5,)])
+    def test_held_bytes_counts_what_it_holds(self, probs):
+        running = RunningQuantiles(np.random.default_rng(0).random(1000), probs)
+        held = running._sorted.nbytes + running._ranks.nbytes + sum(map(len, running._held))
+        assert RunningQuantiles.held_bytes(1000, len(probs)) == held
