@@ -22,6 +22,12 @@ covers the index engine's gallop through them:
 
     python scripts/output_hashes.py --horizon 30000 --replications 1
 
+A third check runs Thompson sampling on five arms and on three at a
+horizon where its screen holds a table through many single wins of other
+arms, and inverts only the arms the table leaves open (five arms):
+
+    python scripts/output_hashes.py --only fig2b-beta square-wave-bernoulli mvno-synthetic --horizon 10000 --replications 10
+
 ``--only NAME`` (repeatable, or several names after one flag) hashes just
 those configs, for a quick diff of the ones a change touches:
 

@@ -16,7 +16,9 @@ one numpy block; more rows take one numpy argmax over all rows per step.
 Thompson sampling (``ts``) takes its own kernel, which draws a chunk's
 policy uniforms at once and, once an arm has held the lead for a few steps,
 decides most steps against a table of Beta CDF bounds instead of taking the
-posterior's inverse CDF.  Everything else (``linucb``, ``oracle``, and any
+posterior's inverse CDF; the table stays with that arm through other arms'
+single wins, and the steps it leaves undecided invert only the arms it
+leaves open.  Everything else (``linucb``, ``oracle``, and any
 object that only offers ``select`` and ``update``, such as a proxy that
 times each call) has ``select`` and ``update`` called at every step.  That
 per-step way is also the reference: the engine and the kernel choose the
@@ -177,13 +179,12 @@ BATCH_ROWS = 10
 GALLOP_BLOCK = 32
 
 #: Thompson sampling's screen (:func:`_thompson_kernel`): the levels of the
-#: leader's lower bounds; the rise in the leader's b that one table covers;
-#: the wins in a row after which a table is taken; and the steps of its first
-#: window.  On a 2-vCPU x86-64 host a table costs about 15 us, a window 5-10
-#: us and the inverse over 5 arms 6 us.  With fig2b-beta's arms, a gate of 8
-#: wins takes 0.028 tables a step at T = 2000, and the share of steps that
-#: take the inverse falls to 0.80 there, to 0.33 at T = 1e4 and 0.08 at 1e5
-#: (a gate of 32 leaves 0.96, 0.58 and 0.16)
+#: candidate's lower bounds; the rise in the candidate's b that one table
+#: covers; the wins in a row after which a table is taken or moves to the
+#: winner; and the steps of a first window.  On a 2-vCPU x86-64 host a table
+#: costs about 15 us, a window 3-10 us, another arm's column 1.8 us and the
+#: inverse over 5 arms 3 us.  With fig2b-beta's arms the screen decides
+#: 0.43 of the steps at T = 2000, 0.84 at T = 1e4 and 0.97 at 1e5
 SCREEN_LEVELS = (0.01, 0.1, 0.3, 0.5)
 SCREEN_SLACK = 64
 SCREEN_STREAK = 8
@@ -372,7 +373,7 @@ def _select_each_step(
 def _thompson_kernel(policy: ThompsonPolicy, policy_rng: RngStream | None) -> Chooser:
     """Thompson sampling's kernel: the arms ``select`` and ``update`` would
     choose, bit for bit, with each chunk's policy uniforms drawn at once and
-    most steps of a held lead decided without a posterior inverse.
+    most steps decided without a posterior inverse.
 
     The per-step calls take 1 uniform per init step (the coin of
     ``update``), then per step K posterior uniforms ``u`` and 1 coin; the
@@ -381,27 +382,35 @@ def _thompson_kernel(policy: ThompsonPolicy, policy_rng: RngStream | None) -> Ch
     per-step calls would leave them.  A step's arm is the argmax (ties
     toward the lowest arm) of the draws ``betaincinv(a, b, u)``.
 
-    The screen.  Once one arm c (the leader) has won :data:`SCREEN_STREAK`
-    steps in a row, the kernel takes a table: lower bounds
-    ``x_g = betaincinv(a_c, b_c + SCREEN_SLACK, p_g)`` at the levels p_g of
-    :data:`SCREEN_LEVELS`, and every other arm's CDF at them,
+    The screen.  Once one arm c (the candidate) has won
+    :data:`SCREEN_STREAK` steps in a row, the kernel takes a table: lower
+    bounds ``x_g = betaincinv(a_c, b_c + SCREEN_SLACK, p_g)`` at the levels
+    p_g of :data:`SCREEN_LEVELS`, and every other arm's CDF at them,
     ``F_k(x_g) = betainc(a_k, b_k, x_g)``.  A Beta quantile rises in a and
     falls in b, and c's a never falls, so while c's b stays at most
-    ``b_c + SCREEN_SLACK`` and no other arm is pulled, c's draw at
-    ``u_c > p_g`` is above ``x_g``, and arm k's draw at ``u_k < F_k(x_g)`` is
-    below it.  A step where both hold at one level, with the margins
+    ``b_c + SCREEN_SLACK``, c's draw at ``u_c > p_g`` is above ``x_g``, and
+    arm k's draw at ``u_k < F_k(x_g)`` is below it.  A step where both hold
+    at one level for every k, with the margins
     ``u_c > p_g (1 + 1e-6) + 1e-9`` and ``u_k < F_k(x_g) (1 - 1e-6) - 1e-9``,
     is c's, and takes no inverse.  The margins cover the rounding of both
     functions: for posteriors of up to 2e5 pulls, ``betaincinv(a, b, u)``
     returns an x whose exact CDF is within 6e-10 u of u, and ``betainc`` is
     within 3e-13 of its exact value, relative.  Every other step takes the
-    inverse.
+    inverse, and with more than 3 arms only over the arms the table leaves
+    open: an arm whose draw is certainly below ``x_g``, so below c's, can be
+    neither the argmax nor tied with it, and its draw stays -1.
 
     Steps are screened a window at a time, ahead of the loop: the window
-    starts at :data:`SCREEN_WINDOW` steps and doubles while the lead holds.
-    The table is taken again when c's b passes its slack, and dropped when
-    another arm wins.  Until a lead has held, no table is taken and a step
-    costs what the inverse costs.
+    starts at :data:`SCREEN_WINDOW` steps and doubles while c wins.  When
+    another arm k wins a step (an exploration), only k's posterior moved,
+    and the table keeps c's bounds.  A Beta CDF falls in a and rises in b,
+    so after k's failure its old column is still under its CDFs: the column
+    and the steps screened ahead still hold.  After k's success the table
+    takes k's column again, and the steps ahead are screened anew.  The
+    table is taken again when c's b passes its slack, and moves to another
+    arm once that arm has won :data:`SCREEN_STREAK` steps in a row.  Until
+    a first lead has held, no table is taken and a step costs what the
+    inverse costs.
     """
     from scipy.special import betainc, betaincinv
 
@@ -411,36 +420,54 @@ def _thompson_kernel(policy: ThompsonPolicy, policy_rng: RngStream | None) -> Ch
     a, b = policy.a, policy.b
     draws = np.empty(n_arms)
     levels = np.array(SCREEN_LEVELS)
-    floors = levels * (1.0 + 1e-6) + 1e-9  # the leader's uniform must pass one
-    # row 1 + g: where the leader's uniform passes floor g (and no higher),
-    # every other arm's must stay under its ceiling there; row 0 fails all
+    bounds = np.empty_like(levels)  # the x_g of the table
+    floors = levels * (1.0 + 1e-6) + 1e-9  # the candidate's uniform must pass one
+    # row 1 + g: where the candidate's uniform passes floor g (and no
+    # higher), every other arm's must stay under its ceiling there; row 0
+    # fails all
     ceilings = np.full((len(levels) + 1, n_arms), -1.0)
+    # an inverse over the open arms only pays from 4 arms on (on a 2-vCPU
+    # x86-64 host, 2 open arms take 1.9-2.3 us, and all arms 1.6 us at K = 3,
+    # 2.5 at K = 4, 3.1 at K = 5 and 4.9 at K = 8)
+    masked = n_arms > 3
     no_screen = repeat(False)
-    decided = no_screen  # per step ahead: is it certainly the leader's?
-    lead, streak = -1, 0
-    slack = -1  # the rises of the leader's b the table still covers; -1: no table
-    until = 0  # the chunk's last step screened
+    decided = no_screen  # per step ahead: is it certainly the candidate's?
+    opened = None  # per screened step: the arms left open (with `masked`)
+    cand = lead = -1  # the table's arm; the last winner, which has won `streak` in a row
+    streak = 0
+    slack = -1  # the rises of the candidate's b the table still covers; -1: no table
+    start = until = 0  # the chunk's first and last steps screened
     window = SCREEN_WINDOW  # the steps the next screen covers
 
     def take_table() -> None:
         nonlocal slack
         slack = SCREEN_SLACK
-        x = betaincinv(a[lead], b[lead] + SCREEN_SLACK, levels)
-        betainc(a, b, x[:, None], out=ceilings[1:])
+        bounds[:] = betaincinv(a[cand], b[cand] + SCREEN_SLACK, levels)
+        betainc(a, b, bounds[:, None], out=ceilings[1:])
         ceilings[1:] *= 1.0 - 1e-6
         ceilings[1:] -= 1e-9
-        ceilings[1:, lead] = 2.0  # the leader is held to its floor instead
+        ceilings[1:, cand] = 2.0  # the candidate is held to its floor instead
+
+    def take_column(k: int) -> None:
+        column = ceilings[1:, k]
+        betainc(a[k], b[k], bounds, out=column)
+        column *= 1.0 - 1e-6
+        column -= 1e-9
 
     def screen(u: np.ndarray, j: int) -> Iterator[bool]:
         """Screen the next window of the chunk's uniforms ``u`` from step j."""
-        nonlocal until, window
-        until = j + window - 1
+        nonlocal opened, start, until, window
+        start, until = j, j + window - 1
         u = u[j : j + window]
         window = min(2 * window, CHUNK)
-        return iter((u < ceilings.take(floors.searchsorted(u[:, lead]), axis=0)).all(axis=1).tolist())
+        below = u < ceilings.take(floors.searchsorted(u[:, cand]), axis=0)
+        if masked:
+            opened = ~below
+            opened[:, cand] = True
+        return iter(below.all(axis=1).tolist())
 
     def choose(i0: int, i1: int, rewards: list) -> list:
-        nonlocal decided, lead, streak, slack, window
+        nonlocal decided, cand, lead, streak, slack, window
         rows = range(0, len(rewards), n_arms)
         if i1 <= n_arms:  # the init round pulls arms 0..K-1 in order
             for arm, coin, row in zip(range(i0, i1), policy_rng.random(i1 - i0).tolist(), rows):
@@ -455,22 +482,39 @@ def _thompson_kernel(policy: ThompsonPolicy, policy_rng: RngStream | None) -> Ch
         chosen = []
         for j, coin, row in zip(range(i1 - i0), us[:, n_arms].tolist(), rows):
             # each step samples the posterior its predecessor updated
-            arm = lead if next(decided) else int(betaincinv(a, b, u[j], out=draws).argmax())
+            if next(decided):
+                arm = cand
+            elif masked and slack >= 0:
+                draws.fill(-1.0)
+                arm = int(betaincinv(a, b, u[j], out=draws, where=opened[j - start]).argmax())
+            else:
+                arm = int(betaincinv(a, b, u[j], out=draws).argmax())
             if coin < rewards[row + arm]:
                 a[arm] += 1.0
             else:
                 b[arm] += 1.0
-                slack -= 1
+                if arm == cand:
+                    slack -= 1
             chosen.append(arm)
-            if arm != lead:
-                lead, streak, slack, window = arm, 1, -1, SCREEN_WINDOW
-                decided = no_screen
-            else:
+            if arm == lead:
                 streak += 1
-                if streak >= SCREEN_STREAK and (slack < 0 or j >= until):
-                    if slack < 0:  # no table yet, or its slack is spent
-                        take_table()
-                    decided = screen(u, j + 1)
+            else:
+                lead, streak = arm, 1
+            if arm != cand:
+                if streak >= SCREEN_STREAK:  # the table moves to this arm
+                    cand, slack = arm, -1
+                elif slack < 0:  # no table yet
+                    continue
+                elif coin >= rewards[row + arm] and j < until:
+                    continue  # a failure raised this arm's CDFs: its column and the screen hold
+                else:  # an exploration: only this arm's column moved
+                    take_column(arm)
+                window = SCREEN_WINDOW
+            elif slack >= 0 and j < until:
+                continue
+            if slack < 0:  # a new candidate, or the table's slack is spent
+                take_table()
+            decided = screen(u, j + 1)
         return chosen
 
     return choose

@@ -820,18 +820,82 @@ def screens(draw):
     )
 
 
+@st.composite
+def explorations(draw):
+    """Thompson runs on Bernoulli arms with close means, so that other arms
+    win single steps while one arm holds the table: 2 to 8 arms (the
+    inverse over the open arms runs from 4), small chunks, and a small
+    streak, slack and window."""
+    n_arms = draw(st.integers(2, 8))
+    base = draw(st.sampled_from((0.1, 0.5, 0.8)))
+    offsets = draw(st.lists(st.sampled_from((0.0, 0.02, 0.05, 0.1)), min_size=n_arms, max_size=n_arms))
+    return dict(
+        n_arms=n_arms,
+        reward=BernoulliReward(tuple(base + d for d in offsets)),
+        horizon=draw(st.integers(50, 500)),
+        chunk=draw(st.sampled_from((1, 7, 64, simulator.CHUNK))),
+        streak=draw(st.sampled_from((2, 3, simulator.SCREEN_STREAK))),
+        slack=draw(st.sampled_from((0, 1, 5, simulator.SCREEN_SLACK))),
+        window=draw(st.sampled_from((1, 3, simulator.SCREEN_WINDOW))),
+        grid=draw(st.sampled_from((None, None, SCREEN_GRID))),
+    )
+
+
+def arms_of(trace):
+    """The arm pulled at each step of a per-step trace."""
+    return np.diff(trace.pulls, axis=0, prepend=0).argmax(axis=1)
+
+
+def exploration_steps(arms, n_arms, streak):
+    """{step: the arm holding the table} for the steps after the init round
+    at which an arm wins while another, the last to win ``streak`` steps in
+    a row, holds the table, and does not take it over."""
+    held, lead, run, steps = -1, -1, 0, {}
+    for t, arm in enumerate(arms[n_arms:], n_arms):
+        lead, run = arm, run + 1 if arm == lead else 1
+        if run >= streak:
+            held = arm
+        elif held >= 0 and arm != held:
+            steps[t] = held
+    return steps
+
+
 def spied_inverses():
     """A patch of the Thompson kernel's inverse that counts the steps it
-    takes the inverse over the arms.  The kernel binds
-    ``scipy.special.betaincinv`` when it is built, so the patch is there."""
-    taken = []
+    takes the inverse over the arms (``taken``), and the arms each of those
+    inverses covers: all of them, or its ``where=`` mask's (``inverted``).
+    The kernel binds ``scipy.special.betaincinv`` when it is built, so the
+    patch is there."""
+    taken, inverted = [], []
     inverse = scipy.special.betaincinv
 
     def spy(*args, **kwargs):
         taken.append("out" in kwargs)
+        if "out" in kwargs:
+            where = kwargs.get("where")
+            inverted.append(kwargs["out"].size if where is None else int(np.count_nonzero(where)))
         return inverse(*args, **kwargs)
 
-    return mock.patch.object(scipy.special, "betaincinv", spy), taken
+    return mock.patch.object(scipy.special, "betaincinv", spy), taken, inverted
+
+
+def run_screened(sc):
+    """:func:`run_both` on a Thompson run of :func:`screens` or
+    :func:`explorations`, at its chunk length and screen settings."""
+    with (
+        mock.patch.object(simulator, "CHUNK", sc["chunk"]),
+        mock.patch.object(simulator, "SCREEN_STREAK", sc["streak"]),
+        mock.patch.object(simulator, "SCREEN_SLACK", sc["slack"]),
+        mock.patch.object(simulator, "SCREEN_WINDOW", sc["window"]),
+    ):
+        return run_both(
+            lambda: ThompsonPolicy(sc["n_arms"]),
+            FixedLoad([0.5] * sc["horizon"]),
+            sc["reward"],
+            sc["horizon"],
+            every_step(sc["horizon"]),
+            policy_grid=sc["grid"],
+        )
 
 
 class TestThompsonScreenMatchesPerStepLoop:
@@ -861,22 +925,9 @@ class TestThompsonScreenMatchesPerStepLoop:
         )
     )
     def test_random_runs_byte_for_byte(self, sc):
-        spy, taken = spied_inverses()
-        with (
-            spy,
-            mock.patch.object(simulator, "CHUNK", sc["chunk"]),
-            mock.patch.object(simulator, "SCREEN_STREAK", sc["streak"]),
-            mock.patch.object(simulator, "SCREEN_SLACK", sc["slack"]),
-            mock.patch.object(simulator, "SCREEN_WINDOW", sc["window"]),
-        ):
-            ref, fast, p_ref, p_fast = run_both(
-                lambda: ThompsonPolicy(sc["n_arms"]),
-                FixedLoad([0.5] * sc["horizon"]),
-                sc["reward"],
-                sc["horizon"],
-                every_step(sc["horizon"]),
-                policy_grid=sc["grid"],
-            )
+        spy, taken, _ = spied_inverses()
+        with spy:
+            ref, fast, p_ref, p_fast = run_screened(sc)
         assume(sc["horizon"] - sc["n_arms"] > sum(taken))  # the screen decided steps: the case under test
         assert_same_bytes(ref, fast)
         assert_same_state(p_ref, p_fast)
@@ -885,7 +936,7 @@ class TestThompsonScreenMatchesPerStepLoop:
         # three well-separated arms: once the best arm leads, nearly every
         # step is decided without an inverse
         horizon = 3 * simulator.CHUNK + 17
-        spy, taken = spied_inverses()
+        spy, taken, _ = spied_inverses()
         with spy:
             ref, fast, p_ref, p_fast = run_both(
                 lambda: ThompsonPolicy(3),
@@ -897,6 +948,59 @@ class TestThompsonScreenMatchesPerStepLoop:
         assert_same_bytes(ref, fast)
         assert_same_state(p_ref, p_fast)
         assert sum(taken) < horizon // 4
+
+    @given(explorations())
+    def test_explorations_byte_for_byte(self, sc):
+        ref, fast, p_ref, p_fast = run_screened(sc)
+        assert_same_bytes(ref, fast)
+        assert_same_state(p_ref, p_fast)
+        # the case under test: other arms won single steps under a table
+        assume(exploration_steps(arms_of(ref), sc["n_arms"], sc["streak"]))
+
+    def test_explorations_keep_the_table(self):
+        # fig2b-beta's arms, one step a chunk, so that each step's inverse
+        # is seen on its own: per step, the arms inverted (none if decided)
+        means = (0.05, 0.1, 0.15, 0.2, 0.25)
+        n_arms, horizon, streak = len(means), 4000, simulator.SCREEN_STREAK
+        marks = []
+
+        class Marked(BernoulliReward):
+            def reward_rows(self, t0, n, rng):
+                marks.append(len(inverted))
+                return super().reward_rows(t0, n, rng)
+
+        spy, _, inverted = spied_inverses()
+        streams = replication_streams(4, "kernel", 0)
+        with spy, mock.patch.object(simulator, "CHUNK", 1):
+            trace = run_once(
+                BanditInstance(means),
+                BetaLoad(2.0, 2.0),
+                Marked(means),
+                ThompsonPolicy(n_arms),
+                horizon,
+                every_step(horizon),
+                streams["load"],
+                streams["reward"],
+                streams["policy"],
+            )
+        per_step = [sum(inverted[i:j]) for i, j in zip(marks, [*marks[1:], len(inverted)])]
+        arms = arms_of(trace)
+        explored = exploration_steps(arms, n_arms, streak)
+        assert len(explored) > 100
+        # after an exploration the table's arm is screened again at once:
+        # of its wins in the next streak - 1 steps (each of which took the
+        # inverse when an exploration dropped the table), most are decided
+        held = [
+            per_step[t] == 0
+            for e, arm in explored.items()
+            for t in range(e + 1, min(e + streak, horizon))
+            if arms[t] == arm and t not in explored
+        ]
+        assert sum(held) > 0.5 * len(held)
+        # an undecided step under a table (held from the first exploration
+        # on) inverts only the arms the table leaves open
+        opened = [n for n in per_step[min(explored) :] if n > 0]
+        assert min(opened) < n_arms and np.mean(opened) < 0.75 * n_arms
 
 
 class TestRunningQuantiles:
