@@ -8,17 +8,20 @@ Two checkouts whose outputs must be byte-identical print the same lines:
     (the same in the other checkout) > b.txt
     diff a.txt b.txt
 
-At 5 replications every config with two or more index policies runs them
-in the batched index engine (``BATCH_ROWS`` is 10 cells), on chunks whose
-length the engine's byte budget (``BATCH_BYTES``) sets from the number of
-rows and arms; EAdaUCB rows join that batch while the whole run's loads
-they hold (14 bytes a step) fit the same budget, and the rest run alone: at
-the configs' default horizons and replications most of them do.
+The simulator runs every cell in one chunk loop, whose step the policy
+class picks.  At 5 replications every config with two or more index
+policies runs them as the rows of one run of that loop (``BATCH_ROWS`` is
+10 cells), on chunks whose length the byte budget (``BATCH_BYTES``) sets
+from the number of rows and arms; EAdaUCB rows join that batch while the
+whole run's loads they hold (14 bytes a step) fit the same budget, and the
+rest run alone: at the configs' default horizons and replications most of
+them do.  Every other cell (``ts``, ``linucb``, ``oracle``) is a one-row
+run of the same loop.
 
 The script imports opbandit from the ``src/`` next to it, so each checkout
 hashes its own sources.  Short horizons change leaders every few steps;
 a second check at a horizon long enough for runs of hundreds of steps
-covers the index engine's gallop through them:
+covers the index step's gallop through them:
 
     python scripts/output_hashes.py --horizon 30000 --replications 1
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import inspect
 import logging
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -82,7 +83,10 @@ def _as_type(value, types, fieldpath: str, what: str):
 
 
 def _as_number(value, fieldpath: str) -> float:
-    return float(_as_type(value, (int, float), fieldpath, "a number"))
+    number = _as_type(value, (int, float), fieldpath, "a number")
+    if not abs(number) <= sys.float_info.max:  # YAML's .nan and .inf, and ints no float holds
+        raise ConfigError(fieldpath, "expected a finite number")
+    return float(number)
 
 
 def _as_int(value, fieldpath: str) -> int:

@@ -16,7 +16,7 @@ The index family (:class:`IndexPolicy`: ucb, adaucb, eadaucb, rr-greedy)
 can also describe a whole run up front, because its exploration coefficient
 depends on the loads and never on rewards: ``exploration_schedule`` gives
 every step's coefficient, a chunk at a time, to the simulator's index
-engine, which then needs no per-step ``select``/``update`` calls and only
+step, which then needs no per-step ``select``/``update`` calls and only
 reads the policy.
 :class:`ThompsonPolicy` takes a fixed number of policy uniforms per step (1
 during the init round, then K + 1), so the simulator's Thompson kernel
@@ -120,9 +120,8 @@ class Policy:
 
 #: exploration coefficients of the steps in one chunk:
 #: ``schedule(i1, loads, ln_t)`` covers the ``len(loads)`` steps up to step
-#: i1, given those steps' raw loads and ``ln_t()``, their ln t (built only
-#: for a schedule that calls it)
-Schedule = Callable[[int, np.ndarray, Callable[[], np.ndarray]], np.ndarray]
+#: i1, given those steps' raw loads and their ln t
+Schedule = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
 
 
 class IndexPolicy(Policy):
@@ -132,7 +131,7 @@ class IndexPolicy(Policy):
 
     with an exploration coefficient ``c_t`` that depends on the step and its
     load but never on rewards.  :meth:`exploration_schedule` hands the whole
-    ``c_t`` sequence to the simulator's index engine chunk by chunk, which
+    ``c_t`` sequence to the simulator's index step chunk by chunk, which
     keeps the arm statistics itself; ``select`` is the same rule one step at
     a time, on the policy's own statistics.
     """
@@ -182,7 +181,7 @@ class IndexPolicy(Policy):
         alpha = self.alpha
 
         def schedule(i1: int, loads: np.ndarray, ln_t) -> np.ndarray:
-            return alpha * (1.0 - normalized(i1, loads)) * ln_t()
+            return alpha * (1.0 - normalized(i1, loads)) * ln_t
 
         return schedule
 
@@ -283,7 +282,7 @@ class RunningQuantiles:
     most one per insert or eviction, so the pointer moves at most one held
     rank: one ``bytearray.find``/``rfind``.  The loads themselves are kept
     only as sorted values and 32-bit ranks (:meth:`loads`): the simulator's
-    index engine reads an EAdaUCB row's loads from here, a chunk at a time,
+    chunk loop reads an EAdaUCB row's loads from here, a chunk at a time,
     and keeps no copy of its own.
     """
 

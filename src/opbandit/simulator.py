@@ -1,52 +1,48 @@
 """The experiment run loop: reveal load, let the policy pick an arm, draw the
 nominal reward, update the policy, accumulate load-weighted regret.
 
-:func:`run_once` walks the horizon a chunk of steps at a time.  Per chunk,
-the reward model gives every arm's reward (``reward_rows``), the arms are
-chosen, and the regret, pull counts and checkpoints are accounted from the
-chosen arms in one pass (:class:`_Ledger`); the checkpoints are the only
-recording.  The arms are chosen one of three ways, by
-the policy's class.  The index family (``ucb``, ``adaucb``, ``eadaucb`` and
-``rr-greedy``, every :class:`~opbandit.policies.IndexPolicy`) runs in the
-index engine (:func:`_run_index_rows`): the policy supplies each step's
-exploration coefficient ``c_t`` and the engine picks the arms, without
-calling ``select`` or ``update`` and without changing the policy.  One
-row takes a Python loop that checks each long run of one arm's wins in
-one numpy block; more rows take one numpy argmax over all rows per step.
-Thompson sampling (``ts``) takes its own kernel, which draws a chunk's
-policy uniforms at once and, once an arm has held the lead for a few steps,
-decides most steps against a table of Beta CDF bounds instead of taking the
-posterior's inverse CDF; the table stays with that arm through other arms'
-single wins, and the steps it leaves undecided invert only the arms it
-leaves open.  Everything else (``linucb``, ``oracle``, and any
-object that only offers ``select`` and ``update``, such as a proxy that
-times each call) has ``select`` and ``update`` called at every step.  That
-per-step way is also the reference: the engine and the kernel choose the
-arms it would, bit for bit, and the Thompson kernel leaves the policy and
-its stream as it would.
+One chunk loop, :func:`_run_rows`, runs every cell: N (policy,
+replication) cells of one bandit as N rows, a chunk of steps at a time.
+Per chunk, the reward model gives every arm's reward (``reward_rows``), one
+step chooses every row's arms, and the regret, pull counts and checkpoints
+are accounted from the chosen arms in one pass (:class:`_Ledger`); the
+checkpoints are the only recording.  The policy's class picks the step.
+The index family (every :class:`~opbandit.policies.IndexPolicy`: ``ucb``,
+``adaucb``, ``eadaucb``, ``rr-greedy``) takes :func:`_index_step`: the
+policy supplies each step's exploration coefficient ``c_t``, and the step
+picks the arms with its own arm statistics, so the policy is only read.
+Thompson sampling (``ts``) takes :func:`_thompson_kernel`, which draws a
+chunk's policy uniforms at once and decides most steps without a
+posterior inverse.  Everything else (``linucb``, ``oracle``, and any object
+that only offers ``select`` and ``update``, such as a proxy that times each
+call) has them called at every step (:func:`_select_each_step`).  That
+per-step way is the reference: the other two choose the arms it would, bit
+for bit, and the Thompson kernel leaves the policy and its stream as it
+would.  Only the index step runs more than one row.
 
 A load is read by the regret only where the chosen arm's gap is positive
 (``load * 0`` adds nothing), and by the arm choice only if the policy's
-class ``reads_loads``.  For a cell that does not (``ucb`` in the index
-engine, ``ts`` in its kernel), each chunk's loads are drawn after its arms
-are chosen, and only the charged steps' loads are computed
-(:meth:`_Ledger.charged`; every step for realized regret).  The load
-stream takes the same uniforms either way, and an uncharged step's cost is
+class ``reads_loads`` (an object that hides its class is taken to read
+them).  A row whose choice reads loads draws them a chunk at a time before
+the step; an EAdaUCB row reads them from the running quantiles that hold
+its whole run.  Every other row (``ucb``, ``ts``) draws each chunk's loads
+after the step, and computes only the charged steps' loads
+(:meth:`_Ledger.charged`; every step for realized regret).  The load stream
+takes the same uniforms either way, and an uncharged step's cost is
 ``0 * gap = +0.0`` instead of ``load * 0 = +0.0``, so the outputs are the
 same bytes.
 
-:func:`run_experiment` runs each (policy, replication) cell through
-:func:`run_once`, a one-row run of the index engine for an index policy,
-except when the index-family cells number at least :data:`BATCH_ROWS`:
-then they run as the rows of one engine run.  One byte budget,
-:data:`BATCH_BYTES`, bounds that run's memory twice: a chunk's arrays,
-which sets the chunk length (:func:`_chunk_steps`, at most :data:`CHUNK`),
-and the loads that EAdaUCB rows hold for the whole run, 14 bytes a step.
-EAdaUCB cells join the batch while the loads they hold fit it; the rest
-run alone.  Each row keeps its own streams and schedule, so the outputs
-depend neither on which path ran nor on the chunk length.  Every cell runs
-on a reset copy of its policy: the policies given to
-:func:`run_experiment` are not changed.
+:func:`run_once` is a one-row run of the chunk loop.  :func:`run_experiment`
+runs each (policy, replication) cell through :func:`run_once`, except when
+the index-family cells number at least :data:`BATCH_ROWS`: then they run as
+the rows of one run.  One byte budget, :data:`BATCH_BYTES`, bounds a run's
+memory twice: a chunk's arrays, which sets the chunk length
+(:func:`_chunk_steps`, at most :data:`CHUNK`), and the loads that EAdaUCB
+rows hold for the whole run, 14 bytes a step.  EAdaUCB cells join the batch
+while the loads they hold fit it; the rest run alone.  Each row keeps its
+own streams and schedule, so the outputs depend neither on which path ran
+nor on the chunk length.  Every cell runs on a reset copy of its policy:
+the policies given to :func:`run_experiment` are not changed.
 
 Regret is expected pseudo-regret by default: each step adds
 ``load * (best_mean - mean[chosen])`` using the true arm means, which is the
@@ -65,7 +61,7 @@ import copy
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import islice, repeat
 from typing import Callable, Iterator
 
@@ -144,12 +140,12 @@ def replication_streams(base_seed: int, policy_label: str, replication: int) -> 
     }
 
 
-#: steps per chunk of the run loop: enough to amortize the numpy calls made
-#: per chunk, few enough that no horizon-long Python list is held; also the
-#: index engine's longest chunk
+#: the longest chunk of the run loop (:func:`_run_rows`): enough to amortize
+#: the numpy calls made per chunk, few enough that no horizon-long Python
+#: list is held
 CHUNK = 1024
 
-#: the bytes an index-engine run may hold for its rows, twice over: once for
+#: the bytes a run of the chunk loop may hold for its rows, twice over: once for
 #: a chunk's arrays, which sets the chunk length (:func:`_chunk_steps`), and
 #: once for the whole run's loads that its quantile rows (EAdaUCB's) hold:
 #: ``run_experiment`` lets such rows into a batch while their loads fit and
@@ -163,7 +159,7 @@ CHUNK = 1024
 BATCH_BYTES = 3 * 2**19  # 1.5 MiB
 
 #: index-family cells (policies x replications) from which
-#: ``run_experiment`` runs them as the rows of one engine run, in the numpy
+#: ``run_experiment`` runs them as the rows of one run, in the numpy
 #: step: below it, the dozen numpy calls per step that the rows share cost
 #: more than each cell's own one-row run, galloping as it does (the
 #: measured crossover is 9-12 rows for fig2b-beta's mix of ucb, adaucb and
@@ -209,11 +205,11 @@ def _log_table(horizon: int) -> np.ndarray:
 
 
 def _chunk_steps(n_rows: int, n_arms: int) -> int:
-    """Steps per chunk of an index-engine run of ``n_rows`` rows: as many as
-    keep the chunk's arrays within :data:`BATCH_BYTES`, at most
-    :data:`CHUNK` and at least 1.  A row-step takes K + 5 words: its K
-    rewards, load, ``c_t`` and arm in the engine's buffers, the ledger's
-    cost, and a word for the step's forced-pull mask (a byte)."""
+    """Steps per chunk of a run of ``n_rows`` rows: as many as keep the
+    chunk's arrays within :data:`BATCH_BYTES`, at most :data:`CHUNK` and at
+    least 1.  A row-step takes K + 5 words: its K rewards, load, ``c_t`` and
+    arm in the run's buffers, the ledger's cost, and a word for the index
+    step's forced-pull mask (a byte)."""
     return max(1, min(CHUNK, BATCH_BYTES // (n_rows * (n_arms + 5) * 8)))
 
 
@@ -222,17 +218,16 @@ def _chunk_ends(n_arms: int, horizon: int, size: int) -> list[int]:
     return sorted({n_arms, horizon, *range(size, horizon, size)})
 
 
-def _check_rewards(rows: np.ndarray) -> np.ndarray:
+def _check_rewards(rows: np.ndarray) -> None:
     # a NaN makes min() NaN, which fails the comparison
     if not (rows.min() >= 0.0 and rows.max() <= 1.0):
         raise ValueError("nominal rewards must be in [0, 1]")
-    return rows
 
 
 class _Ledger:
     """Regret, pull and checkpoint accounting of ``n_rows`` runs of one
-    bandit, a chunk of chosen arms at a time: the one accounting block of
-    ``run_once`` (one row) and the index engine.
+    bandit, a chunk of chosen arms at a time: the accounting block of the
+    chunk loop (:func:`_run_rows`).
 
     The checkpoints are the only recording: each chunk is accounted in one
     pass, whatever the number of its checkpoints, so a per-step trace is
@@ -309,71 +304,47 @@ def run_once(
     policy_rng: RngStream | None,
     realized: bool = False,
 ) -> ReplicationTrace:
-    """Run a single replication and return its checkpointed trace.
+    """Run a single replication and return its checkpointed trace: a
+    one-row run of the chunk loop (:func:`_run_rows`).
 
     The checkpoints are all that is recorded; ``np.arange(1, horizon + 1)``
     records every step, at about the cost of the chunked run itself.  The
     policy must be freshly constructed or reset; the caller owns the
-    streams.  An index policy runs as the one row of the index engine and
-    is only read; any other policy is left as its own calls leave it.
+    streams.  An index policy is only read; any other policy is left as
+    ``select`` and ``update`` at every step would leave it.
     """
     ledger = _Ledger(bandit, checkpoints, horizon, 1, realized)
     if load_model.uses_rng and load_rng is None:
         raise ValueError("stochastic load model needs a load stream")
     if reward_model.uses_rng and reward_rng is None:
         raise ValueError("stochastic reward model needs a reward stream")
-    if isinstance(policy, IndexPolicy):
-        _run_index_rows(load_model, reward_model, [(policy, load_rng, reward_rng)], horizon, ledger)
-        return ledger.trace(0)
-
-    n_arms = bandit.n_arms
-    if isinstance(policy, ThompsonPolicy):  # its class does not read loads
-        choose, loads = _thompson_kernel(policy, policy_rng), None
-    else:
-        loads = load_model.sample_loads(horizon, load_rng)
-        choose = _select_each_step(policy, n_arms, loads, policy_rng)
-
-    i0 = 0
-    for i1 in _chunk_ends(n_arms, horizon, CHUNK):
-        rows = _check_rewards(reward_model.reward_rows(i0 + 1, i1 - i0, reward_rng))
-        arms = np.array(choose(i0, i1, rows.ravel().tolist()))
-        if loads is None:  # drawn after the arms, computed where charged
-            chunk_loads = load_model.sample_loads(i1 - i0, load_rng, i0 + 1, where=ledger.charged(arms))
-        else:
-            chunk_loads = loads[i0:i1]
-        ledger.add(i0, arms[None], chunk_loads[None], rows[None])
-        i0 = i1
+    _run_rows(load_model, reward_model, [(policy, load_rng, reward_rng, policy_rng)], horizon, ledger)
     return ledger.trace(0)
 
 
-#: the arms chosen at steps i0+1..i1, given every arm's reward at those steps
-#: as one flat list, step by step (a nested list per step costs the garbage
-#: collector more than the steps): ``choose(i0, i1, rewards)``
-Chooser = Callable[[int, int, list], list]
-
-
-def _select_each_step(
-    policy: Policy, n_arms: int, loads: np.ndarray, policy_rng: RngStream | None
-) -> Chooser:
-    """The reference way to choose: ``select`` and ``update`` at every step."""
+def _select_each_step(policy: Policy, n_arms: int, policy_rng: RngStream | None) -> Callable:
+    """The reference step of one row: ``select`` and ``update`` at every
+    step.  The rewards go to ``update`` as Python floats, from one flat list
+    per chunk (a nested list per step costs the garbage collector more than
+    the steps)."""
     select, update = policy.select, policy.update
 
-    def choose(i0: int, i1: int, rewards: list) -> list:
-        chosen = []
-        steps = zip(range(i0 + 1, i1 + 1), loads[i0:i1].tolist(), range(0, len(rewards), n_arms))
-        for t, load, row in steps:
+    def step(i0: int, i1: int, loads: np.ndarray, rewards: np.ndarray, chosen: np.ndarray) -> None:
+        flat = rewards.ravel().tolist()
+        arms = []
+        for t, load, row in zip(range(i0 + 1, i1 + 1), loads[0].tolist(), range(0, len(flat), n_arms)):
             arm = select(t, load, policy_rng)
-            update(arm, rewards[row + arm], policy_rng)
-            chosen.append(arm)
-        return chosen
+            update(arm, flat[row + arm], policy_rng)
+            arms.append(arm)
+        chosen[:, 0] = arms
 
-    return choose
+    return step
 
 
-def _thompson_kernel(policy: ThompsonPolicy, policy_rng: RngStream | None) -> Chooser:
-    """Thompson sampling's kernel: the arms ``select`` and ``update`` would
-    choose, bit for bit, with each chunk's policy uniforms drawn at once and
-    most steps decided without a posterior inverse.
+def _thompson_kernel(policy: ThompsonPolicy, policy_rng: RngStream | None) -> Callable:
+    """Thompson sampling's step of one row: the arms ``select`` and
+    ``update`` would choose, bit for bit, with each chunk's policy uniforms
+    drawn at once and most steps decided without a posterior inverse.
 
     The per-step calls take 1 uniform per init step (the coin of
     ``update``), then per step K posterior uniforms ``u`` and 1 coin; the
@@ -466,20 +437,22 @@ def _thompson_kernel(policy: ThompsonPolicy, policy_rng: RngStream | None) -> Ch
             opened[:, cand] = True
         return iter(below.all(axis=1).tolist())
 
-    def choose(i0: int, i1: int, rewards: list) -> list:
+    def step(i0: int, i1: int, loads: np.ndarray, rewards: np.ndarray, chosen: np.ndarray) -> None:
         nonlocal decided, cand, lead, streak, slack, window
-        rows = range(0, len(rewards), n_arms)
+        flat = rewards.ravel().tolist()  # as in _select_each_step
+        rows = range(0, len(flat), n_arms)
         if i1 <= n_arms:  # the init round pulls arms 0..K-1 in order
             for arm, coin, row in zip(range(i0, i1), policy_rng.random(i1 - i0).tolist(), rows):
-                if coin < rewards[row + arm]:
+                if coin < flat[row + arm]:
                     a[arm] += 1.0
                 else:
                     b[arm] += 1.0
-            return list(range(i0, i1))
+            chosen[:, 0] = range(i0, i1)
+            return
         us = policy_rng.random((i1 - i0) * (n_arms + 1)).reshape(-1, n_arms + 1)
         u = us[:, :n_arms]
         decided = screen(u, 0) if slack >= 0 else no_screen
-        chosen = []
+        arms = []
         for j, coin, row in zip(range(i1 - i0), us[:, n_arms].tolist(), rows):
             # each step samples the posterior its predecessor updated
             if next(decided):
@@ -489,13 +462,13 @@ def _thompson_kernel(policy: ThompsonPolicy, policy_rng: RngStream | None) -> Ch
                 arm = int(betaincinv(a, b, u[j], out=draws, where=opened[j - start]).argmax())
             else:
                 arm = int(betaincinv(a, b, u[j], out=draws).argmax())
-            if coin < rewards[row + arm]:
+            if coin < flat[row + arm]:
                 a[arm] += 1.0
             else:
                 b[arm] += 1.0
                 if arm == cand:
                     slack -= 1
-            chosen.append(arm)
+            arms.append(arm)
             if arm == lead:
                 streak += 1
             else:
@@ -505,7 +478,7 @@ def _thompson_kernel(policy: ThompsonPolicy, policy_rng: RngStream | None) -> Ch
                     cand, slack = arm, -1
                 elif slack < 0:  # no table yet
                     continue
-                elif coin >= rewards[row + arm] and j < until:
+                elif coin >= flat[row + arm] and j < until:
                     continue  # a failure raised this arm's CDFs: its column and the screen hold
                 else:  # an exploration: only this arm's column moved
                     take_column(arm)
@@ -515,9 +488,9 @@ def _thompson_kernel(policy: ThompsonPolicy, policy_rng: RngStream | None) -> Ch
             if slack < 0:  # a new candidate, or the table's slack is spent
                 take_table()
             decided = screen(u, j + 1)
-        return chosen
+        chosen[:, 0] = arms
 
-    return choose
+    return step
 
 
 def _gallop(means: list, pulls: list, sums: list, lead: int, coeff: np.ndarray, rewards: np.ndarray) -> int:
@@ -661,80 +634,92 @@ def _numpy_step(n_rows: int, n_arms: int) -> Callable:
     return step
 
 
-def _run_index_rows(
+def _index_step(policies: list[IndexPolicy], held: list, horizon: int) -> Callable:
+    """The index family's step: per row, ``argmax mean + sqrt(c_t / pulls)``
+    (ties toward the lowest arm) after the init round, as ``select`` would,
+    with ``c_t`` from the policy's schedule, given the rows' loads, ``ln t``
+    (a slice of one table per horizon) and ``held``, each row's running
+    quantiles or None.  ``choose(coeff, rewards, chosen)`` takes the chunk's
+    ``c_t`` (n, N, 1; ``-1 - k`` forces a pull of arm k): one row takes a
+    Python loop that gallops through runs of one arm's wins
+    (:func:`_python_step`), more rows advance together (:func:`_numpy_step`).
+    Both do the float arithmetic of ``select`` and ``update``, so a row's
+    arms depend neither on which one runs nor on the other rows."""
+    n_rows, n_arms = len(policies), policies[0].n_arms
+    schedules = [policy.exploration_schedule(quantiles) for policy, quantiles in zip(policies, held)]
+    choose = _python_step(n_arms) if n_rows == 1 else _numpy_step(n_rows, n_arms)
+
+    def step(i0: int, i1: int, loads: np.ndarray, rewards: np.ndarray, chosen: np.ndarray) -> None:
+        coeff = np.empty((i1 - i0, n_rows, 1))
+        if i1 <= n_arms:  # the init round pulls arms 0..K-1 in order
+            coeff[:] = (-1.0 - np.arange(i0, i1))[:, None, None]
+        else:  # a schedule that does not read loads takes only their number
+            ln_t = _log_table(horizon)[i0:i1]
+            for r, schedule in enumerate(schedules):
+                coeff[:, r, 0] = schedule(i1, loads[r], ln_t)
+        choose(coeff, rewards, chosen)
+
+    return step
+
+
+def _run_rows(
     load_model: LoadModel,
     reward_model: RewardModel,
-    cells: list[tuple[IndexPolicy, RngStream | None, RngStream | None]],
+    cells: list[tuple[Policy, RngStream | None, RngStream | None, RngStream | None]],
     horizon: int,
     ledger: _Ledger,
 ) -> None:
-    """The index family's engine: run every (index policy, load stream,
-    reward stream) cell as one row, a chunk of steps at a time, and account
+    """The one chunk loop: run every (policy, load stream, reward stream,
+    policy stream) cell as one row, a chunk of steps at a time, and account
     row r in row r of ``ledger``.
 
-    Each step pulls, per row, ``argmax mean + sqrt(c_t / pulls)`` (ties
-    toward the lowest arm) after the init round, as ``select`` would, with
-    ``c_t`` from the policy's exploration schedule.  A chunk of n steps is
-    one ``step(coeff, rewards, chosen)``: it fills ``chosen`` (n, N) with
-    each row's arms, given each row's ``c_t`` (n, N, 1; ``-1 - k`` forces a
-    pull of arm k) and every arm's rewards (n, N, K).  One row takes a
-    Python loop that gallops through runs of one arm's wins
-    (:func:`_python_step`); more rows advance together
-    (:func:`_numpy_step`).  A chunk is the most steps whose arrays fit
-    :data:`BATCH_BYTES` (:func:`_chunk_steps`), at most :data:`CHUNK`, which
-    one row on a few arms takes.  Every row shares each chunk's ``ln t`` (a
-    slice of one table per horizon) and buffers; the step and the ledger
-    reuse ``chosen`` for the forced pulls and the ledger's cells.  Both
-    steps do the same float arithmetic as
-    ``select`` and ``update``, and each row draws its loads, rewards and
-    ``c_t`` from its own streams and schedule, so a row's arms depend
-    neither on which step runs nor on the other rows.
-    Loads are drawn a chunk at a time unless the schedule needs the whole
-    run; a row whose policy does not read them draws them after the step,
-    computing only the charged steps' (:meth:`_Ledger.charged`).  The
-    policies are only read; the arm statistics live in the engine.
+    A chunk of n steps is one ``step(i0, i1, loads, rewards, chosen)``: it
+    fills ``chosen`` (n, N) with each row's arms at steps i0+1..i1, given
+    the rows' loads (N, n; drawn before the step only for the rows whose
+    choice reads them) and every arm's rewards (n, N, K).  A chunk is the
+    most steps whose arrays fit :data:`BATCH_BYTES` (:func:`_chunk_steps`),
+    at most :data:`CHUNK`, which one row on a few arms takes.  The rows
+    share the chunk's buffers, and the ledger reuses ``chosen`` for its
+    cells.
     """
     n_rows, n_arms = len(cells), ledger.pulled.shape[1]
     size = _chunk_steps(n_rows, n_arms)
-    step = _python_step(n_arms) if n_rows == 1 else _numpy_step(n_rows, n_arms)
-    rows = []  # (load stream, reward stream, quantiles or None, schedule, reads loads)
-    for policy, load_rng, reward_rng in cells:
-        quantiles = (  # the whole run's loads, kept only inside its quantiles
-            RunningQuantiles(load_model.sample_loads(horizon, load_rng), policy.quantile_probs, policy.window)
-            if policy.quantile_probs
-            else None
-        )
-        schedule = policy.exploration_schedule(quantiles)
-        rows.append((load_rng, reward_rng, quantiles, schedule, policy.reads_loads))
+    held = [  # the whole run's loads, kept only inside its quantiles
+        RunningQuantiles(load_model.sample_loads(horizon, load_rng), policy.quantile_probs, policy.window)
+        if getattr(policy, "quantile_probs", ())
+        else None
+        for policy, load_rng, *_ in cells
+    ]
+    policy, _, _, policy_rng = cells[0]
+    if isinstance(policy, IndexPolicy):
+        step = _index_step([cell[0] for cell in cells], held, horizon)
+    elif isinstance(policy, ThompsonPolicy):
+        step = _thompson_kernel(policy, policy_rng)
+    else:
+        step = _select_each_step(policy, n_arms, policy_rng)
+    rows = [  # (load stream, reward stream, quantiles or None, reads loads)
+        (load_rng, reward_rng, quantiles, getattr(policy, "reads_loads", True))
+        for (policy, load_rng, reward_rng, _), quantiles in zip(cells, held)
+    ]
     lazy = [(r, load_rng) for r, (load_rng, *_, reads) in enumerate(rows) if not reads]
-
-    def ln_t_of(i0: int, i1: int) -> np.ndarray:  # the table is built once, if a schedule asks
-        return _log_table(horizon)[i0:i1]
 
     # per-chunk buffers, step-major: one (N, K) block of rewards per step
     chunk_loads = np.empty((n_rows, size))
     chunk_rewards = np.empty((size, n_rows, n_arms))
-    chunk_coeff = np.empty((size, n_rows, 1))
     chunk_chosen = np.empty((size, n_rows), dtype=np.intp)
 
     i0 = 0
     for i1 in _chunk_ends(n_arms, horizon, size):
         n = i1 - i0
-        ln_t = partial(ln_t_of, i0, i1)
-        loads, rewards = chunk_loads[:, :n], chunk_rewards[:n]
-        coeff, chosen = chunk_coeff[:n], chunk_chosen[:n]
-        for r, (load_rng, reward_rng, quantiles, schedule, reads) in enumerate(rows):
+        loads, rewards, chosen = chunk_loads[:, :n], chunk_rewards[:n], chunk_chosen[:n]
+        for r, (load_rng, reward_rng, quantiles, reads) in enumerate(rows):
             if quantiles is not None:
                 loads[r] = quantiles.loads(i0, i1)
             elif reads:
                 loads[r] = load_model.sample_loads(n, load_rng, i0 + 1)
             rewards[:, r] = reward_model.reward_rows(i0 + 1, n, reward_rng)
-            if i1 > n_arms:  # a schedule that does not read loads takes only their number
-                coeff[:, r, 0] = schedule(i1, loads[r], ln_t)
         _check_rewards(rewards)
-        if i1 <= n_arms:  # the init round pulls arms 0..K-1 in order
-            coeff[:] = (-1.0 - np.arange(i0, i1))[:, None, None]
-        step(coeff, rewards, chosen)
+        step(i0, i1, loads, rewards, chosen)
         for r, load_rng in lazy:
             loads[r] = load_model.sample_loads(n, load_rng, i0 + 1, where=ledger.charged(chosen[:, r]))
         ledger.add(i0, chosen.T, loads, rewards.transpose(1, 0, 2))
@@ -766,8 +751,9 @@ def run_experiment(
     so results are independent of execution order and of the total number of
     replications requested.  When the index-family cells (every
     :class:`IndexPolicy` x replication) number at least :data:`BATCH_ROWS`,
-    they run together as the rows of one index-engine run; every other cell
-    runs alone through :func:`run_once`.  A cell of a policy with
+    they run together as the rows of one run of the chunk loop; every other
+    cell runs alone through :func:`run_once`, called by its module-level
+    name, so that a wrapper bound to that name sees every such cell.  A cell of a policy with
     ``quantile_probs`` (EAdaUCB's) joins the batch only while the loads it
     and the cells before it hold for the whole run fit :data:`BATCH_BYTES`.
     Either way the results are the same, and every cell runs on a reset
@@ -797,9 +783,9 @@ def run_experiment(
         cells = []
         for label, rep in keys:
             streams = replication_streams(base_seed, label, rep)
-            cells.append((_fresh(policies[label]), streams["load"], streams["reward"]))
+            cells.append((_fresh(policies[label]), streams["load"], streams["reward"], streams["policy"]))
         ledger = _Ledger(bandit, pts, horizon, len(cells), realized)
-        _run_index_rows(load_model, reward_model, cells, horizon, ledger)
+        _run_rows(load_model, reward_model, cells, horizon, ledger)
         for r, (label, rep) in enumerate(keys):
             regret[label][rep] = ledger.ck_regret[r]
             pulls[label][rep] = ledger.ck_pulls[r]

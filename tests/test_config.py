@@ -1,5 +1,6 @@
 """Config parsing, validation errors, threshold resolution, round-trips."""
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -125,6 +126,29 @@ def test_non_string_kind_names_field(entry, field, kind):
     assert err.value.fieldpath == field
 
 
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf", "-1" + "0" * 400], ids=["nan", "inf", "-inf", "huge-int"])
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda d, v: d["policies"][1].update(alpha=v), "policies[1].alpha"),
+        (lambda d, v: d.update(load={"kind": "beta", "a": v, "b": 2.0}), "load.a"),
+        (lambda d, v: d["policies"][0].update(thresholds={"lower": v, "upper": 0.8}), "policies[0].thresholds.lower"),
+        (lambda d, v: d["reward"]["means"].__setitem__(0, v), "reward.means[0]"),
+    ],
+    ids=["alpha", "load", "threshold", "mean"],
+)
+def test_non_finite_numbers_rejected(mutate, field, value):
+    # YAML reads .nan and .inf as floats, and an integer past any float as an
+    # int; no model or policy check may see them
+    import copy
+
+    doc = copy.deepcopy(MINIMAL)
+    mutate(doc, yaml.safe_load(value))
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert str(err.value) == f"{field}: expected a finite number"
+
+
 def test_duplicate_policy_names_rejected():
     import copy
 
@@ -176,8 +200,14 @@ class TestThresholdResolution:
         doc = copy.deepcopy(MINIMAL)
         doc["load"] = {"kind": "beta", "a": 2.0, "b": 2.0}
         doc["policies"][0]["thresholds"] = {"lower": lower, "upper": upper}
-        outside = [name for name, level in (("lower", lower), ("upper", upper)) if not 0.0 <= level <= 1.0]
-        if outside:
+        levels = (("lower", lower), ("upper", upper))
+        non_finite = [name for name, level in levels if not math.isfinite(level)]
+        outside = [name for name, level in levels if not 0.0 <= level <= 1.0]
+        if non_finite:  # read before any level is checked
+            with pytest.raises(ConfigError, match="expected a finite number") as err:
+                parse_config(doc)
+            assert err.value.fieldpath == f"policies[0].thresholds.{non_finite[0]}"
+        elif outside:
             with pytest.raises(ConfigError, match=r"must be in \[0, 1\]") as err:
                 parse_config(doc)
             assert err.value.fieldpath == f"policies[0].thresholds.{outside[0]}"

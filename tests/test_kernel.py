@@ -1,9 +1,10 @@
-"""The index engine and Thompson sampling's kernel against the per-step
-reference (``select`` and ``update`` at every step), the index engine's
-numpy step (many rows) against its Python step (``run_once``, one row), the
+"""The index step and Thompson sampling's kernel against the per-step
+reference (``select`` and ``update`` at every step), the index step's numpy
+form (many rows) against its Python form (``run_once``, one row), the
 Python step's gallop through long runs and the Thompson kernel's screen of
-held leads against the per-step reference, and the rank-pointer running
-quantiles against the sorted-list sketch."""
+held leads against the per-step reference, ``run_once`` as a one-row run of
+the one chunk loop, and the rank-pointer running quantiles against the
+sorted-list sketch."""
 
 import math
 import pickle
@@ -256,7 +257,7 @@ class TestKernelMatchesPerStepLoop:
         differ = ts[np.log(ts.astype(float)) != np.fromiter(map(math.log, ts.tolist()), float)]
         t = int(differ[0]) if len(differ) else 9170
         schedule = UcbPolicy(3, 0.51).exploration_schedule()
-        assert schedule(t, np.zeros(1), lambda: simulator._log_steps(t, t + 1))[0] == 0.51 * math.log(t)
+        assert schedule(t, np.zeros(1), simulator._log_steps(t, t + 1))[0] == 0.51 * math.log(t)
         for kind in ("ucb", "adaucb"):
             ref, fast, _, _ = run_both(
                 lambda: make_policy(kind, 3, 0.2, 0.8),
@@ -274,7 +275,7 @@ class TestKernelMatchesPerStepLoop:
             schedule = schedule_of(self, quantiles)
 
             def record(i1, loads, ln_t):
-                seen.append((i1, ln_t().tolist()))
+                seen.append((i1, ln_t.tolist()))
                 return schedule(i1, loads, ln_t)
 
             return record
@@ -411,6 +412,63 @@ class TestKernelMatchesPerStepLoop:
             )
 
 
+class TestOneChunkLoop:
+    """``run_once`` is a one-row run of the one chunk loop, whatever the
+    policy's class."""
+
+    @pytest.mark.parametrize("kind", ["ucb", "adaucb", "eadaucb", "rr-greedy", "ts", "linucb", "oracle", "per-step"])
+    def test_run_once_is_one_row_of_the_loop(self, kind):
+        if kind == "linucb":
+            policy = LinUcbDisjointPolicy(3, 1.0)
+        elif kind == "oracle":
+            policy = OraclePolicy(3, 1)
+        elif kind == "per-step":
+            policy = PerStep(UcbPolicy(3, 0.51))
+        else:
+            policy = make_policy(kind, 3, 0.2, 0.8)
+        streams = replication_streams(4, "loop", 0)
+        with mock.patch.object(simulator, "_run_rows", wraps=simulator._run_rows) as loop:
+            trace = run_once(
+                BanditInstance((0.3, 0.5, 0.45)),
+                BetaLoad(2.0, 2.0),
+                BernoulliReward((0.3, 0.5, 0.45)),
+                policy,
+                simulator.CHUNK + 31,
+                [1, 3, simulator.CHUNK + 31],
+                streams["load"],
+                streams["reward"],
+                streams["policy"],
+            )
+        assert [len(call.args[2]) for call in loop.call_args_list] == [1]
+        assert trace.pulls[-1].sum() == simulator.CHUNK + 31
+
+    def test_linucb_loads_a_chunk_at_a_time(self):
+        # a row whose choice reads loads draws them before each step, one
+        # chunk at a time, never the whole run up front
+        horizon = 2 * simulator.CHUNK + 31
+        asked, sample_loads = [], BetaLoad.sample_loads
+
+        def spy(self, n, *args, **kwargs):
+            asked.append(n)
+            return sample_loads(self, n, *args, **kwargs)
+
+        streams = replication_streams(4, "loop", 0)
+        with mock.patch.object(BetaLoad, "sample_loads", spy):
+            run_once(
+                BanditInstance((0.3, 0.5, 0.45)),
+                BetaLoad(2.0, 2.0),
+                BernoulliReward((0.3, 0.5, 0.45)),
+                LinUcbDisjointPolicy(3, 1.0),
+                horizon,
+                [horizon],
+                streams["load"],
+                streams["reward"],
+                streams["policy"],
+            )
+        assert max(asked) <= simulator.CHUNK
+        assert sum(asked) == horizon
+
+
 class GridLoad(LoadModel):
     """I.i.d. loads from :data:`GRID` (ties, and values on the thresholds)."""
 
@@ -506,7 +564,7 @@ class TestBatchMatchesRunOnce:
         policies = {label: make(kind) for label, kind in labels.items()}
         with (
             chunks_of(sc["chunk"]),
-            mock.patch.object(simulator, "_run_index_rows", wraps=simulator._run_index_rows) as engine,
+            mock.patch.object(simulator, "_run_rows", wraps=simulator._run_rows) as engine,
         ):
             batch = experiment(policies, sc, batch_rows=1)
         # every cell, EAdaUCB's included, is a row of the one engine run
@@ -580,7 +638,7 @@ class TestBatchMatchesRunOnce:
 
         with (
             chunks_of(128),
-            mock.patch.object(simulator, "_run_index_rows", wraps=simulator._run_index_rows) as engine,
+            mock.patch.object(simulator, "_run_rows", wraps=simulator._run_rows) as engine,
         ):
             batch = experiment(policies(), sc, simulator.BATCH_ROWS)
         assert [len(call.args[2]) for call in engine.call_args_list] == [2 * sc["replications"]]
@@ -602,9 +660,9 @@ class TestBatchMatchesRunOnce:
             cells = []
             for kind, rep in labels:
                 streams = replication_streams(3, kind, rep)
-                cells.append((make_policy(kind, 4, 0.2, 0.8), streams["load"], streams["reward"]))
+                cells.append((make_policy(kind, 4, 0.2, 0.8), streams["load"], streams["reward"], streams["policy"]))
             ledger = simulator._Ledger(BanditInstance(means), every_step(horizon), horizon, len(cells), False)
-            simulator._run_index_rows(BetaLoad(2.0, 2.0), BernoulliReward(means), cells, horizon, ledger)
+            simulator._run_rows(BetaLoad(2.0, 2.0), BernoulliReward(means), cells, horizon, ledger)
         for r, (kind, rep) in enumerate(labels):
             streams = replication_streams(3, kind, rep)
             alone = run_once(
@@ -636,7 +694,7 @@ class TestBatchMatchesRunOnce:
             policies = {kind: make_policy(kind, 3, 0.2, 0.8) for kind in ("ucb", "adaucb", "eadaucb")}
             with (
                 mock.patch.object(simulator, "BATCH_BYTES", budget),
-                mock.patch.object(simulator, "_run_index_rows", wraps=simulator._run_index_rows) as engine,
+                mock.patch.object(simulator, "_run_rows", wraps=simulator._run_rows) as engine,
             ):
                 results = experiment(policies, sc, simulator.BATCH_ROWS)
             return results, [len(call.args[2]) for call in engine.call_args_list]
