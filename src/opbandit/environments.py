@@ -151,7 +151,7 @@ class BetaLoad(LoadModel):
     kind = "beta"
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
+        if not self.a > 0 or not self.b > 0:
             raise ValueError(f"beta shape parameters must be > 0, got ({self.a}, {self.b})")
 
     def _bulk(self, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
@@ -335,7 +335,7 @@ class SemiPeriodicLoad(LoadModel):
             raise ValueError("period must be >= 2")
         if not 0.0 <= self.base - self.amplitude or not self.base + self.amplitude <= 1.0:
             raise ValueError("envelope base +/- amplitude must stay within [0, 1]")
-        if self.noise_a <= 0 or self.noise_b <= 0:
+        if not self.noise_a > 0 or not self.noise_b > 0:
             raise ValueError("noise shape parameters must be > 0")
 
     def _envelope(self, t) -> np.ndarray:

@@ -21,7 +21,9 @@ reads the policy.
 :class:`ThompsonPolicy` takes a fixed number of policy uniforms per step (1
 during the init round, then K + 1), so the simulator's Thompson kernel
 draws a chunk's uniforms at once and updates the posterior ``a``/``b`` in
-place.  ``linucb`` and ``oracle`` are run through ``select``/``update``.
+place.  ``linucb`` and ``oracle`` are run through ``select``/``update``;
+``linucb`` scores its closed form in plain IEEE doubles, as every policy
+here does, so no choice depends on the host's BLAS build.
 """
 
 from __future__ import annotations
@@ -52,6 +54,12 @@ __all__ = [
 ]
 
 
+def _check_alpha(alpha: float) -> None:
+    # written so that NaN, which fails every comparison, fails the check
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+
+
 def adaucb_index(state: ArmState, t: int, alpha: float, normalized_load: float) -> float:
     """Load-adaptive upper-confidence index of one arm:
 
@@ -65,8 +73,7 @@ def adaucb_index(state: ArmState, t: int, alpha: float, normalized_load: float) 
         raise ValueError(f"index is defined for t >= 2, got t={t}")
     if state.pulls < 1:
         raise ValueError("index requires at least one pull (run the forced init round)")
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    _check_alpha(alpha)
     if not 0.0 <= normalized_load <= 1.0:
         raise ValueError(f"normalized load must be in [0, 1], got {normalized_load}")
     return state.mean_reward + math.sqrt(
@@ -199,8 +206,7 @@ class UcbPolicy(IndexPolicy):
 
     def __init__(self, n_arms: int, alpha: float):
         super().__init__(n_arms)
-        if alpha <= 0.0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
+        _check_alpha(alpha)
         self.alpha = alpha
 
     def _choose(self, t: int, load: float, rng=None) -> int:
@@ -219,8 +225,7 @@ class AdaUcbPolicy(IndexPolicy):
 
     def __init__(self, n_arms: int, alpha: float, thresholds: Thresholds):
         super().__init__(n_arms)
-        if alpha <= 0.0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
+        _check_alpha(alpha)
         self.alpha = alpha
         self.thresholds = thresholds
 
@@ -367,8 +372,7 @@ class EAdaUcbPolicy(IndexPolicy):
         window: int | None = None,
     ):
         super().__init__(n_arms)
-        if alpha <= 0.0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
+        _check_alpha(alpha)
         if not 0.0 < lower_quantile < 1.0 or not 0.0 < upper_quantile < 1.0:
             raise ValueError("quantile probabilities must be in (0, 1)")
         if lower_quantile > upper_quantile:
@@ -458,22 +462,17 @@ class LinUcbDisjointPolicy(Policy):
     problem predicts.
 
     Each arm keeps five floats, ``(a00, a01, a11, b0, b1)``: its symmetric
-    ridge matrix ``A`` and ``b``.  Scores use the closed-form ``A^-1`` (the
-    ridge floor keeps det away from 0) in Python floats.  numpy's ``@`` may
-    round them differently (BLAS kernels fuse multiply-adds), so the scores
-    within ``slack * (1 + alpha) * t`` of the best are ranked again by
-    numpy's evaluation: the arms chosen are a numpy implementation's.
+    ridge matrix ``A`` and ``b``.  Scores are the closed form with ``A^-1``
+    written out (the ridge floor keeps det away from 0), in IEEE doubles
+    with no fused multiply-add, so no BLAS build can change them; the first
+    maximum wins, so ties go to the lowest arm.
     """
 
     kind = "linucb"
-    #: with loads and rewards in [0, 1], two evaluations of one score differ
-    #: by about 1e-14 * (1 + alpha) * t at most (A^-1 has no entry above 1)
-    slack = 1e-12
 
     def __init__(self, n_arms: int, alpha: float):
         super().__init__(n_arms)
-        if alpha <= 0.0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
+        _check_alpha(alpha)
         self.alpha = alpha
         self.reset()
 
@@ -498,16 +497,7 @@ class LinUcbDisjointPolicy(Policy):
             # x.theta + alpha * sqrt(x A^-1 x), with x = (1, load)
             score = (i00 * b0 + i01 * b1) + load * (i01 * b0 + i11 * b1)
             scores.append(score + alpha * sqrt((i00 + load * i01) + (i01 + load * i11) * load))
-        floor = max(scores) - self.slack * (1.0 + alpha) * t
-        near = [k for k, score in enumerate(scores) if score >= floor]
-        # max keeps the first of equal scores: ties toward the lowest arm
-        return near[0] if len(near) == 1 else max(near, key=lambda k: self._numpy_score(k, load))
-
-    def _numpy_score(self, arm: int, load: float) -> float:
-        a00, a01, a11, b0, b1 = self.stats[arm]
-        a_inv = np.array([[a11, -a01], [-a01, a00]]) / (a00 * a11 - a01 * a01)
-        x = np.array([1.0, load])
-        return float(x @ (a_inv @ np.array([b0, b1]))) + self.alpha * math.sqrt(float(x @ a_inv @ x))
+        return scores.index(max(scores))  # the first maximum: ties toward the lowest arm
 
     def _update(self, arm: int, reward: float, rng=None) -> None:
         load, (a00, a01, a11, b0, b1) = self._last_load, self.stats[arm]

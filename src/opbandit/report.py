@@ -58,20 +58,12 @@ def write_results_csv(path, results: dict[str, RegretTrace], n_arms: int) -> Non
 
 def read_results_csv(path) -> dict[str, dict[str, np.ndarray]]:
     """Inverse of :func:`write_results_csv`, keyed by policy label."""
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not text:
-        raise ValueError(f"{path}: empty results file")
-    header = text[0].split(",")
-    if header[0] != "policy":
-        raise ValueError(f"{path}: no policy column (the first column is {header[0]!r})")
+    header, rows = _read_table(path, "results", label="policy")
     out: dict[str, dict[str, list]] = {}
-    for line in text[1:]:
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"{path}: malformed row {line!r}")
-        rec = out.setdefault(cells[0], {c: [] for c in header[1:]})
-        for c, v in zip(header[1:], cells[1:]):
-            rec[c].append(_number(path, c, v))
+    for policy, *values in rows:
+        rec = out.setdefault(policy, {c: [] for c in header[1:]})
+        for c, v in zip(header[1:], values):
+            rec[c].append(v)
     return {
         policy: {c: np.asarray(v) for c, v in rec.items()} for policy, rec in out.items()
     }
@@ -87,18 +79,27 @@ def write_bounds_csv(path, report: BoundReport) -> None:
 
 
 def read_bounds_csv(path) -> dict[str, np.ndarray]:
+    header, rows = _read_table(path, "bounds")
+    return {c: np.asarray([row[j] for row in rows]) for j, c in enumerate(header)}
+
+
+def _read_table(path, what: str, label: str | None = None) -> tuple[list[str], list[list]]:
+    """Header and rows of a CSV written here: float cells, but for the first
+    column when ``label`` names it (kept as text)."""
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not text:
-        raise ValueError(f"{path}: empty bounds file")
+        raise ValueError(f"{path}: empty {what} file")
     header = text[0].split(",")
-    cols: dict[str, list] = {c: [] for c in header}
+    if label is not None and header[0] != label:
+        raise ValueError(f"{path}: no {label} column (the first column is {header[0]!r})")
+    skip = int(label is not None)
+    rows = []
     for line in text[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(f"{path}: malformed row {line!r}")
-        for c, v in zip(header, cells):
-            cols[c].append(_number(path, c, v))
-    return {c: np.asarray(v) for c, v in cols.items()}
+        rows.append(cells[:skip] + [_number(path, c, v) for c, v in zip(header[skip:], cells[skip:])])
+    return header, rows
 
 
 def _number(path, column: str, cell: str) -> float:

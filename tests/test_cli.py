@@ -339,6 +339,20 @@ class TestCompare:
         err = self.one_line_error(capsys)
         assert err.startswith(f"error: {csv}: t cell 'n/a'")
 
+    @pytest.mark.parametrize("name", ["results", "bounds"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [("\n", "empty {name} file"), ("policy,t\nu,1,2\n", "malformed row 'u,1,2'")],
+    )
+    def test_malformed_table_named(self, dirac_pair, capsys, name, text, message):
+        run_dir, bounds_dir = dirac_pair
+        csv = (run_dir if name == "results" else bounds_dir) / f"{name}.csv"
+        csv.write_text(text)
+        capsys.readouterr()
+        assert run_cli(["compare", run_dir, bounds_dir]) == 1
+        err = self.one_line_error(capsys)
+        assert err == f"error: {csv}: {message.format(name=name)}"
+
     @pytest.mark.parametrize("n_envelopes", [0, 2])
     def test_pull_envelope_arm_must_be_one(self, dirac_pair, capsys, n_envelopes):
         run_dir, bounds_dir = dirac_pair

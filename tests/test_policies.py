@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from opbandit.core import ArmState, RngStream, Thresholds, binary_normalize, normalize_load
+from opbandit.environments import BetaLoad, SemiPeriodicLoad
 from opbandit.policies import (
     AdaUcbPolicy,
     EAdaUcbPolicy,
@@ -34,6 +35,26 @@ def make_policies(n_arms=3):
         "linucb": LinUcbDisjointPolicy(n_arms, alpha=1.0),
         "rr-greedy": RoundRobinGreedyPolicy(n_arms, Thresholds(0.0, 1.0)),
     }
+
+
+NAN = float("nan")
+NAN_PARAMETERS = {
+    "ucb": lambda: UcbPolicy(3, NAN),
+    "adaucb": lambda: AdaUcbPolicy(3, NAN, Thresholds(0.0, 1.0)),
+    "eadaucb": lambda: EAdaUcbPolicy(3, NAN),
+    "linucb": lambda: LinUcbDisjointPolicy(3, NAN),
+    "beta-a": lambda: BetaLoad(NAN, 2.0),
+    "beta-b": lambda: BetaLoad(2.0, NAN),
+    "semiperiodic-noise-a": lambda: SemiPeriodicLoad(noise_a=NAN),
+    "semiperiodic-noise-b": lambda: SemiPeriodicLoad(noise_b=NAN),
+}
+
+
+@pytest.mark.parametrize("case", NAN_PARAMETERS)
+def test_nan_parameter_rejected_at_construction(case):
+    # NaN is not <= 0, so a check written that way lets it through
+    with pytest.raises(ValueError, match="must be"):
+        NAN_PARAMETERS[case]()
 
 
 class TestAdaUcbIndex:
@@ -242,7 +263,8 @@ def _inv2(a: np.ndarray) -> np.ndarray:
 
 class NumpyLinUcb(Policy):
     """The reference LinUCB: each arm's A, its inverse and b as numpy
-    arrays, scored with numpy's ``@``."""
+    arrays, scored as scalar products in IEEE doubles (numpy's ``@`` may
+    fuse multiply-adds, so its rounding depends on the BLAS build)."""
 
     def __init__(self, n_arms: int, alpha: float):
         super().__init__(n_arms)
@@ -258,13 +280,15 @@ class NumpyLinUcb(Policy):
         self._x = np.array([1.0, load])
 
     def _choose(self, t: int, load: float, rng=None) -> int:
-        x = self._x
+        x0, x1 = self._x.tolist()
         best = -math.inf
         arm = 0
         for k in range(self.n_arms):
-            a_inv = self._A_inv[k]
-            theta = a_inv @ self.b[k]
-            score = float(x @ theta) + self.alpha * math.sqrt(float(x @ a_inv @ x))
+            (i00, i01), (i10, i11) = self._A_inv[k].tolist()
+            b0, b1 = self.b[k].tolist()
+            theta0, theta1 = i00 * b0 + i01 * b1, i10 * b0 + i11 * b1
+            ax0, ax1 = i00 * x0 + i01 * x1, i10 * x0 + i11 * x1
+            score = (x0 * theta0 + x1 * theta1) + self.alpha * math.sqrt(x0 * ax0 + x1 * ax1)
             if score > best:
                 best = score
                 arm = k
@@ -293,8 +317,8 @@ class TestLinUcb:
             max_size=60,
         ),
     )
-    # plain float scores of arms 0 and 1 at its last step order differently
-    # from numpy's where numpy's @ fuses multiply-adds: a near-tie
+    # a near-tie of arms 0 and 1 at its last step, which numpy's @ orders
+    # the other way where it fuses multiply-adds
     @example(
         n_arms=2,
         alpha=2.0,
