@@ -8,15 +8,10 @@ Two checkouts whose outputs must be byte-identical print the same lines:
     (the same in the other checkout) > b.txt
     diff a.txt b.txt
 
-The simulator runs every cell in one chunk loop, whose step the policy
-class picks.  At 5 replications every config with two or more index
-policies runs them as the rows of one run of that loop (``BATCH_ROWS`` is
-10 cells), on chunks whose length the byte budget (``BATCH_BYTES``) sets
-from the number of rows and arms; EAdaUCB rows join that batch while the
-whole run's loads they hold (14 bytes a step) fit the same budget, and the
-rest run alone: at the configs' default horizons and replications most of
-them do.  Every other cell (``ts``, ``linucb``, ``oracle``) is a one-row
-run of the same loop.
+The simulator decides in one place, ``opbandit.simulator._route``, which
+step runs each cell and which cells run together as the rows of one run.
+At 5 replications every config with two or more index policies batches
+them; at the configs' default scale most EAdaUCB cells run alone.
 
 The script imports opbandit from the ``src/`` next to it, so each checkout
 hashes its own sources.  Short horizons change leaders every few steps;
@@ -35,6 +30,11 @@ arms, and inverts only the arms the table leaves open (five arms):
 those configs, for a quick diff of the ones a change touches:
 
     python scripts/output_hashes.py --only mvno-synthetic --horizon 600 --replications 1
+
+The lines of the ``--horizon 2100``, ``--horizon 30000`` and Thompson
+checks, and of the default scale, are committed under
+``tests/output_hashes/``; ``tests/test_byte_gates.py`` runs the first three
+in-process against them.
 
 ``bounds`` runs only for configs whose bound alpha can be inferred (one
 adaptive policy's); the others print no bounds lines.  The files are

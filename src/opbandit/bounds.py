@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, derive_stream_id
+from .core import RngStream, check_alpha, derive_stream_id
 from .environments import (
     BetaLoad,
     BinaryRandomLoad,
@@ -61,12 +61,6 @@ def _check_gap(gap: float) -> float:
     return float(gap)
 
 
-def _check_alpha(alpha: float) -> float:
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    return float(alpha)
-
-
 def pull_rate_floor(s, alpha: float, gap: float):
     """The smooth floor function h(s) whose running integral lower-bounds the
     suboptimal pull count in the deterministic square-wave scenario:
@@ -75,7 +69,7 @@ def pull_rate_floor(s, alpha: float, gap: float):
 
     Vectorized over ``s`` (valid for s >= 1).
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     _check_gap(gap)
     s = np.asarray(s, dtype=float)
     if np.any(s < 1.0):
@@ -89,7 +83,7 @@ def pull_rate_floor(s, alpha: float, gap: float):
 def deterministic_pull_upper(t: int, alpha: float, gap: float) -> float:
     """Hard upper envelope on suboptimal pulls at step t (square-wave load,
     Dirac rewards): alpha * ln(t) / gap^2 + 1."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     _check_gap(gap)
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -109,7 +103,7 @@ def deterministic_pull_lower_curve(
     h' is taken by central finite differences on the quadrature grid and the
     integral by the trapezoidal rule.  Returns ``(grid, f_values)``.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     _check_gap(gap)
     if tau_max < 2.0:
         raise ValueError(f"tau_max must be >= 2, got {tau_max}")
@@ -181,7 +175,7 @@ def binary_regret_coeff(alpha: float, eps0: float, gaps, eps1: float | None = No
     well defined.  eps0 = 0 gives a zero coefficient: the bounded-regret
     regime.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if not 0.0 <= eps0 < 0.5:
         raise ValueError(f"eps0 must be in [0, 0.5), got {eps0}")
     gaps = _check_gaps(gaps)
@@ -253,7 +247,7 @@ def continuous_regret_coeff(alpha: float, cond_mean: float, gaps) -> float:
 
         4 * alpha * E[L | L <= l_minus] * sum_k 1/gap_k
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     gaps = _check_gaps(gaps)
     return 4.0 * alpha * cond_mean * sum(1.0 / g for g in gaps)
 
@@ -261,7 +255,7 @@ def continuous_regret_coeff(alpha: float, cond_mean: float, gaps) -> float:
 def pull_count_log_bound(t: int, alpha: float, gap: float) -> float:
     """Logarithmic envelope on expected suboptimal pulls under random load:
     4 * alpha * ln(t) / gap^2 (additive constant not computable)."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     _check_gap(gap)
     if t < 2:
         raise ValueError(f"t must be >= 2, got {t}")
@@ -314,6 +308,7 @@ def evaluate_bounds(
     * ``pull_log_bound_arm_<k>``: the generic 4*alpha*ln(t)/gap_k^2 pull
       envelope for each suboptimal arm (1-based labels).
     """
+    check_alpha(alpha)
     pts = np.asarray(checkpoints, dtype=int)
     report = BoundReport(
         alpha=alpha,

@@ -54,7 +54,6 @@ __all__ = [
     "ExperimentPlan",
     "load_config",
     "parse_config",
-    "dump_config",
     "build_plan",
 ]
 
@@ -492,10 +491,6 @@ def load_config(path) -> ExperimentConfig:
     if isinstance(path, str):
         path = Path(path)
     return parse_config(_read_yaml(path.read_text(encoding="utf-8"), str(path)))
-
-
-def dump_config(cfg: ExperimentConfig) -> str:
-    return yaml.safe_dump(cfg.to_dict(), sort_keys=False)
 
 
 @dataclass

@@ -127,6 +127,13 @@ class Thresholds:
             )
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject an exploration weight alpha that is not finite and positive."""
+    # written so that NaN, which fails every comparison, fails the check
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+
+
 def normalize_load(raw: float, thresholds: Thresholds) -> float:
     """Map a raw load onto [0, 1] by truncating to the threshold band and
     rescaling.
@@ -240,10 +247,6 @@ class RngStream:
         from scipy.special import betaincinv
 
         return betaincinv(a, b, self._gen.random(size))
-
-    def clone(self) -> "RngStream":
-        """A fresh stream rewound to the start of the same sequence."""
-        return RngStream(self.seed, self.stream_id)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ArmState, RngStream, Thresholds, nearest_rank_quantile, normalize_load, normalize_loads
+from .core import ArmState, RngStream, Thresholds, check_alpha, nearest_rank_quantile, normalize_load, normalize_loads
 
 __all__ = [
     "Policy",
@@ -54,12 +54,6 @@ __all__ = [
 ]
 
 
-def _check_alpha(alpha: float) -> None:
-    # written so that NaN, which fails every comparison, fails the check
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-
-
 def adaucb_index(state: ArmState, t: int, alpha: float, normalized_load: float) -> float:
     """Load-adaptive upper-confidence index of one arm:
 
@@ -73,7 +67,7 @@ def adaucb_index(state: ArmState, t: int, alpha: float, normalized_load: float) 
         raise ValueError(f"index is defined for t >= 2, got t={t}")
     if state.pulls < 1:
         raise ValueError("index requires at least one pull (run the forced init round)")
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if not 0.0 <= normalized_load <= 1.0:
         raise ValueError(f"normalized load must be in [0, 1], got {normalized_load}")
     return state.mean_reward + math.sqrt(
@@ -206,7 +200,7 @@ class UcbPolicy(IndexPolicy):
 
     def __init__(self, n_arms: int, alpha: float):
         super().__init__(n_arms)
-        _check_alpha(alpha)
+        check_alpha(alpha)
         self.alpha = alpha
 
     def _choose(self, t: int, load: float, rng=None) -> int:
@@ -225,7 +219,7 @@ class AdaUcbPolicy(IndexPolicy):
 
     def __init__(self, n_arms: int, alpha: float, thresholds: Thresholds):
         super().__init__(n_arms)
-        _check_alpha(alpha)
+        check_alpha(alpha)
         self.alpha = alpha
         self.thresholds = thresholds
 
@@ -372,7 +366,7 @@ class EAdaUcbPolicy(IndexPolicy):
         window: int | None = None,
     ):
         super().__init__(n_arms)
-        _check_alpha(alpha)
+        check_alpha(alpha)
         if not 0.0 < lower_quantile < 1.0 or not 0.0 < upper_quantile < 1.0:
             raise ValueError("quantile probabilities must be in (0, 1)")
         if lower_quantile > upper_quantile:
@@ -386,12 +380,6 @@ class EAdaUcbPolicy(IndexPolicy):
     def reset(self) -> None:
         super().reset()
         self.load_sketch = LoadQuantileSketch(self.window)
-
-    def observe_load(self, load: float) -> Thresholds:
-        """Feed one raw load into the sketch and return the thresholds now in
-        effect.  ``select`` feeds the sketch itself."""
-        self.load_sketch.insert(load)
-        return self.thresholds
 
     @property
     def thresholds(self) -> Thresholds:
@@ -472,7 +460,7 @@ class LinUcbDisjointPolicy(Policy):
 
     def __init__(self, n_arms: int, alpha: float):
         super().__init__(n_arms)
-        _check_alpha(alpha)
+        check_alpha(alpha)
         self.alpha = alpha
         self.reset()
 

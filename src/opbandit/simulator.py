@@ -6,19 +6,8 @@ replication) cells of one bandit as N rows, a chunk of steps at a time.
 Per chunk, the reward model gives every arm's reward (``reward_rows``), one
 step chooses every row's arms, and the regret, pull counts and checkpoints
 are accounted from the chosen arms in one pass (:class:`_Ledger`); the
-checkpoints are the only recording.  The policy's class picks the step.
-The index family (every :class:`~opbandit.policies.IndexPolicy`: ``ucb``,
-``adaucb``, ``eadaucb``, ``rr-greedy``) takes :func:`_index_step`: the
-policy supplies each step's exploration coefficient ``c_t``, and the step
-picks the arms with its own arm statistics, so the policy is only read.
-Thompson sampling (``ts``) takes :func:`_thompson_kernel`, which draws a
-chunk's policy uniforms at once and decides most steps without a
-posterior inverse.  Everything else (``linucb``, ``oracle``, and any object
-that only offers ``select`` and ``update``, such as a proxy that times each
-call) has them called at every step (:func:`_select_each_step`).  That
-per-step way is the reference: the other two choose the arms it would, bit
-for bit, and the Thompson kernel leaves the policy and its stream as it
-would.  Only the index step runs more than one row.
+checkpoints are the only recording.  :func:`_route` gives each policy its
+step and the fewest of its cells that run as the rows of one run.
 
 A load is read by the regret only where the chosen arm's gap is positive
 (``load * 0`` adds nothing), and by the arm choice only if the policy's
@@ -32,17 +21,15 @@ takes the same uniforms either way, and an uncharged step's cost is
 ``0 * gap = +0.0`` instead of ``load * 0 = +0.0``, so the outputs are the
 same bytes.
 
-:func:`run_once` is a one-row run of the chunk loop.  :func:`run_experiment`
-runs each (policy, replication) cell through :func:`run_once`, except when
-the index-family cells number at least :data:`BATCH_ROWS`: then they run as
-the rows of one run.  One byte budget, :data:`BATCH_BYTES`, bounds a run's
-memory twice: a chunk's arrays, which sets the chunk length
-(:func:`_chunk_steps`, at most :data:`CHUNK`), and the loads that EAdaUCB
-rows hold for the whole run, 14 bytes a step.  EAdaUCB cells join the batch
-while the loads they hold fit it; the rest run alone.  Each row keeps its
-own streams and schedule, so the outputs depend neither on which path ran
-nor on the chunk length.  Every cell runs on a reset copy of its policy:
-the policies given to :func:`run_experiment` are not changed.
+:func:`run_once` is a one-row run of the chunk loop, and
+:func:`run_experiment` runs every cell that does not batch through it.  One
+byte budget, :data:`BATCH_BYTES`, bounds a run's memory twice: a chunk's
+arrays, which sets the chunk length (:func:`_chunk_steps`, at most
+:data:`CHUNK`), and the loads that EAdaUCB rows hold for the whole run, 14
+bytes a step.  Each row keeps its own streams and schedule, so the outputs
+depend neither on which path ran nor on the chunk length.  Every cell runs
+on a reset copy of its policy: the policies given to :func:`run_experiment`
+are not changed.
 
 Regret is expected pseudo-regret by default: each step adds
 ``load * (best_mean - mean[chosen])`` using the true arm means, which is the
@@ -322,15 +309,17 @@ def run_once(
     return ledger.trace(0)
 
 
-def _select_each_step(policy: Policy, n_arms: int, policy_rng: RngStream | None) -> Callable:
+def _select_each_step(cells: list, held: list, horizon: int) -> Callable:
     """The reference step of one row: ``select`` and ``update`` at every
     step.  The rewards go to ``update`` as Python floats, from one flat list
     per chunk (a nested list per step costs the garbage collector more than
     the steps)."""
+    [(policy, _, _, policy_rng)] = cells
     select, update = policy.select, policy.update
 
     def step(i0: int, i1: int, loads: np.ndarray, rewards: np.ndarray, chosen: np.ndarray) -> None:
         flat = rewards.ravel().tolist()
+        n_arms = rewards.shape[2]
         arms = []
         for t, load, row in zip(range(i0 + 1, i1 + 1), loads[0].tolist(), range(0, len(flat), n_arms)):
             arm = select(t, load, policy_rng)
@@ -341,7 +330,7 @@ def _select_each_step(policy: Policy, n_arms: int, policy_rng: RngStream | None)
     return step
 
 
-def _thompson_kernel(policy: ThompsonPolicy, policy_rng: RngStream | None) -> Callable:
+def _thompson_kernel(cells: list, held: list, horizon: int) -> Callable:
     """Thompson sampling's step of one row: the arms ``select`` and
     ``update`` would choose, bit for bit, with each chunk's policy uniforms
     drawn at once and most steps decided without a posterior inverse.
@@ -385,6 +374,7 @@ def _thompson_kernel(policy: ThompsonPolicy, policy_rng: RngStream | None) -> Ca
     """
     from scipy.special import betainc, betaincinv
 
+    [(policy, _, _, policy_rng)] = cells
     if policy_rng is None:
         raise ValueError("Thompson sampling needs a policy stream")
     n_arms = policy.n_arms
@@ -634,7 +624,7 @@ def _numpy_step(n_rows: int, n_arms: int) -> Callable:
     return step
 
 
-def _index_step(policies: list[IndexPolicy], held: list, horizon: int) -> Callable:
+def _index_step(cells: list, held: list, horizon: int) -> Callable:
     """The index family's step: per row, ``argmax mean + sqrt(c_t / pulls)``
     (ties toward the lowest arm) after the init round, as ``select`` would,
     with ``c_t`` from the policy's schedule, given the rows' loads, ``ln t``
@@ -645,8 +635,8 @@ def _index_step(policies: list[IndexPolicy], held: list, horizon: int) -> Callab
     (:func:`_python_step`), more rows advance together (:func:`_numpy_step`).
     Both do the float arithmetic of ``select`` and ``update``, so a row's
     arms depend neither on which one runs nor on the other rows."""
-    n_rows, n_arms = len(policies), policies[0].n_arms
-    schedules = [policy.exploration_schedule(quantiles) for policy, quantiles in zip(policies, held)]
+    n_rows, n_arms = len(cells), cells[0][0].n_arms
+    schedules = [policy.exploration_schedule(quantiles) for (policy, *_), quantiles in zip(cells, held)]
     choose = _python_step(n_arms) if n_rows == 1 else _numpy_step(n_rows, n_arms)
 
     def step(i0: int, i1: int, loads: np.ndarray, rewards: np.ndarray, chosen: np.ndarray) -> None:
@@ -662,6 +652,34 @@ def _index_step(policies: list[IndexPolicy], held: list, horizon: int) -> Callab
     return step
 
 
+def _route(policy) -> tuple[Callable, int | None]:
+    """The step factory of ``policy``'s cells, ``make(cells, held, horizon)``,
+    and the fewest of them that :func:`run_experiment` runs as the rows of
+    one run (None: each runs alone, through :func:`run_once`).
+
+    - Every :class:`~opbandit.policies.IndexPolicy` (``ucb``, ``adaucb``,
+      ``eadaucb``, ``rr-greedy`` and their subclasses) takes
+      :func:`_index_step`, and its cells batch from :data:`BATCH_ROWS` on:
+      the policy supplies each step's exploration coefficient ``c_t``, and
+      the step picks the arms with its own arm statistics, so the policy is
+      only read.
+    - Thompson sampling (:class:`~opbandit.policies.ThompsonPolicy`) takes
+      :func:`_thompson_kernel`, one row, which draws a chunk's policy
+      uniforms at once and decides most steps without a posterior inverse.
+    - Everything else (``linucb``, ``oracle``, and any object that hides its
+      class, such as a proxy that times each call) takes
+      :func:`_select_each_step`, one row: ``select`` and ``update`` at
+      every step.  That per-step way is the reference: the other two choose
+      the arms it would, bit for bit, and the Thompson kernel leaves the
+      policy and its stream as it would.
+    """
+    if isinstance(policy, IndexPolicy):
+        return _index_step, BATCH_ROWS
+    if isinstance(policy, ThompsonPolicy):
+        return _thompson_kernel, None
+    return _select_each_step, None
+
+
 def _run_rows(
     load_model: LoadModel,
     reward_model: RewardModel,
@@ -673,9 +691,10 @@ def _run_rows(
     policy stream) cell as one row, a chunk of steps at a time, and account
     row r in row r of ``ledger``.
 
-    A chunk of n steps is one ``step(i0, i1, loads, rewards, chosen)``: it
-    fills ``chosen`` (n, N) with each row's arms at steps i0+1..i1, given
-    the rows' loads (N, n; drawn before the step only for the rows whose
+    The first cell's route (:func:`_route`) gives the step.  A chunk of n
+    steps is one ``step(i0, i1, loads, rewards, chosen)``: it fills
+    ``chosen`` (n, N) with each row's arms at steps i0+1..i1, given the
+    rows' loads (N, n; drawn before the step only for the rows whose
     choice reads them) and every arm's rewards (n, N, K).  A chunk is the
     most steps whose arrays fit :data:`BATCH_BYTES` (:func:`_chunk_steps`),
     at most :data:`CHUNK`, which one row on a few arms takes.  The rows
@@ -690,13 +709,8 @@ def _run_rows(
         else None
         for policy, load_rng, *_ in cells
     ]
-    policy, _, _, policy_rng = cells[0]
-    if isinstance(policy, IndexPolicy):
-        step = _index_step([cell[0] for cell in cells], held, horizon)
-    elif isinstance(policy, ThompsonPolicy):
-        step = _thompson_kernel(policy, policy_rng)
-    else:
-        step = _select_each_step(policy, n_arms, policy_rng)
+    make_step, _ = _route(cells[0][0])
+    step = make_step(cells, held, horizon)
     rows = [  # (load stream, reward stream, quantiles or None, reads loads)
         (load_rng, reward_rng, quantiles, getattr(policy, "reads_loads", True))
         for (policy, load_rng, reward_rng, _), quantiles in zip(cells, held)
@@ -749,15 +763,15 @@ def run_experiment(
 
     Stream ids depend only on (base seed, policy label, replication index),
     so results are independent of execution order and of the total number of
-    replications requested.  When the index-family cells (every
-    :class:`IndexPolicy` x replication) number at least :data:`BATCH_ROWS`,
-    they run together as the rows of one run of the chunk loop; every other
-    cell runs alone through :func:`run_once`, called by its module-level
-    name, so that a wrapper bound to that name sees every such cell.  A cell of a policy with
-    ``quantile_probs`` (EAdaUCB's) joins the batch only while the loads it
-    and the cells before it hold for the whole run fit :data:`BATCH_BYTES`.
-    Either way the results are the same, and every cell runs on a reset
-    copy of its policy: ``policies`` are left as they are.
+    replications requested.  A route's cells (:func:`_route`) run as the
+    rows of one run of the chunk loop when they number at least its fewest;
+    a cell of a policy with ``quantile_probs`` (EAdaUCB's) joins only while
+    the loads it and the cells before it hold for the whole run fit
+    :data:`BATCH_BYTES`.  Every other cell runs alone through
+    :func:`run_once`, called by its module-level name, so that a wrapper
+    bound to that name sees every such cell.  Either way the results are
+    the same, and every cell runs on a reset copy of its policy:
+    ``policies`` are left as they are.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
@@ -765,49 +779,32 @@ def run_experiment(
         checkpoints = default_checkpoints(horizon)
     pts = _validate_checkpoints(checkpoints, horizon)
 
+    batches, room = {}, BATCH_BYTES  # a route's (label, replication) cells that may batch
+    for label, policy in policies.items():
+        route = _route(policy)
+        probs = getattr(policy, "quantile_probs", ())
+        held = RunningQuantiles.held_bytes(horizon, len(probs)) if probs else 0
+        for rep in range(replications):
+            if route[1] is not None and held <= room:  # a quantile row joins while the loads it holds fit
+                batches.setdefault(route, []).append((label, rep))
+                room -= held
+    runs = [keys for (_, fewest), keys in batches.items() if len(keys) >= fewest]
+    batched = {key for keys in runs for key in keys}
+    runs += [[(label, rep)] for label in policies for rep in range(replications) if (label, rep) not in batched]
+
     n_arms = bandit.n_arms
     regret = {label: np.empty((replications, len(pts))) for label in policies}
     pulls = {label: np.empty((replications, len(pts), n_arms), dtype=np.int64) for label in policies}
-    keys, room = [], BATCH_BYTES  # the batch's (label, replication) rows
-    for label, policy in policies.items():
-        if isinstance(policy, IndexPolicy):
-            k = len(policy.quantile_probs)
-            held = RunningQuantiles.held_bytes(horizon, k) if k else 0
-            for rep in range(replications):
-                if held <= room:  # a quantile row joins while the loads it holds fit
-                    keys.append((label, rep))
-                    room -= held
-    if len(keys) < BATCH_ROWS:
-        keys = []
-    else:
-        cells = []
-        for label, rep in keys:
-            streams = replication_streams(base_seed, label, rep)
-            cells.append((_fresh(policies[label]), streams["load"], streams["reward"], streams["policy"]))
-        ledger = _Ledger(bandit, pts, horizon, len(cells), realized)
-        _run_rows(load_model, reward_model, cells, horizon, ledger)
-        for r, (label, rep) in enumerate(keys):
-            regret[label][rep] = ledger.ck_regret[r]
-            pulls[label][rep] = ledger.ck_pulls[r]
-
-    batched = set(keys)
-    for label, policy in policies.items():
-        for rep in range(replications):
-            if (label, rep) in batched:
-                continue
-            streams = replication_streams(base_seed, label, rep)
-            trace = run_once(
-                bandit,
-                load_model,
-                reward_model,
-                _fresh(policy),
-                horizon,
-                pts,
-                streams["load"],
-                streams["reward"],
-                streams["policy"],
-                realized=realized,
-            )
+    for keys in runs:
+        cells = [(_fresh(policies[label]), *replication_streams(base_seed, label, rep).values()) for label, rep in keys]
+        if len(cells) == 1:
+            policy, *streams = cells[0]
+            traces = [run_once(bandit, load_model, reward_model, policy, horizon, pts, *streams, realized=realized)]
+        else:
+            ledger = _Ledger(bandit, pts, horizon, len(cells), realized)
+            _run_rows(load_model, reward_model, cells, horizon, ledger)
+            traces = map(ledger.trace, range(len(cells)))
+        for (label, rep), trace in zip(keys, traces):
             regret[label][rep] = trace.regret
             pulls[label][rep] = trace.pulls
     return {

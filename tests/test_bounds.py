@@ -1,12 +1,14 @@
 """Closed-form envelope calculators: golden values, quadrature convergence,
 and scaling identities."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from opbandit import bounds
 from opbandit.bounds import (
     binary_regret_coeff,
     conditional_load_mean,
@@ -214,6 +216,36 @@ class TestAlphaLinearity:
         assert deterministic_pull_upper(100, 2 * a, 0.2) - 1.0 == pytest.approx(
             2 * up, rel=1e-12
         )
+
+
+#: one call of each public function that takes alpha, given alpha
+ALPHA_CALLS = {
+    "pull_rate_floor": lambda alpha: pull_rate_floor(2.0, alpha, 0.1),
+    "deterministic_pull_upper": lambda alpha: deterministic_pull_upper(10, alpha, 0.1),
+    "deterministic_pull_lower_curve": lambda alpha: deterministic_pull_lower_curve(4.0, alpha, 0.1),
+    "deterministic_pull_lower": lambda alpha: deterministic_pull_lower(4.0, alpha, 0.1),
+    "deterministic_regret_log_term": lambda alpha: deterministic_regret_log_term(10, alpha, 0.1, 0.2),
+    "binary_regret_coeff": lambda alpha: binary_regret_coeff(alpha, 0.05, [0.1]),
+    "continuous_regret_coeff": lambda alpha: continuous_regret_coeff(alpha, 0.3, [0.1]),
+    "pull_count_log_bound": lambda alpha: pull_count_log_bound(10, alpha, 0.1),
+    "evaluate_bounds": lambda alpha: evaluate_bounds(
+        BanditInstance([0.5, 0.4]), UniformLoad(), DiracReward([0.5, 0.4]), alpha, [1, 10]
+    ),
+}
+
+
+def test_alpha_calls_cover_every_public_function_taking_alpha():
+    functions = {name: getattr(bounds, name) for name in bounds.__all__}
+    functions = {name: fn for name, fn in functions.items() if inspect.isfunction(fn)}
+    taking = {name for name, fn in functions.items() if "alpha" in inspect.signature(fn).parameters}
+    assert taking == set(ALPHA_CALLS)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -1.0], ids=["inf", "nan", "zero", "negative"])
+@pytest.mark.parametrize("name", sorted(ALPHA_CALLS))
+def test_alpha_must_be_finite_and_positive(name, alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+        ALPHA_CALLS[name](alpha)
 
 
 class TestEvaluateBounds:

@@ -17,7 +17,6 @@ from opbandit.config import (
     ExperimentConfig,
     ThresholdSpec,
     build_plan,
-    dump_config,
     parse_config,
 )
 from opbandit.environments import BetaLoad, LoadModel, PeriodicSquareWaveLoad, load_trace
@@ -47,9 +46,12 @@ def test_parse_minimal():
 
 def assert_round_trip(doc):
     cfg = parse_config(doc)
-    again = parse_config(yaml.safe_load(dump_config(cfg)))
+    def dump(c):
+        return yaml.safe_dump(c.to_dict(), sort_keys=False)
+
+    again = parse_config(yaml.safe_load(dump(cfg)))
     assert cfg == again
-    assert dump_config(cfg) == dump_config(again)
+    assert dump(cfg) == dump(again)
 
 
 def test_round_trip_is_identity():

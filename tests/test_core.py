@@ -183,10 +183,10 @@ class TestRngStream:
         b = RngStream(12345, 1).random(100)
         assert not np.array_equal(a, b)
 
-    def test_clone_rewinds(self):
+    def test_same_key_rewinds(self):
         s = RngStream(5, 5)
         first = s.random(10)
-        np.testing.assert_array_equal(first, s.clone().random(10))
+        np.testing.assert_array_equal(first, RngStream(s.seed, s.stream_id).random(10))
 
     def test_beta_is_inverse_cdf_of_uniforms(self):
         from scipy.special import betaincinv

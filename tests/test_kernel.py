@@ -3,9 +3,11 @@ reference (``select`` and ``update`` at every step), the index step's numpy
 form (many rows) against its Python form (``run_once``, one row), the
 Python step's gallop through long runs and the Thompson kernel's screen of
 held leads against the per-step reference, ``run_once`` as a one-row run of
-the one chunk loop, and the rank-pointer running quantiles against the
-sorted-list sketch."""
+the one chunk loop, the route that gives each policy its step and its
+batch rule, and the rank-pointer running quantiles against the sorted-list
+sketch."""
 
+import copy
 import math
 import pickle
 from unittest import mock
@@ -707,6 +709,102 @@ class TestBatchMatchesRunOnce:
             for label in stayed:
                 assert results[label].regret.tobytes() == stayed[label].regret.tobytes(), label
                 assert results[label].pulls.tobytes() == stayed[label].pulls.tobytes(), label
+
+
+class LocalUcb(UcbPolicy):
+    """A subclass the package does not know."""
+
+
+class Wrapped:
+    """Offers ``select``, ``update`` and ``reset``, but is no Policy."""
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def reset(self):
+        self.policy = copy.deepcopy(self.policy)
+        self.policy.reset()
+
+    def select(self, t, load, rng=None):
+        return self.policy.select(t, load, rng)
+
+    def update(self, arm, reward, rng=None):
+        self.policy.update(arm, reward, rng)
+
+
+def routed(policies, replications=None):
+    """(results, the step factory and row count of each run of the chunk
+    loop, the number of ``run_once`` calls) of ``run_experiment`` on
+    ``policies``, at :data:`simulator.BATCH_ROWS` replications by default."""
+    means, runs = (0.3, 0.5, 0.45), []
+
+    def spy(name):
+        factory = getattr(simulator, name)
+
+        def make(cells, held, horizon):
+            runs.append((name, len(cells)))
+            return factory(cells, held, horizon)
+
+        return mock.patch.object(simulator, name, make)
+
+    with (
+        spy("_index_step"),
+        spy("_thompson_kernel"),
+        spy("_select_each_step"),
+        mock.patch.object(simulator, "run_once", wraps=simulator.run_once) as alone,
+    ):
+        results = run_experiment(
+            BanditInstance(means),
+            BetaLoad(2.0, 2.0),
+            BernoulliReward(means),
+            policies,
+            300,
+            replications or simulator.BATCH_ROWS,
+            base_seed=5,
+        )
+    return results, runs, alone.call_count
+
+
+BUILT_IN = {kind: make_policy(kind, 3, 0.2, 0.8) for kind in KINDS} | {
+    "linucb": LinUcbDisjointPolicy(3, 1.0),
+    "oracle": OraclePolicy(3, 1),
+}
+
+
+class TestRoute:
+    """Which step each policy's cells take, and which of them batch."""
+
+    @pytest.mark.parametrize("kind", sorted(BUILT_IN))
+    def test_each_built_in_kind(self, kind):
+        _, runs, alone = routed({kind: BUILT_IN[kind]})
+        rows = simulator.BATCH_ROWS
+        if kind in INDEX_KINDS:
+            assert (runs, alone) == ([("_index_step", rows)], 0)
+        else:
+            step = "_thompson_kernel" if kind == "ts" else "_select_each_step"
+            assert (runs, alone) == ([(step, 1)] * rows, rows)
+
+    def test_index_kinds_share_one_run(self):
+        _, runs, alone = routed(BUILT_IN)
+        rows = simulator.BATCH_ROWS
+        assert runs[0] == ("_index_step", len(INDEX_KINDS) * rows)
+        assert sorted(runs[1:]) == sorted([("_thompson_kernel", 1)] * rows + [("_select_each_step", 1)] * 2 * rows)
+        assert alone == 3 * rows
+
+    @pytest.mark.parametrize("replications", [simulator.BATCH_ROWS - 1, simulator.BATCH_ROWS])
+    def test_subclass_batches_like_its_parent(self, replications):
+        parent, parent_runs, _ = routed({"ucb": UcbPolicy(3, 0.51)}, replications)
+        child, child_runs, _ = routed({"ucb": LocalUcb(3, 0.51)}, replications)
+        assert child_runs == parent_runs
+        assert child["ucb"].regret.tobytes() == parent["ucb"].regret.tobytes()
+
+    def test_object_that_is_no_policy_steps_each_step(self):
+        results, runs, alone = routed({"ucb": Wrapped(UcbPolicy(3, 0.51))})
+        rows = simulator.BATCH_ROWS
+        assert (runs, alone) == ([("_select_each_step", 1)] * rows, rows)
+        reference, _, _ = routed({"ucb": UcbPolicy(3, 0.51)})
+        assert results["ucb"].regret.tobytes() == reference["ucb"].regret.tobytes()
+        assert results["ucb"].pulls.tobytes() == reference["ucb"].pulls.tobytes()
 
 
 # rewards whose running sums round (0.1, 0.3, 0.7) and whose means often

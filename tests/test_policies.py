@@ -407,7 +407,8 @@ class TestEAdaUcb:
     def test_thresholds_track_running_quantiles(self):
         policy = EAdaUcbPolicy(2, alpha=1.0)
         for v in [0.1 * i for i in range(1, 11)]:
-            th = policy.observe_load(v)
+            policy._observe_load(v)
+        th = policy.thresholds
         assert th.lower == pytest.approx(0.1)
         assert th.upper == pytest.approx(1.0)
 
@@ -444,7 +445,7 @@ class TestEAdaUcb:
 
     def test_reset_clears_sketch(self):
         policy = EAdaUcbPolicy(2, alpha=1.0, window=5)
-        policy.observe_load(0.2)
+        policy._observe_load(0.2)
         policy.reset()
         assert len(policy.load_sketch) == 0
 
