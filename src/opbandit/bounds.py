@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, check_alpha, derive_stream_id
+from .core import RngStream, check_alpha, check_eps, derive_stream_id, margin_up
 from .environments import (
     BetaLoad,
     BinaryRandomLoad,
@@ -48,7 +48,8 @@ __all__ = [
     "evaluate_bounds",
 ]
 
-#: default trapezoid step for the lower-envelope quadrature
+#: default trapezoid step for the lower-envelope quadrature; it divides 1,
+#: so :func:`evaluate_bounds` reads integer taus off the grid
 DEFAULT_QUADRATURE_STEP = 0.25
 
 #: stream id salt for the Monte-Carlo conditional-mean estimate
@@ -150,8 +151,7 @@ def deterministic_regret_log_term(t: int, alpha: float, gap: float, eps0: float)
     Kept as a thin wrapper over :func:`deterministic_pull_upper` so the
     identity ``term = eps0 * gap * (pull_upper - 1)`` holds exactly.
     """
-    if not 0.0 <= eps0 < 0.5:
-        raise ValueError(f"eps0 must be in [0, 0.5), got {eps0}")
+    check_eps("eps0", eps0)
     return eps0 * gap * (deterministic_pull_upper(t, alpha, gap) - 1.0)
 
 
@@ -176,8 +176,7 @@ def binary_regret_coeff(alpha: float, eps0: float, gaps, eps1: float | None = No
     regime.
     """
     check_alpha(alpha)
-    if not 0.0 <= eps0 < 0.5:
-        raise ValueError(f"eps0 must be in [0, 0.5), got {eps0}")
+    check_eps("eps0", eps0)
     gaps = _check_gaps(gaps)
     if alpha <= 16.0:
         warnings.warn(
@@ -218,13 +217,12 @@ def conditional_load_mean(
         # The costly inverse CDF runs only where its value can pass the
         # filter below.  A load betaincinv(a, b, u) is at or below the
         # threshold only if u is at or below I = betainc(a, b, threshold),
-        # since the inverse CDF is non-decreasing in u.  Rounding (about 1e-15
-        # relative in both functions) can move that edge by a hair, so the cut
-        # sits 1e-6 relative plus 1e-9 absolute above I, orders of magnitude
-        # beyond it: every uniform whose computed load passes is kept.  The
-        # mask keeps the sample's order, so ``below`` holds the same loads in
-        # the same order as evaluating every uniform, and the same mean.
-        cut = betainc(load_model.a, load_model.b, threshold) * (1.0 + 1e-6) + 1e-9
+        # since the inverse CDF is non-decreasing in u.  The cut sits the
+        # rounding margin above I, so every uniform whose computed load
+        # passes is kept.  The mask keeps the sample's order, so ``below``
+        # holds the same loads in the same order as evaluating every uniform,
+        # and the same mean.
+        cut = margin_up(betainc(load_model.a, load_model.b, threshold))
         draws = betaincinv(load_model.a, load_model.b, us if cut >= 1.0 else us[us <= cut])
         below = draws[draws <= threshold]
         if below.size == 0:
@@ -294,7 +292,6 @@ def evaluate_bounds(
     alpha: float,
     checkpoints,
     single_threshold: float | None = None,
-    quadrature_step: float = DEFAULT_QUADRATURE_STEP,
 ) -> BoundReport:
     """Evaluate every envelope that applies to the given scenario at the
     given checkpoints.
@@ -314,7 +311,7 @@ def evaluate_bounds(
         alpha=alpha,
         gaps=bandit.suboptimal_gaps(),
         checkpoints=pts,
-        params={"quadrature_step": quadrature_step},
+        params={"quadrature_step": DEFAULT_QUADRATURE_STEP},
     )
     # pull envelopes carry a t >= 2 precondition; regret growth terms are
     # fine from t = 1 on (ln 1 = 0)
@@ -338,12 +335,10 @@ def evaluate_bounds(
         )
         taus = pts // 2
         lower = np.full(len(pts), np.nan)
-        if np.any(taus >= 2):
-            grid, curve = deterministic_pull_lower_curve(
-                float(taus.max()), alpha, gap, quadrature_step
-            )
-            # integer taus fall between grid points unless the step divides 1
-            lower[taus >= 2] = np.interp(taus[taus >= 2], grid, curve)
+        ok = taus >= 2
+        if np.any(ok):
+            _, curve = deterministic_pull_lower_curve(float(taus.max()), alpha, gap)
+            lower[ok] = curve[(taus[ok] - 2) * round(1 / DEFAULT_QUADRATURE_STEP)]
         report.columns["pull_lower"] = lower
         report.columns["regret_log_term"] = np.array(
             [deterministic_regret_log_term(int(t), alpha, gap, load_model.eps0) for t in pts]

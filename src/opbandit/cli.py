@@ -1,13 +1,13 @@
 """Command-line experiment runner.
 
     opbandit run <config> -o <dir> [--seed N] [--replications R] [--horizon T] [--plot]
-    opbandit bounds <config> -o <dir> [--quadrature-step S] [--alpha A]
+    opbandit bounds <config> -o <dir> [--horizon T] [--alpha A]
     opbandit compare <run-dir> <bounds-dir> [-o report.txt]
     opbandit list-configs
 
 ``<config>`` is a YAML file path or the name of a bundled scenario.  Exit
-codes: 0 success, 1 configuration or input error, 2 a hard pull-count
-envelope was violated by the compared run.
+codes: 0 success (``--help`` included), 1 a usage, configuration or input
+error, 2 a hard pull-count envelope was violated by the compared run.
 
 The simulator and the bounds are imported by the command that runs them, so
 planning a config (and ``list-configs``) loads neither.
@@ -129,13 +129,10 @@ def _single_threshold(plan) -> tuple[str | None, float | None]:
 
 
 def _cmd_bounds(args) -> int:
-    from .bounds import DEFAULT_QUADRATURE_STEP, evaluate_bounds
+    from .bounds import evaluate_bounds
 
-    step = DEFAULT_QUADRATURE_STEP if args.quadrature_step is None else args.quadrature_step
     if args.alpha is not None and not 0.0 < args.alpha < math.inf:
         raise ConfigError("--alpha", f"must be finite and > 0, got {args.alpha}")
-    if not 0.0 < step <= 1.0:
-        raise ConfigError("--quadrature-step", f"must be in (0, 1], got {step}")
     cfg = _apply_overrides(_resolve_config(args.config), args)
     plan = build_plan(cfg)
     alpha = _pick_alpha(plan, args.alpha)
@@ -148,7 +145,6 @@ def _cmd_bounds(args) -> int:
             alpha,
             plan.checkpoints,
             single_threshold=threshold,
-            quadrature_step=step,
         )
     except TypeError as exc:  # no conditional load mean below the threshold
         if field is None:
@@ -270,12 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--replications", type=int, default=None)
     p_bounds.add_argument("--horizon", type=int, default=None)
     p_bounds.add_argument("--alpha", type=float, default=None, help="alpha used in the envelopes")
-    p_bounds.add_argument(
-        "--quadrature-step",
-        type=float,
-        default=None,
-        help="trapezoid step for the lower pull envelope",
-    )
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_cmp = sub.add_parser("compare", help="check a run against evaluated envelopes")
@@ -290,8 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help exits 0; a usage error is an input error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except ConfigError as exc:

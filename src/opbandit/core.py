@@ -82,11 +82,7 @@ class BanditInstance:
 
     def __post_init__(self):
         means = tuple(float(u) for u in self.means)
-        if len(means) < 2:
-            raise ValueError("a bandit instance needs at least 2 arms")
-        for k, u in enumerate(means):
-            if not math.isfinite(u) or not 0.0 <= u <= 1.0:
-                raise ValueError(f"mean of arm {k} must be in [0, 1], got {u}")
+        check_means(means, "a bandit instance")
         best_mean = max(means)
         best_arm = means.index(best_mean)  # lowest index wins ties
         gaps = tuple(best_mean - u for u in means)
@@ -134,6 +130,28 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
 
 
+def check_eps(name: str, eps: float) -> None:
+    """Reject a two-level load's ``eps0`` or ``eps1`` outside [0, 0.5)."""
+    if not 0.0 <= eps < 0.5:
+        raise ValueError(f"{name} must be in [0, 0.5), got {eps}")
+
+
+def check_prob(p: float) -> None:
+    """Reject a quantile probability outside (0, 1)."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"quantile probability must be in (0, 1), got {p}")
+
+
+def check_means(means, owner: str) -> None:
+    """Reject arm means that are fewer than 2 or not each in [0, 1];
+    ``owner`` names what holds them in the message."""
+    if len(means) < 2:
+        raise ValueError(f"{owner} needs at least 2 arms")
+    for k, u in enumerate(means):
+        if not math.isfinite(u) or not 0.0 <= u <= 1.0:
+            raise ValueError(f"mean of arm {k} must be in [0, 1], got {u}")
+
+
 def normalize_load(raw: float, thresholds: Thresholds) -> float:
     """Map a raw load onto [0, 1] by truncating to the threshold band and
     rescaling.
@@ -174,9 +192,8 @@ def binary_normalize(raw: float, eps0: float, eps1: float) -> float:
     high level to ``1 - eps1/(1 - eps0)``.  Delegates to
     :func:`normalize_load` so the two paths agree bit-for-bit.
     """
-    for name, eps in (("eps0", eps0), ("eps1", eps1)):
-        if not 0.0 <= eps < 0.5:
-            raise ValueError(f"{name} must be in [0, 0.5), got {eps}")
+    check_eps("eps0", eps0)
+    check_eps("eps1", eps1)
     if raw != eps0 and raw != 1.0 - eps1:
         raise ValueError(
             f"raw load {raw} is not one of the admissible levels "
@@ -185,12 +202,36 @@ def binary_normalize(raw: float, eps0: float, eps1: float) -> float:
     return normalize_load(raw, Thresholds(eps0, 1.0))
 
 
+def nearest_rank(p: float, n: int) -> int:
+    """The rank k = max(1, ceil(p*n)) of the nearest-rank p-quantile of n
+    values: the p-quantile is the k-th smallest."""
+    return max(1, math.ceil(p * n))
+
+
 def nearest_rank_quantile(values, p: float) -> float:
-    """The p-quantile of sorted ``values`` by the nearest-rank rule: the
-    ceil(p*n)-th smallest, for p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile probability must be in (0, 1), got {p}")
-    return float(values[max(1, math.ceil(p * len(values))) - 1])
+    """The p-quantile of sorted ``values`` by the nearest-rank rule, for p
+    in (0, 1)."""
+    check_prob(p)
+    return float(values[nearest_rank(p, len(values)) - 1])
+
+
+def margin_up(x, out=None):
+    """``x (1 + 1e-6) + 1e-9``: x raised by the rounding margin, written to
+    ``out`` when given (no allocation).
+
+    A bound computed with scipy's ``betainc`` or ``betaincinv`` is moved out
+    by this margin so that it holds for the computed values as it does for
+    the exact ones.  Both functions round by orders of magnitude less: for
+    Beta shapes up to 2e5, ``betaincinv(a, b, u)`` returns an x whose exact
+    CDF is within 6e-10 u of u, and ``betainc`` is within 3e-13 of its exact
+    value, relative (about 1e-15 at the load models' shapes).
+    """
+    return np.add(np.multiply(x, 1.0 + 1e-6, out=out), 1e-9, out=out)
+
+
+def margin_down(x, out=None):
+    """``x (1 - 1e-6) - 1e-9``: x lowered by the margin of :func:`margin_up`."""
+    return np.subtract(np.multiply(x, 1.0 - 1e-6, out=out), 1e-9, out=out)
 
 
 def default_checkpoints(horizon: int, count: int = 50) -> np.ndarray:

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import RngStream, nearest_rank_quantile
+from .core import RngStream, check_eps, check_means, check_prob, margin_down, margin_up, nearest_rank, nearest_rank_quantile
 
 __all__ = [
     "LoadModel",
@@ -43,12 +43,6 @@ __all__ = [
     "LOAD_KINDS",
     "REWARD_KINDS",
 ]
-
-
-def _check_eps(name: str, value: float) -> float:
-    if not 0.0 <= value < 0.5:
-        raise ValueError(f"{name} must be in [0, 0.5), got {value}")
-    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +101,8 @@ class PeriodicSquareWaveLoad(LoadModel):
     uses_rng = False
 
     def __post_init__(self):
-        _check_eps("eps0", self.eps0)
-        _check_eps("eps1", self.eps1)
+        check_eps("eps0", self.eps0)
+        check_eps("eps1", self.eps1)
 
     def _bulk(self, ts: np.ndarray, us=None) -> np.ndarray:
         return np.where(ts % 2 == 0, self.eps0, 1.0 - self.eps1)
@@ -129,8 +123,8 @@ class BinaryRandomLoad(LoadModel):
     kind = "binary"
 
     def __post_init__(self):
-        _check_eps("eps0", self.eps0)
-        _check_eps("eps1", self.eps1)
+        check_eps("eps0", self.eps0)
+        check_eps("eps1", self.eps1)
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must be in [0, 1], got {self.rho}")
 
@@ -138,7 +132,7 @@ class BinaryRandomLoad(LoadModel):
         return np.where(us < self.rho, self.eps0, 1.0 - self.eps1)
 
     def quantile(self, p: float) -> float:
-        _check_prob(p)
+        check_prob(p)
         return self.eps0 if p <= self.rho else 1.0 - self.eps1
 
 
@@ -162,7 +156,7 @@ class BetaLoad(LoadModel):
     def quantile(self, p: float) -> float:
         from scipy.special import betaincinv
 
-        _check_prob(p)
+        check_prob(p)
         return float(betaincinv(self.a, self.b, p))
 
 
@@ -176,13 +170,8 @@ class UniformLoad(LoadModel):
         return us
 
     def quantile(self, p: float) -> float:
-        _check_prob(p)
+        check_prob(p)
         return p
-
-
-def _check_prob(p: float) -> None:
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile probability must be in (0, 1), got {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +341,7 @@ class SemiPeriodicLoad(LoadModel):
 
         # F^-1 at u = i/4096 for i = 0..4096, widened below and above (see quantile)
         grid = betaincinv(self.noise_a, self.noise_b, np.arange(4097) / 4096)
-        return grid * (1.0 - 1e-6) - 1e-9, (grid * (1.0 + 1e-6) + 1e-9)[1:]
+        return margin_down(grid), margin_up(grid)[1:]
 
     def quantile(self, p: float) -> float:
         """Empirical marginal quantile from a fixed-seed reference sample of n
@@ -364,9 +353,8 @@ class SemiPeriodicLoad(LoadModel):
         [i/4096, (i+1)/4096) for i = floor(4096*u), exactly, since 4096 is a
         power of two.  F^-1 is non-decreasing, so a 4097-point table of it
         brackets the load: lo = env * F^-1(i/4096) <= v <= env * F^-1((i+1)/4096)
-        = hi.  Rounding (about 1e-15 relative in betaincinv) can move a table
-        entry by a hair, so the table sits 1e-6 relative plus 1e-9 absolute
-        outside it, orders of magnitude beyond; env >= 0 and products round
+        = hi.  The table sits outside by the rounding margin of
+        :func:`~opbandit.core.margin_up`; env >= 0 and products round
         monotonically, so the brackets hold for the computed loads too.  With
         L and H the k-th smallest lo and hi, the answer V lies in [L, H].  Every
         load with hi < L lies below V and every load with lo > H above it, so V
@@ -375,9 +363,9 @@ class SemiPeriodicLoad(LoadModel):
         """
         from scipy.special import betaincinv
 
-        _check_prob(p)
+        check_prob(p)
         n = max(1, 200_000 // self.period) * self.period
-        k = max(1, math.ceil(p * n))
+        k = nearest_rank(p, n)
         env = self._envelope(np.arange(1, n + 1))  # before us: its temporaries set the peak
         us = RngStream(0x5EED_10AD, 0).random(n)
         lower, upper = self._noise_brackets
@@ -437,7 +425,7 @@ class DiracReward(RewardModel):
 
     def __post_init__(self):
         object.__setattr__(self, "means", tuple(float(u) for u in self.means))
-        _check_means(self.means)
+        check_means(self.means, "reward model")
 
     def reward_rows(self, t0: int, n: int, rng=None) -> np.ndarray:
         return np.broadcast_to(self.means, (n, len(self.means)))
@@ -452,7 +440,7 @@ class BernoulliReward(RewardModel):
 
     def __post_init__(self):
         object.__setattr__(self, "means", tuple(float(u) for u in self.means))
-        _check_means(self.means)
+        check_means(self.means, "reward model")
 
     def reward_rows(self, t0: int, n: int, rng: RngStream) -> np.ndarray:
         return np.where(rng.random(n)[:, None] < self.means, 1.0, 0.0)
@@ -475,18 +463,10 @@ class TraceReward(RewardModel):
         if self.data.rewards is None:
             raise ValueError("trace has no reward columns")
         object.__setattr__(self, "means", tuple(float(m) for m in self.data.rewards.mean(axis=0)))
-        _check_means(self.means)
+        check_means(self.means, "reward model")
 
     def reward_rows(self, t0: int, n: int, rng=None) -> np.ndarray:
         return self.data.rewards[np.arange(t0 - 1, t0 - 1 + n) % self.data.n_rows]
-
-
-def _check_means(means: tuple[float, ...]) -> None:
-    if len(means) < 2:
-        raise ValueError("reward model needs at least 2 arms")
-    for k, u in enumerate(means):
-        if not math.isfinite(u) or not 0.0 <= u <= 1.0:
-            raise ValueError(f"mean of arm {k} must be in [0, 1], got {u}")
 
 
 LOAD_KINDS = {

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ArmState, RngStream, Thresholds, check_alpha, nearest_rank_quantile, normalize_load, normalize_loads
+from .core import ArmState, RngStream, Thresholds, check_alpha, check_prob, nearest_rank_quantile, normalize_load, normalize_loads
 
 __all__ = [
     "Policy",
@@ -147,7 +147,7 @@ class IndexPolicy(Policy):
 
     def __init__(self, n_arms: int):
         super().__init__(n_arms)
-        self.arm_states = [ArmState() for _ in range(n_arms)]
+        self.reset()
 
     def reset(self) -> None:
         self.arm_states = [ArmState() for _ in range(self.n_arms)]
@@ -266,7 +266,7 @@ class LoadQuantileSketch:
 
 
 def _nearest_rank(q: float, n: np.ndarray) -> np.ndarray:
-    # max(1, ceil(q*n)) as in nearest_rank_quantile, and 0 for n = 0
+    # core.nearest_rank over an array of n, and 0 for n = 0
     return np.where(n > 0, np.maximum(1.0, np.ceil(q * n)), 0.0)
 
 
@@ -365,17 +365,16 @@ class EAdaUcbPolicy(IndexPolicy):
         upper_quantile: float = 0.95,
         window: int | None = None,
     ):
-        super().__init__(n_arms)
         check_alpha(alpha)
-        if not 0.0 < lower_quantile < 1.0 or not 0.0 < upper_quantile < 1.0:
-            raise ValueError("quantile probabilities must be in (0, 1)")
+        check_prob(lower_quantile)
+        check_prob(upper_quantile)
         if lower_quantile > upper_quantile:
             raise ValueError("lower_quantile must not exceed upper_quantile")
         self.alpha = alpha
         self.lower_quantile = lower_quantile
         self.upper_quantile = upper_quantile
         self.window = window
-        self.load_sketch = LoadQuantileSketch(window)
+        super().__init__(n_arms)  # which ends with self.reset()
 
     def reset(self) -> None:
         super().reset()
@@ -419,8 +418,7 @@ class ThompsonPolicy(Policy):
 
     def __init__(self, n_arms: int):
         super().__init__(n_arms)
-        self.a = np.ones(n_arms)
-        self.b = np.ones(n_arms)
+        self.reset()
 
     def reset(self) -> None:
         self.a = np.ones(self.n_arms)
@@ -527,9 +525,8 @@ class RoundRobinGreedyPolicy(IndexPolicy):
     kind = "rr-greedy"
 
     def __init__(self, n_arms: int, thresholds: Thresholds):
-        super().__init__(n_arms)
         self.thresholds = thresholds
-        self._next = 0
+        super().__init__(n_arms)  # which ends with self.reset()
 
     def reset(self) -> None:
         super().reset()

@@ -87,7 +87,7 @@ def _read_table(path, what: str, label: str | None = None) -> tuple[list[str], l
     """Header and rows of a CSV written here: float cells, but for the first
     column when ``label`` names it (kept as text)."""
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not text:
+    if len(text) < 2:  # not even a row under the header
         raise ValueError(f"{path}: empty {what} file")
     header = text[0].split(",")
     if label is not None and header[0] != label:

@@ -54,7 +54,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import BanditInstance, RngStream, default_checkpoints, derive_stream_id
+from .core import BanditInstance, RngStream, default_checkpoints, derive_stream_id, margin_down, margin_up
 from .environments import LoadModel, RewardModel
 from .policies import IndexPolicy, Policy, RunningQuantiles, ThompsonPolicy
 
@@ -350,15 +350,12 @@ def _thompson_kernel(cells: list, held: list, horizon: int) -> Callable:
     falls in b, and c's a never falls, so while c's b stays at most
     ``b_c + SCREEN_SLACK``, c's draw at ``u_c > p_g`` is above ``x_g``, and
     arm k's draw at ``u_k < F_k(x_g)`` is below it.  A step where both hold
-    at one level for every k, with the margins
-    ``u_c > p_g (1 + 1e-6) + 1e-9`` and ``u_k < F_k(x_g) (1 - 1e-6) - 1e-9``,
-    is c's, and takes no inverse.  The margins cover the rounding of both
-    functions: for posteriors of up to 2e5 pulls, ``betaincinv(a, b, u)``
-    returns an x whose exact CDF is within 6e-10 u of u, and ``betainc`` is
-    within 3e-13 of its exact value, relative.  Every other step takes the
-    inverse, and with more than 3 arms only over the arms the table leaves
-    open: an arm whose draw is certainly below ``x_g``, so below c's, can be
-    neither the argmax nor tied with it, and its draw stays -1.
+    at one level for every k, with ``p_g`` raised and ``F_k(x_g)`` lowered
+    by the rounding margin of :func:`~opbandit.core.margin_up`, is c's, and
+    takes no inverse.  Every other step takes the inverse, and with more
+    than 3 arms only over the arms the table leaves open: an arm whose
+    draw is certainly below ``x_g``, so below c's, can be neither the
+    argmax nor tied with it, and its draw stays -1.
 
     Steps are screened a window at a time, ahead of the loop: the window
     starts at :data:`SCREEN_WINDOW` steps and doubles while c wins.  When
@@ -382,7 +379,7 @@ def _thompson_kernel(cells: list, held: list, horizon: int) -> Callable:
     draws = np.empty(n_arms)
     levels = np.array(SCREEN_LEVELS)
     bounds = np.empty_like(levels)  # the x_g of the table
-    floors = levels * (1.0 + 1e-6) + 1e-9  # the candidate's uniform must pass one
+    floors = margin_up(levels)  # the candidate's uniform must pass one
     # row 1 + g: where the candidate's uniform passes floor g (and no
     # higher), every other arm's must stay under its ceiling there; row 0
     # fails all
@@ -404,16 +401,12 @@ def _thompson_kernel(cells: list, held: list, horizon: int) -> Callable:
         nonlocal slack
         slack = SCREEN_SLACK
         bounds[:] = betaincinv(a[cand], b[cand] + SCREEN_SLACK, levels)
-        betainc(a, b, bounds[:, None], out=ceilings[1:])
-        ceilings[1:] *= 1.0 - 1e-6
-        ceilings[1:] -= 1e-9
+        margin_down(betainc(a, b, bounds[:, None], out=ceilings[1:]), out=ceilings[1:])
         ceilings[1:, cand] = 2.0  # the candidate is held to its floor instead
 
     def take_column(k: int) -> None:
         column = ceilings[1:, k]
-        betainc(a[k], b[k], bounds, out=column)
-        column *= 1.0 - 1e-6
-        column -= 1e-9
+        margin_down(betainc(a[k], b[k], bounds, out=column), out=column)
 
     def screen(u: np.ndarray, j: int) -> Iterator[bool]:
         """Screen the next window of the chunk's uniforms ``u`` from step j."""

@@ -152,6 +152,23 @@ def test_out_of_range_override_names_field(tmp_path, capsys, command, option, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["run", "fig1a", "-o", "o", "--horizon", "abc"], ["run", "fig1a", "-o", "o", "--nope"], ["bounds"], ["frobnicate"]],
+    ids=["bad-value", "unknown-flag", "missing-argument", "unknown-command"],
+)
+def test_usage_error_exits_one(capsys, args):
+    # exit 2 is kept for a violated pull envelope
+    assert run_cli(args) == 1
+    assert "opbandit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["bounds", "--help"]])
+def test_help_exits_zero(capsys, args):
+    assert run_cli(args) == 0
+    assert "usage: opbandit" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(("horizon", "checkpoints"), [(60, [1, 10, 50, 60]), (50, [1, 10, 50])])
 def test_horizon_override_trims_explicit_checkpoints(tmp_path, horizon, checkpoints):
     cfg = tmp_path / "cfg.yaml"
@@ -171,14 +188,11 @@ def test_horizon_override_trims_explicit_checkpoints(tmp_path, horizon, checkpoi
 class TestBounds:
     def test_deterministic_scenario_columns_and_metadata(self, tmp_path):
         out = tmp_path / "b"
-        code = run_cli(
-            ["bounds", "dirac-square-wave", "-o", out, "--horizon", "2000", "--quadrature-step", "0.5"]
-        )
-        assert code == 0
+        assert run_cli(["bounds", "dirac-square-wave", "-o", out, "--horizon", "2000"]) == 0
         header = (out / "bounds.csv").read_text().splitlines()[0].split(",")
         assert set(header) >= {"t", "pull_upper", "pull_lower", "regret_log_term"}
         meta = json.loads((out / "metadata.json").read_text())
-        assert meta["resolved"]["params"]["quadrature_step"] == 0.5
+        assert meta["resolved"]["params"]["quadrature_step"] == 0.25
         assert meta["resolved"]["alpha"] == 2.0
 
     def test_zero_eps0_binary_has_zero_regret_term(self, tmp_path):
@@ -197,18 +211,13 @@ class TestBounds:
         assert "config error: --alpha: must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("step", ["0", "-1", "nan", "2"])
+    @pytest.mark.parametrize("step", ["0.5", "0", "-1", "nan", "2"])
     def test_invalid_quadrature_step_names_flag(self, tmp_path, capsys, step):
+        # the flag is gone: whatever its value, it is a usage error (exit 1)
         out = tmp_path / "b"
-        assert run_cli(["bounds", "fig1b", "-o", out, "--horizon", "200", "--quadrature-step", step]) == 1
-        assert "config error: --quadrature-step: must be in (0, 1]" in capsys.readouterr().err
+        assert run_cli(["bounds", "fig1b", "-o", out, "--quadrature-step", step]) == 1
+        assert "unrecognized arguments: --quadrature-step" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_quadrature_step_of_one_accepted(self, tmp_path):
-        out = tmp_path / "b"
-        args = ["bounds", "dirac-square-wave", "-o", out, "--horizon", "200", "--quadrature-step", "1"]
-        assert run_cli(args) == 0
-        assert (out / "bounds.csv").exists()
 
     @pytest.mark.parametrize("load", ["square-wave", "trace"])
     def test_single_threshold_without_conditional_mean_names_field(self, tmp_path, capsys, load):
@@ -342,7 +351,11 @@ class TestCompare:
     @pytest.mark.parametrize("name", ["results", "bounds"])
     @pytest.mark.parametrize(
         "text, message",
-        [("\n", "empty {name} file"), ("policy,t\nu,1,2\n", "malformed row 'u,1,2'")],
+        [
+            ("\n", "empty {name} file"),
+            ("policy,t\n", "empty {name} file"),
+            ("policy,t\nu,1,2\n", "malformed row 'u,1,2'"),
+        ],
     )
     def test_malformed_table_named(self, dirac_pair, capsys, name, text, message):
         run_dir, bounds_dir = dirac_pair

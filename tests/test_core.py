@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from opbandit import bounds, environments
 from opbandit.core import (
     ArmState,
     BanditInstance,
@@ -15,8 +16,13 @@ from opbandit.core import (
     Thresholds,
     binary_normalize,
     derive_stream_id,
+    margin_down,
+    margin_up,
+    nearest_rank,
+    nearest_rank_quantile,
     normalize_load,
 )
+from opbandit.policies import EAdaUcbPolicy, LoadQuantileSketch
 
 BAND = Thresholds(0.2, 0.8)
 
@@ -208,6 +214,104 @@ class TestRngStream:
         assert a != derive_stream_id("adaucb", 1, "load")
         assert a != derive_stream_id("ucb", 0, "load")
         assert 0 <= a < 2**64
+
+
+#: each former site of the eps check, given one eps (as eps0, else eps1)
+EPS_CALLS = {
+    "square-wave eps0": lambda eps: environments.PeriodicSquareWaveLoad(eps, 0.0),
+    "square-wave eps1": lambda eps: environments.PeriodicSquareWaveLoad(0.0, eps),
+    "binary eps0": lambda eps: environments.BinaryRandomLoad(eps, 0.0),
+    "binary eps1": lambda eps: environments.BinaryRandomLoad(0.0, eps),
+    "binary_normalize eps0": lambda eps: binary_normalize(0.9, eps, 0.1),
+    "binary_normalize eps1": lambda eps: binary_normalize(0.05, 0.05, eps),
+    "deterministic_regret_log_term": lambda eps: bounds.deterministic_regret_log_term(10, 2.0, 0.1, eps),
+    "binary_regret_coeff": lambda eps: bounds.binary_regret_coeff(20.0, eps, [0.1]),
+}
+
+
+@pytest.mark.parametrize("eps", [-0.01, 0.5, math.nan], ids=["negative", "half", "nan"])
+@pytest.mark.parametrize("name", sorted(EPS_CALLS))
+def test_eps_must_be_in_zero_half(name, eps):
+    which = "eps1" if name.endswith("eps1") else "eps0"
+    with pytest.raises(ValueError, match=rf"^{which} must be in \[0, 0\.5\), got {eps}$"):
+        EPS_CALLS[name](eps)
+
+
+#: each former site of the quantile-probability check, given p
+PROB_CALLS = {
+    "nearest_rank_quantile": lambda p: nearest_rank_quantile([0.1, 0.2, 0.3], p),
+    "BinaryRandomLoad.quantile": lambda p: environments.BinaryRandomLoad(0.05, 0.05).quantile(p),
+    "BetaLoad.quantile": lambda p: environments.BetaLoad(2.0, 2.0).quantile(p),
+    "UniformLoad.quantile": lambda p: environments.UniformLoad().quantile(p),
+    "SemiPeriodicLoad.quantile": lambda p: environments.SemiPeriodicLoad().quantile(p),
+    "TraceLoad.quantile": lambda p: environments.TraceLoad(
+        environments.TraceData(np.array([0.1, 0.5, 1.0]), None, 1.0)
+    ).quantile(p),
+    "LoadQuantileSketch.quantile": lambda p: _sketch_of([0.1, 0.5]).quantile(p),
+    "EAdaUcbPolicy lower_quantile": lambda p: EAdaUcbPolicy(2, 1.0, lower_quantile=p),
+    "EAdaUcbPolicy upper_quantile": lambda p: EAdaUcbPolicy(2, 1.0, 1e-9, upper_quantile=p),
+}
+
+
+def _sketch_of(values):
+    sketch = LoadQuantileSketch()
+    for v in values:
+        sketch.insert(v)
+    return sketch
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, math.nan], ids=["zero", "one", "negative", "nan"])
+@pytest.mark.parametrize("name", sorted(PROB_CALLS))
+def test_quantile_probability_must_be_in_zero_one(name, p):
+    with pytest.raises(ValueError, match=rf"^quantile probability must be in \(0, 1\), got {p}$"):
+        PROB_CALLS[name](p)
+
+
+#: each former site of the arm-means check, given the means, and the
+#: message's name for what holds them
+MEANS_CALLS = {
+    "BanditInstance": (BanditInstance, "a bandit instance"),
+    "DiracReward": (environments.DiracReward, "reward model"),
+    "BernoulliReward": (environments.BernoulliReward, "reward model"),
+    "TraceReward": (
+        lambda means: environments.TraceReward(
+            environments.TraceData(np.ones(len(means)), np.array([means]), 1.0)
+        ),
+        "reward model",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEANS_CALLS))
+def test_one_arm_is_not_enough(name):
+    make, owner = MEANS_CALLS[name]
+    with pytest.raises(ValueError, match=f"^{owner} needs at least 2 arms$"):
+        make((0.5,))
+
+
+@pytest.mark.parametrize("mean", [-0.1, 1.5, math.nan, math.inf], ids=["negative", "above-one", "nan", "inf"])
+@pytest.mark.parametrize("name", sorted(MEANS_CALLS))
+def test_arm_means_must_be_in_unit_interval(name, mean):
+    make, _ = MEANS_CALLS[name]
+    with pytest.raises(ValueError, match=rf"^mean of arm 1 must be in \[0, 1\], got {mean}$"):
+        make((0.5, mean))
+
+
+@pytest.mark.parametrize("p, n, k", [(0.001, 10, 1), (0.1, 10, 1), (0.5, 10, 5), (0.51, 10, 6), (0.999, 10, 10)])
+def test_nearest_rank_is_ceil_with_floor_one(p, n, k):
+    assert nearest_rank(p, n) == k
+    assert nearest_rank_quantile(range(1, n + 1), p) == k
+
+
+def test_rounding_margin_is_one_formula_in_place_or_not():
+    x = RngStream(3, 0).random(64)
+    np.testing.assert_array_equal(margin_up(x), x * (1.0 + 1e-6) + 1e-9)
+    np.testing.assert_array_equal(margin_down(x), x * (1.0 - 1e-6) - 1e-9)
+    assert margin_up(0.25) == 0.25 * (1.0 + 1e-6) + 1e-9
+    column = np.zeros((3, 4))[:, 1]  # a strided view, as the Thompson screen's columns
+    column[:] = x[:3]
+    assert margin_down(column, out=column) is column
+    np.testing.assert_array_equal(column, margin_down(x[:3]))
 
 
 @pytest.mark.parametrize(
