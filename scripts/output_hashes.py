@@ -36,9 +36,11 @@ checks, and of the default scale, are committed under
 ``tests/output_hashes/``; ``tests/test_byte_gates.py`` runs the first three
 in-process against them.
 
-``bounds`` runs only for configs whose bound alpha can be inferred (one
-adaptive policy's); the others print no bounds lines.  The files are
-written to a temporary directory, which is removed afterwards.
+``--seed`` and ``--replications`` go to ``run`` only: ``bounds`` takes
+neither, since its output depends on neither.  ``bounds`` runs only for
+configs whose bound alpha can be inferred (one adaptive policy's); the
+others print no bounds lines.  The files are written to a temporary
+directory, which is removed afterwards.
 """
 
 import argparse
@@ -66,18 +68,16 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--horizon", type=int, default=None, help="override every config's horizon")
     parser.add_argument("--replications", type=int, default=None, help="override the replication count of `run`")
-    parser.add_argument("--seed", type=int, default=None, help="override every config's base seed")
+    parser.add_argument("--seed", type=int, default=None, help="override the base seed of `run`")
     parser.add_argument("--only", action="extend", nargs="+", metavar="NAME", help="hash only these configs")
     args = parser.parse_args()
 
-    overrides = []
-    if args.horizon is not None:
-        overrides += ["--horizon", str(args.horizon)]
+    overrides = [] if args.horizon is None else ["--horizon", str(args.horizon)]
+    run_overrides = list(overrides)
     if args.seed is not None:
-        overrides += ["--seed", str(args.seed)]
-    run_overrides = overrides
+        run_overrides += ["--seed", str(args.seed)]
     if args.replications is not None:
-        run_overrides = overrides + ["--replications", str(args.replications)]
+        run_overrides += ["--replications", str(args.replications)]
 
     _, listing, _ = quiet(["list-configs"])
     names = listing.split()

@@ -16,7 +16,6 @@ planning a config (and ``list-configs``) loads neither.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -24,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, build_plan, load_config, parse_config
+from .core import check_alpha
 from .report import (
     load_metadata,
     read_bounds_csv,
@@ -57,20 +57,23 @@ def _resolve_config(arg: str) -> ExperimentConfig:
     )
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    """The config with the command line's values, checked as a config file's."""
-    overrides = {"base_seed": args.seed, "replications": args.replications, "horizon": args.horizon}
+def _apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
+    """The config with the command line's values (those not None), checked
+    as a config file's."""
     doc = cfg.to_dict() | {key: value for key, value in overrides.items() if value is not None}
-    if args.horizon is not None and cfg.checkpoints is not None:
-        pts = [t for t in cfg.checkpoints if t <= args.horizon]
-        doc["checkpoints"] = pts if pts and pts[-1] == args.horizon else [*pts, args.horizon]
+    horizon = overrides.get("horizon")
+    if horizon is not None and cfg.checkpoints is not None:
+        pts = [t for t in cfg.checkpoints if t <= horizon]
+        doc["checkpoints"] = pts if pts and pts[-1] == horizon else [*pts, horizon]
     return parse_config(doc)
 
 
 def _cmd_run(args) -> int:
     from .simulator import run_experiment
 
-    cfg = _apply_overrides(_resolve_config(args.config), args)
+    cfg = _apply_overrides(
+        _resolve_config(args.config), base_seed=args.seed, replications=args.replications, horizon=args.horizon
+    )
     plan = build_plan(cfg)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -131,9 +134,9 @@ def _single_threshold(plan) -> tuple[str | None, float | None]:
 def _cmd_bounds(args) -> int:
     from .bounds import evaluate_bounds
 
-    if args.alpha is not None and not 0.0 < args.alpha < math.inf:
-        raise ConfigError("--alpha", f"must be finite and > 0, got {args.alpha}")
-    cfg = _apply_overrides(_resolve_config(args.config), args)
+    if args.alpha is not None:
+        ConfigError.check("--alpha", check_alpha, args.alpha)
+    cfg = _apply_overrides(_resolve_config(args.config), horizon=args.horizon)
     plan = build_plan(cfg)
     alpha = _pick_alpha(plan, args.alpha)
     field, threshold = _single_threshold(plan)
@@ -262,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="evaluate analytic envelopes for a config")
     p_bounds.add_argument("config")
     p_bounds.add_argument("-o", "--output", required=True)
-    p_bounds.add_argument("--seed", type=int, default=None)
-    p_bounds.add_argument("--replications", type=int, default=None)
     p_bounds.add_argument("--horizon", type=int, default=None)
     p_bounds.add_argument("--alpha", type=float, default=None, help="alpha used in the envelopes")
     p_bounds.set_defaults(func=_cmd_bounds)

@@ -24,14 +24,14 @@ import functools
 import inspect
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 import yaml
 
-from .core import BanditInstance, Thresholds, default_checkpoints
+from .core import BanditInstance, Thresholds, check_checkpoints, check_prob, default_checkpoints
 from .environments import (
     LOAD_KINDS,
     REWARD_KINDS,
@@ -68,6 +68,16 @@ class ConfigError(ValueError):
         self.fieldpath = fieldpath
         self.message = message
 
+    @classmethod
+    def check(cls, fieldpath: str, rule, *args):
+        """``rule(*args)``, a rule that :mod:`core` states once: its
+        ValueError becomes a ConfigError on ``fieldpath`` with the rule's
+        own message."""
+        try:
+            return rule(*args)
+        except ValueError as exc:
+            raise cls(fieldpath, str(exc)) from None
+
 
 def _require(mapping: dict, key: str, ctx: str):
     if key not in mapping:
@@ -103,9 +113,33 @@ def _unknown_keys(mapping: dict, allowed, ctx: str):
 # ---------------------------------------------------------------------------
 
 
+def _check_level(level: float) -> None:
+    if not 0.0 <= level <= 1.0:
+        raise ValueError(f"must be in [0, 1], where every load lies, got {level}")
+
+
+class _Form(NamedTuple):
+    """A mapping form of a threshold band."""
+
+    keys: tuple[str, ...]  # its config keys, in the order of its values
+    rule: Callable  # the rule each value keeps
+    levels: Callable  # (values, the load model's quantile) -> (lower, upper)
+
+
+#: threshold mode -> its mapping form
+_FORMS = {
+    "absolute": _Form(("lower", "upper"), _check_level, lambda v, quantile: v),
+    "probability": _Form(
+        ("lower_prob", "upper_prob"), check_prob, lambda v, quantile: (quantile(v[0]), quantile(1.0 - v[1]))
+    ),
+    "single": _Form(("single_prob",), check_prob, lambda v, quantile: (quantile(v[0]),) * 2),
+}
+
+
 @dataclass(frozen=True)
 class ThresholdSpec:
-    """How an adaptive policy's truncation band is obtained.
+    """How an adaptive policy's truncation band is obtained: a ``mode`` and
+    the ``values`` of its keys (:data:`_FORMS`), in their order.
 
     mode "absolute":    lower/upper are raw load levels.
     mode "probability": lower = Q(lower_prob) and upper = Q(1 - upper_prob),
@@ -113,88 +147,46 @@ class ThresholdSpec:
                         and above the upper threshold.
     mode "single":      one quantile probability; lower and upper both sit at
                         Q(single_prob) exactly (the step-function band).
-    mode "binary":      (low level of a two-level load model, 1.0).
+    mode "binary":      (low level of a two-level load model, 1.0); no values.
     """
 
     mode: str
-    lower: float | None = None
-    upper: float | None = None
-    lower_prob: float | None = None
-    upper_prob: float | None = None
-    single_prob: float | None = None
+    values: tuple[float, ...] = ()
 
     @classmethod
     def from_value(cls, value, ctx: str) -> "ThresholdSpec":
         if value == "binary":
-            return cls(mode="binary")
+            return cls("binary")
         if not isinstance(value, dict):
             raise ConfigError(ctx, f'expected "binary" or a mapping, got {value!r}')
-        _unknown_keys(value, {"lower", "upper", "lower_prob", "upper_prob", "single_prob"}, ctx)
-        has_abs = "lower" in value or "upper" in value
-        has_prob = "lower_prob" in value or "upper_prob" in value
-        has_single = "single_prob" in value
-        if has_abs + has_prob + has_single > 1:
+        _unknown_keys(value, [key for form in _FORMS.values() for key in form.keys], ctx)
+        modes = [mode for mode, form in _FORMS.items() if not value.keys().isdisjoint(form.keys)]
+        if len(modes) > 1:
             raise ConfigError(ctx, "mix of absolute, probability, and single threshold fields")
-        if has_single:
-            p = _as_number(value["single_prob"], f"{ctx}.single_prob")
-            if not 0.0 < p < 1.0:
-                raise ConfigError(f"{ctx}.single_prob", f"must be in (0, 1), got {p}")
-            return cls(mode="single", single_prob=p)
-        if has_abs:
-            lo = _as_number(_require(value, "lower", ctx), f"{ctx}.lower")
-            hi = _as_number(_require(value, "upper", ctx), f"{ctx}.upper")
-            for name, level in (("lower", lo), ("upper", hi)):
-                if not 0.0 <= level <= 1.0:
-                    raise ConfigError(f"{ctx}.{name}", f"must be in [0, 1], where every load lies, got {level}")
-            if lo > hi:
-                raise ConfigError(f"{ctx}.lower", f"lower {lo} exceeds upper {hi}")
-            return cls(mode="absolute", lower=lo, upper=hi)
-        if has_prob:
-            lp = _as_number(_require(value, "lower_prob", ctx), f"{ctx}.lower_prob")
-            up = _as_number(_require(value, "upper_prob", ctx), f"{ctx}.upper_prob")
-            for name, p in (("lower_prob", lp), ("upper_prob", up)):
-                if not 0.0 < p < 1.0:
-                    raise ConfigError(f"{ctx}.{name}", f"must be in (0, 1), got {p}")
-            return cls(mode="probability", lower_prob=lp, upper_prob=up)
-        raise ConfigError(ctx, "thresholds need lower/upper or lower_prob/upper_prob")
+        if not modes:
+            raise ConfigError(ctx, "thresholds need lower/upper, lower_prob/upper_prob or single_prob")
+        mode, form = modes[0], _FORMS[modes[0]]
+        values = tuple(_as_number(_require(value, key, ctx), f"{ctx}.{key}") for key in form.keys)
+        for key, v in zip(form.keys, values):
+            ConfigError.check(f"{ctx}.{key}", form.rule, v)
+        if mode == "absolute":  # its levels are known now: a crossed band is named where it is written
+            ConfigError.check(f"{ctx}.lower", Thresholds, *values)
+        return cls(mode, values)
 
     def resolve(self, load_model: LoadModel, ctx: str) -> Thresholds:
-        if self.mode == "absolute":
-            return Thresholds(self.lower, self.upper)
-        if self.mode == "single":
-            try:
-                level = load_model.quantile(self.single_prob)
-            except NotImplementedError as exc:
-                raise ConfigError(ctx, str(exc)) from None
-            return Thresholds(level, level)
-        if self.mode == "probability":
-            try:
-                lo = load_model.quantile(self.lower_prob)
-                hi = load_model.quantile(1.0 - self.upper_prob)
-            except NotImplementedError as exc:
-                raise ConfigError(ctx, str(exc)) from None
-            if lo > hi:
-                raise ConfigError(
-                    ctx,
-                    f"resolved lower threshold {lo} exceeds upper threshold {hi}; "
-                    "loosen the probabilities",
-                )
-            return Thresholds(lo, hi)
         if self.mode == "binary":
             eps0 = getattr(load_model, "eps0", None)
             if eps0 is None:
                 raise ConfigError(ctx, "binary thresholds need a two-level load model")
             return Thresholds(eps0, 1.0)
-        raise ConfigError(ctx, f"unknown threshold mode {self.mode!r}")
+        try:
+            levels = _FORMS[self.mode].levels(self.values, load_model.quantile)
+        except NotImplementedError as exc:
+            raise ConfigError(ctx, str(exc)) from None
+        return ConfigError.check(ctx, Thresholds, *levels)
 
     def to_value(self):
-        if self.mode == "binary":
-            return "binary"
-        if self.mode == "absolute":
-            return {"lower": self.lower, "upper": self.upper}
-        if self.mode == "single":
-            return {"single_prob": self.single_prob}
-        return {"lower_prob": self.lower_prob, "upper_prob": self.upper_prob}
+        return "binary" if self.mode == "binary" else dict(zip(_FORMS[self.mode].keys, self.values))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +325,11 @@ class PolicySpec(_Spec):
     @classmethod
     def from_dict(cls, d, ctx: str) -> "PolicySpec":
         kind, params = cls._parse(d, ctx)
-        return cls(kind, params, str(d.get("name", kind)))
+        name = d.get("name", kind)
+        # a name is a results.csv cell: it must read back as itself
+        if not isinstance(name, str) or any(c in name for c in ",\n\r"):
+            raise ConfigError(f"{ctx}.name", f"expected a string without ',' or line breaks, got {name!r}")
+        return cls(kind, params, name)
 
     def to_dict(self) -> dict:
         return {"name": self.name, **super().to_dict()}
@@ -358,6 +354,8 @@ def _resolved(kind: str, args: dict) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config: its fields are the config's top-level keys."""
+
     name: str
     horizon: int
     replications: int
@@ -366,7 +364,6 @@ class ExperimentConfig:
     reward: RewardSpec
     policies: tuple[PolicySpec, ...]
     checkpoints: tuple[int, ...] | None = None
-    checkpoint_count: int = 50
     regret: str = "pseudo"
 
     def to_dict(self) -> dict:
@@ -382,8 +379,6 @@ class ExperimentConfig:
         }
         if self.checkpoints is not None:
             out["checkpoints"] = list(self.checkpoints)
-        elif self.checkpoint_count != 50:
-            out["checkpoint_count"] = self.checkpoint_count
         return out
 
 
@@ -391,22 +386,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a raw config mapping and turn it into dataclasses."""
     if not isinstance(doc, dict):
         raise ConfigError("", f"config must be a mapping, got {type(doc).__name__}")
-    _unknown_keys(
-        doc,
-        {
-            "name",
-            "horizon",
-            "replications",
-            "base_seed",
-            "regret",
-            "checkpoints",
-            "checkpoint_count",
-            "load",
-            "reward",
-            "policies",
-        },
-        "",
-    )
+    _unknown_keys(doc, [f.name for f in fields(ExperimentConfig)], "")
     name = str(_require(doc, "name", ""))
     horizon = _as_int(_require(doc, "horizon", ""), "horizon")
     if horizon < 2:
@@ -421,22 +401,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if regret not in ("pseudo", "realized"):
         raise ConfigError("regret", f'must be "pseudo" or "realized", got {regret!r}')
 
-    checkpoints = None
-    checkpoint_count = 50
-    raw_pts = doc.get("checkpoints")
-    if raw_pts is not None:
-        if not isinstance(raw_pts, (list, tuple)) or not raw_pts:
-            raise ConfigError("checkpoints", "expected a non-empty list of steps")
-        pts = tuple(_as_int(p, f"checkpoints[{i}]") for i, p in enumerate(raw_pts))
-        if any(p2 <= p1 for p1, p2 in zip(pts, pts[1:])):
-            raise ConfigError("checkpoints", "must be strictly increasing")
-        if pts[0] < 1 or pts[-1] > horizon:
-            raise ConfigError("checkpoints", f"must lie within [1, {horizon}]")
-        checkpoints = pts
-    if "checkpoint_count" in doc:
-        checkpoint_count = _as_int(doc["checkpoint_count"], "checkpoint_count")
-        if checkpoint_count < 1:
-            raise ConfigError("checkpoint_count", "must be >= 1")
+    checkpoints = doc.get("checkpoints")
+    if checkpoints is not None:
+        if not isinstance(checkpoints, (list, tuple)):
+            raise ConfigError("checkpoints", f"expected a list of steps, got {checkpoints!r}")
+        checkpoints = tuple(_as_int(p, f"checkpoints[{i}]") for i, p in enumerate(checkpoints))
+        ConfigError.check("checkpoints", check_checkpoints, checkpoints, horizon)
 
     load = LoadSpec.from_dict(_require(doc, "load", ""), "load")
     reward = RewardSpec.from_dict(_require(doc, "reward", ""), "reward")
@@ -444,26 +414,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
     raw_policies = _require(doc, "policies", "")
     if not isinstance(raw_policies, list) or not raw_policies:
         raise ConfigError("policies", "expected a non-empty list")
-    policies = tuple(
-        PolicySpec.from_dict(p, f"policies[{i}]") for i, p in enumerate(raw_policies)
-    )
+    policies = tuple(PolicySpec.from_dict(p, f"policies[{i}]") for i, p in enumerate(raw_policies))
     names = [p.name for p in policies]
     if len(set(names)) != len(names):
         dup = next(n for n in names if names.count(n) > 1)
         raise ConfigError("policies", f"duplicate policy name {dup!r}")
 
-    return ExperimentConfig(
-        name=name,
-        horizon=horizon,
-        replications=replications,
-        base_seed=base_seed,
-        load=load,
-        reward=reward,
-        policies=policies,
-        checkpoints=checkpoints,
-        checkpoint_count=checkpoint_count,
-        regret=regret,
-    )
+    return ExperimentConfig(name, horizon, replications, base_seed, load, reward, policies, checkpoints, regret)
 
 
 #: PyYAML's safe loader, on libyaml where PyYAML was built with it: the
@@ -528,7 +485,7 @@ def build_plan(cfg: ExperimentConfig) -> ExperimentPlan:
     if cfg.checkpoints is not None:
         checkpoints = np.asarray(cfg.checkpoints, dtype=int)
     else:
-        checkpoints = default_checkpoints(cfg.horizon, cfg.checkpoint_count)
+        checkpoints = default_checkpoints(cfg.horizon)
 
     info: dict[str, dict] = {"policies": resolved}
     if isinstance(load_model, TraceLoad):

@@ -234,12 +234,29 @@ def margin_down(x, out=None):
     return np.subtract(np.multiply(x, 1.0 - 1e-6, out=out), 1e-9, out=out)
 
 
-def default_checkpoints(horizon: int, count: int = 50) -> np.ndarray:
-    """``count`` log-spaced recording points plus the horizon itself."""
+def default_checkpoints(horizon: int) -> np.ndarray:
+    """50 log-spaced recording points (fewer once rounded) plus the horizon
+    itself."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    pts = np.unique(np.round(np.geomspace(1, horizon, count)).astype(int))
+    pts = np.unique(np.round(np.geomspace(1, horizon, 50)).astype(int))
     return np.unique(np.append(pts, horizon))
+
+
+def check_checkpoints(checkpoints, horizon: int) -> np.ndarray:
+    """``checkpoints`` as an int array; rejects an empty list, and steps
+    that are not strictly increasing or lie outside [1, ``horizon``]."""
+    try:
+        pts = np.asarray(checkpoints, dtype=int)
+    except OverflowError:  # a step no int64 holds
+        raise ValueError(f"checkpoints must lie within [1, {horizon}]") from None
+    if pts.ndim != 1 or len(pts) == 0:
+        raise ValueError("checkpoints must be a non-empty 1-D sequence")
+    if np.any(np.diff(pts) <= 0):
+        raise ValueError("checkpoints must be strictly increasing")
+    if pts[0] < 1 or pts[-1] > horizon:
+        raise ValueError(f"checkpoints must lie within [1, {horizon}]")
+    return pts
 
 
 def derive_stream_id(*parts) -> int:

@@ -54,7 +54,15 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import BanditInstance, RngStream, default_checkpoints, derive_stream_id, margin_down, margin_up
+from .core import (
+    BanditInstance,
+    RngStream,
+    check_checkpoints,
+    default_checkpoints,
+    derive_stream_id,
+    margin_down,
+    margin_up,
+)
 from .environments import LoadModel, RewardModel
 from .policies import IndexPolicy, Policy, RunningQuantiles, ThompsonPolicy
 
@@ -106,17 +114,6 @@ class RegretTrace:
     @property
     def mean_pulls(self) -> np.ndarray:
         return self.pulls.mean(axis=0)
-
-
-def _validate_checkpoints(checkpoints, horizon: int) -> np.ndarray:
-    pts = np.asarray(checkpoints, dtype=int)
-    if pts.ndim != 1 or len(pts) == 0:
-        raise ValueError("checkpoints must be a non-empty 1-D sequence")
-    if np.any(np.diff(pts) <= 0):
-        raise ValueError("checkpoints must be strictly increasing")
-    if pts[0] < 1 or pts[-1] > horizon:
-        raise ValueError(f"checkpoints must lie within [1, {horizon}]")
-    return pts
 
 
 def replication_streams(base_seed: int, policy_label: str, replication: int) -> dict:
@@ -224,7 +221,7 @@ class _Ledger:
         n_arms = bandit.n_arms
         if horizon < n_arms:
             raise ValueError(f"horizon {horizon} is shorter than the init round of {n_arms} arms")
-        self.pts = _validate_checkpoints(checkpoints, horizon)
+        self.pts = check_checkpoints(checkpoints, horizon)
         self.gaps = np.array(bandit.gaps)
         self.suboptimal = self.gaps > 0.0
         self.best_mean = bandit.best_mean
@@ -770,7 +767,7 @@ def run_experiment(
         raise ValueError(f"replications must be >= 1, got {replications}")
     if checkpoints is None:
         checkpoints = default_checkpoints(horizon)
-    pts = _validate_checkpoints(checkpoints, horizon)
+    pts = check_checkpoints(checkpoints, horizon)
 
     batches, room = {}, BATCH_BYTES  # a route's (label, replication) cells that may batch
     for label, policy in policies.items():

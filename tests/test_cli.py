@@ -13,6 +13,7 @@ import pytest
 
 import opbandit
 from opbandit.cli import main
+from opbandit.core import check_alpha
 from opbandit.report import read_results_csv, sha256_file
 
 TINY = ["--horizon", "400", "--replications", "2"]
@@ -115,6 +116,29 @@ class TestRun:
         assert "config error" in err and "load.kind" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "line, field, message",
+        [
+            ("checkpoint_count: 10000000000000\n", "checkpoint_count", "unknown field"),
+            ("policies: [{name: 'ucb,fast', kind: ucb, alpha: 0.5}]\n", "policies[0].name", "expected a string"),
+        ],
+        ids=["checkpoint_count", "comma-in-name"],
+    )
+    def test_rejected_before_any_output(self, tmp_path, capsys, line, field, message):
+        # a removed key, or a policy name that results.csv could not read
+        # back, is a config error: exit 1, no traceback, nothing written
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "name: x\nhorizon: 100\nload: {kind: uniform}\nreward: {kind: bernoulli, means: [0.6, 0.4]}\n"
+            + line
+            + ("" if line.startswith("policies") else "policies: [{name: u, kind: ucb, alpha: 0.5}]\n")
+        )
+        out = tmp_path / "o"
+        assert run_cli(["run", cfg, "-o", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: {message}") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "text, line, start",
         [
             ("name: x\nhorizon: [100\n", 3, "from line 2)"),  # found unclosed at the document's end
@@ -138,7 +162,9 @@ def test_out_of_range_seed_names_field(tmp_path, capsys, command, seed):
     # rejected where it enters, before any output directory is made
     out = tmp_path / "o"
     assert run_cli([command, "fig1a", "-o", out, "--horizon", "400", "--seed", seed]) == 1
-    assert "base_seed" in capsys.readouterr().err
+    # bounds.csv does not depend on the seed: `bounds` has no --seed, a usage error
+    expected = "unrecognized arguments: --seed" if command == "bounds" else "base_seed"
+    assert expected in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -148,7 +174,12 @@ def test_out_of_range_override_names_field(tmp_path, capsys, command, option, va
     # checked by parse_config, as in a config file, before any output directory
     out = tmp_path / "o"
     assert run_cli([command, "fig1a", "-o", out, option, value]) == 1
-    assert f"config error: {option[2:]}: must be" in capsys.readouterr().err
+    # nor on the replication count: `bounds` has no --replications, a usage error
+    if command == "bounds" and option == "--replications":
+        expected = "unrecognized arguments: --replications"
+    else:
+        expected = f"config error: {option[2:]}: must be"
+    assert expected in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -208,7 +239,9 @@ class TestBounds:
     def test_invalid_alpha_names_flag(self, tmp_path, capsys, config, alpha):
         out = tmp_path / "b"
         assert run_cli(["bounds", config, "-o", out, "--horizon", "200", "--alpha", alpha]) == 1
-        assert "config error: --alpha: must be finite and > 0" in capsys.readouterr().err
+        with pytest.raises(ValueError) as rule:  # the flag is named, with core's one message
+            check_alpha(float(alpha))
+        assert capsys.readouterr().err == f"config error: --alpha: {rule.value}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("step", ["0.5", "0", "-1", "nan", "2"])

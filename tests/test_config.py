@@ -19,8 +19,9 @@ from opbandit.config import (
     build_plan,
     parse_config,
 )
+from opbandit.core import Thresholds, check_checkpoints, check_prob
 from opbandit.environments import BetaLoad, LoadModel, PeriodicSquareWaveLoad, load_trace
-from opbandit.simulator import run_experiment
+from opbandit.simulator import replication_streams, run_experiment, run_once
 
 MINIMAL = {
     "name": "tiny",
@@ -42,6 +43,13 @@ def test_parse_minimal():
     assert cfg.horizon == 100
     assert cfg.regret == "pseudo"
     assert cfg.policies[0].params["thresholds"].mode == "binary"
+
+
+def value_error(call, *args) -> str:
+    """The message of the ValueError that ``call(*args)`` raises."""
+    with pytest.raises(ValueError) as err:
+        call(*args)
+    return str(err.value)
 
 
 def assert_round_trip(doc):
@@ -95,6 +103,12 @@ def test_bundled_configs_parse_equal_under_both_loaders(path):
         (lambda d: d["policies"].append({"kind": "ts", "alpha": 0.5}), "policies[2].alpha"),
         (lambda d: d["policies"][1].update(thresholds="binary"), "policies[1].thresholds"),
         (lambda d: d["policies"][0].update(window=5), "policies[0].window"),
+        # a name is a results.csv cell: only a string with no comma or line
+        # break reads back as itself
+        (lambda d: d["policies"][1].update(name=[1, 2]), "policies[1].name"),
+        (lambda d: d["policies"][1].update(name="ucb,fast"), "policies[1].name"),
+        (lambda d: d["policies"][1].update(name="ucb\nfast"), "policies[1].name"),
+        (lambda d: d["policies"][1].update(name="ucb\rfast"), "policies[1].name"),
     ],
 )
 def test_errors_name_offending_field(mutate, field):
@@ -149,6 +163,53 @@ def test_non_finite_numbers_rejected(mutate, field, value):
     with pytest.raises(ConfigError) as err:
         parse_config(doc)
     assert str(err.value) == f"{field}: expected a finite number"
+
+
+def plan_error(doc) -> ConfigError:
+    with pytest.raises(ConfigError) as err:
+        build_plan(parse_config(doc))
+    return err.value
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, math.nan], ids=["zero", "one", "nan"])
+@pytest.mark.parametrize("key", ["lower_prob", "upper_prob", "single_prob"])
+def test_threshold_probability_is_cores_rule(key, p):
+    import copy
+
+    doc = copy.deepcopy(MINIMAL)
+    doc["load"] = {"kind": "beta", "a": 2.0, "b": 2.0}
+    others = {} if key == "single_prob" else {"lower_prob": 0.1, "upper_prob": 0.1}
+    doc["policies"][0]["thresholds"] = {**others, key: p}
+    err = plan_error(doc)
+    assert err.fieldpath == f"policies[0].thresholds.{key}"
+    # NaN is no finite number: the reader of every config number names it
+    # before any rule sees it
+    assert err.message == ("expected a finite number" if math.isnan(p) else value_error(check_prob, p))
+
+
+#: checkpoints that core's rule rejects at horizon 100
+BAD_CHECKPOINTS = {
+    "empty": [],
+    "repeated": [5, 5],
+    "decreasing": [10, 5],
+    "below-one": [0, 5],
+    "past-horizon": [5, 101],
+    "past-int64": [5, 10**30],
+}
+
+
+@pytest.mark.parametrize("pts", BAD_CHECKPOINTS.values(), ids=BAD_CHECKPOINTS)
+def test_checkpoints_are_cores_rule(pts):
+    # the config names the field; the simulator's entry points raise the rule's
+    # own ValueError
+    message = value_error(check_checkpoints, pts, 100)
+    err = plan_error({**MINIMAL, "checkpoints": pts})
+    assert (err.fieldpath, err.message) == ("checkpoints", message)
+    plan = build_plan(parse_config(MINIMAL))
+    models = (plan.bandit, plan.load_model, plan.reward_model)
+    streams = replication_streams(7, "ucb", 0).values()
+    assert value_error(run_once, *models, plan.policies["ucb"], 100, pts, *streams) == message
+    assert value_error(run_experiment, *models, plan.policies, 100, 1, 7, pts) == message
 
 
 def test_duplicate_policy_names_rejected():
@@ -213,18 +274,22 @@ class TestThresholdResolution:
             with pytest.raises(ConfigError, match=r"must be in \[0, 1\]") as err:
                 parse_config(doc)
             assert err.value.fieldpath == f"policies[0].thresholds.{outside[0]}"
-        elif lower > upper:
-            with pytest.raises(ConfigError, match="exceeds") as err:
+        elif lower > upper:  # core's rule, named at the lower level
+            with pytest.raises(ConfigError) as err:
                 parse_config(doc)
             assert err.value.fieldpath == "policies[0].thresholds.lower"
+            assert err.value.message == value_error(Thresholds, lower, upper)
         else:
             info = build_plan(parse_config(doc)).resolved["policies"]["adaucb"]
             assert (info["lower"], info["upper"]) == (lower, upper)
 
     def test_crossed_probabilities_rejected(self):
         spec = ThresholdSpec.from_value({"lower_prob": 0.9, "upper_prob": 0.9}, "x")
-        with pytest.raises(ConfigError, match="exceeds"):
-            spec.resolve(BetaLoad(2, 2), "x")
+        load = BetaLoad(2, 2)
+        with pytest.raises(ConfigError) as err:
+            spec.resolve(load, "x")
+        assert err.value.fieldpath == "x"
+        assert err.value.message == value_error(Thresholds, load.quantile(0.9), load.quantile(1.0 - 0.9))
 
 
 class TestBuildPlan:
