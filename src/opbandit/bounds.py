@@ -12,8 +12,10 @@ Three scenario families are covered:
   ``eps0`` replaced by the mean load conditioned on lying below the
   threshold.
 
-Additive constants in these envelopes are not computable from the scenario
-parameters and are always reported symbolically as "+C", never as numbers.
+Each envelope is stated once, by its public function, which
+:func:`evaluate_bounds` calls.  Additive constants in these envelopes are
+not computable from the scenario parameters and are always reported
+symbolically as "+C", never as numbers.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, check_alpha, check_eps, derive_stream_id, margin_up
+from .core import RngStream, check_alpha, check_eps, derive_stream_id, log_steps, margin_up
 from .environments import (
     BetaLoad,
     BinaryRandomLoad,
@@ -304,6 +306,10 @@ def evaluate_bounds(
       (deterministic, random-binary, or continuous single-threshold);
     * ``pull_log_bound_arm_<k>``: the generic 4*alpha*ln(t)/gap_k^2 pull
       envelope for each suboptimal arm (1-based labels).
+
+    Each column is its public function at every checkpoint, with ``ln t``
+    by ``math.log`` (``core.log_steps`` where a coefficient multiplies it);
+    only ``pull_lower`` is read off its quadrature grid.
     """
     check_alpha(alpha)
     pts = np.asarray(checkpoints, dtype=int)
@@ -313,15 +319,12 @@ def evaluate_bounds(
         checkpoints=pts,
         params={"quadrature_step": DEFAULT_QUADRATURE_STEP},
     )
-    # pull envelopes carry a t >= 2 precondition; regret growth terms are
-    # fine from t = 1 on (ln 1 = 0)
-    log_t = np.where(pts >= 2, np.log(np.maximum(pts, 2)), np.nan)
-    regret_log_t = np.log(pts.astype(float))
-
     for k, gap in enumerate(bandit.gaps):
         if k == bandit.best_arm:
             continue
-        report.columns[f"pull_log_bound_arm_{k + 1}"] = 4.0 * alpha * log_t / gap**2
+        report.columns[f"pull_log_bound_arm_{k + 1}"] = np.array(  # defined from t = 2 on
+            [pull_count_log_bound(t, alpha, gap) if t >= 2 else np.nan for t in pts.tolist()]
+        )
 
     deterministic = isinstance(reward_model, DiracReward) and isinstance(
         load_model, PeriodicSquareWaveLoad
@@ -351,13 +354,13 @@ def evaluate_bounds(
             alpha, load_model.eps0, bandit.suboptimal_gaps(), eps1=load_model.eps1
         )
         report.params["regret_log_coeff"] = coeff
-        report.columns["regret_log_term"] = coeff * regret_log_t
+        report.columns["regret_log_term"] = coeff * log_steps(pts)
     elif single_threshold is not None:
         cond = conditional_load_mean(load_model, single_threshold)
         coeff = continuous_regret_coeff(alpha, cond, bandit.suboptimal_gaps())
         report.params["l_minus"] = single_threshold
         report.params["conditional_load_mean"] = cond
         report.params["regret_log_coeff"] = coeff
-        report.columns["regret_log_term"] = coeff * regret_log_t
+        report.columns["regret_log_term"] = coeff * log_steps(pts)
 
     return report

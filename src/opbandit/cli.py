@@ -184,22 +184,26 @@ def _cmd_compare(args) -> int:
     results_path = Path(args.run) / "results.csv"
     bounds_path = Path(args.bounds) / "bounds.csv"
     results = read_results_csv(results_path)
-    meta = load_metadata(Path(args.run) / "metadata.json")
-    kinds = {
-        label: info.get("kind", "")
-        for label, info in meta.get("resolved", {}).get("policies", {}).items()
-    }
+    policies = load_metadata(Path(args.run) / "metadata.json").get("resolved", {}).get("policies", {})
+    adaptive = {label: info.get("alpha") for label, info in policies.items() if info.get("kind") == "adaucb"}
+    bounds_meta = Path(args.bounds) / "metadata.json"
+    alpha = load_metadata(bounds_meta).get("resolved", {}).get("alpha")
     bounds = read_bounds_csv(bounds_path)
     ts = _column(bounds, "t", bounds_path).astype(int)
     if "pull_upper" in bounds:
         # the hard envelopes bound the one suboptimal arm, the arm of the
-        # file's only generic pull envelope
+        # file's only generic pull envelope, and hold for the bounds' alpha
         arms = [c.rsplit("_", 1)[1] for c in bounds if c.startswith("pull_log_bound_arm_")]
         if len(arms) != 1:
             raise ValueError(
                 f"{bounds_path}: pull_upper needs exactly one pull_log_bound_arm_<k> column, found {len(arms)}"
             )
         (arm,) = arms
+        if adaptive and alpha not in adaptive.values():
+            run_alphas = ", ".join(sorted(map(str, set(adaptive.values()))))
+            raise ConfigError(
+                "alpha", f"{bounds_meta} holds envelopes for alpha {alpha}, not the run's adaucb alpha {run_alphas}"
+            )
 
     lines = []
     hard_fail = False
@@ -210,7 +214,7 @@ def _cmd_compare(args) -> int:
                 "checkpoints",
                 f"run and bounds checkpoints differ for policy {label!r}",
             )
-        if kinds.get(label) == "adaucb" and "pull_upper" in bounds:
+        if label in adaptive and adaptive[label] == alpha and "pull_upper" in bounds:
             pulls = _column(rec, f"mean_pulls_arm_{arm}", results_path)
             upper = bounds["pull_upper"]
             lower = bounds.get("pull_lower", np.full_like(upper, np.nan))

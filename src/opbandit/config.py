@@ -387,7 +387,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("", f"config must be a mapping, got {type(doc).__name__}")
     _unknown_keys(doc, [f.name for f in fields(ExperimentConfig)], "")
-    name = str(_require(doc, "name", ""))
+    name = _as_type(_require(doc, "name", ""), str, "name", "a string")
     horizon = _as_int(_require(doc, "horizon", ""), "horizon")
     if horizon < 2:
         raise ConfigError("horizon", f"must be >= 2, got {horizon}")

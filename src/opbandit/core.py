@@ -31,6 +31,7 @@ __all__ = [
     "binary_normalize",
     "nearest_rank_quantile",
     "default_checkpoints",
+    "log_steps",
 ]
 
 
@@ -241,6 +242,15 @@ def default_checkpoints(horizon: int) -> np.ndarray:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     pts = np.unique(np.round(np.geomspace(1, horizon, 50)).astype(int))
     return np.unique(np.append(pts, horizon))
+
+
+def log_steps(ts) -> np.ndarray:
+    """ln t for each step t of ``ts`` by ``math.log``, as ``select`` and the
+    envelope functions take it, for the simulator's index step and
+    ``bounds.evaluate_bounds``: ``np.log`` is not correctly rounded
+    everywhere (numpy 2.4 on x86-64 differs at 8 of the t below 2e5), and
+    one flipped argmax changes a run's output."""
+    return np.fromiter(map(math.log, ts), dtype=float, count=len(ts))
 
 
 def check_checkpoints(checkpoints, horizon: int) -> np.ndarray:

@@ -135,6 +135,11 @@ class IndexPolicy(Policy):
     ``c_t`` sequence to the simulator's index step chunk by chunk, which
     keeps the arm statistics itself; ``select`` is the same rule one step at
     a time, on the policy's own statistics.
+
+    Here ``c_t = alpha * (1 - ltil_t) * ln t``, with the normalized load
+    ``ltil_t`` of ``_normalized`` (a step) and ``_normalizer`` (a chunk),
+    which AdaUCB and EAdaUCB override.  By default it is 0, where the index
+    is exactly plain UCB(alpha)'s (``1.0 - 0.0`` is 1.0): :class:`UcbPolicy`.
     """
 
     #: probabilities of the running load quantiles the schedule normalizes
@@ -155,7 +160,7 @@ class IndexPolicy(Policy):
     def _update(self, arm: int, reward: float, rng=None) -> None:
         self.arm_states[arm].update(reward)
 
-    def _argmax_index(self, t: int, exploration: float) -> int:
+    def _argmax_index(self, exploration: float) -> int:
         # exploration = alpha * (1 - normalized_load) * ln(t); ties break low.
         best = -math.inf
         arm = 0
@@ -167,10 +172,10 @@ class IndexPolicy(Policy):
         return arm
 
     def _choose(self, t: int, load: float, rng=None) -> int:
-        return self._argmax_index(t, self.alpha * (1.0 - self._normalized(load)) * math.log(t))
+        return self._argmax_index(self.alpha * (1.0 - self._normalized(load)) * math.log(t))
 
     def _normalized(self, load: float) -> float:
-        raise NotImplementedError
+        return 0.0
 
     def exploration_schedule(self, quantiles: RunningQuantiles | None = None) -> Schedule:
         """``c_t = alpha * (1 - ltil_t) * ln t`` of the steps after the init
@@ -189,11 +194,12 @@ class IndexPolicy(Policy):
     def _normalizer(self, quantiles) -> Callable[[int, np.ndarray], np.ndarray]:
         """``normalized(i1, loads)``: the normalized loads of the chunk
         ending at step ``i1``."""
-        raise NotImplementedError
+        return lambda i1, loads: np.zeros(len(loads))
 
 
 class UcbPolicy(IndexPolicy):
-    """Plain UCB(alpha); ignores the load entirely.  alpha=2 is classic UCB1."""
+    """Plain UCB(alpha), the index at normalized load 0; ignores the load
+    entirely.  alpha=2 is classic UCB1."""
 
     kind = "ucb"
     reads_loads = False
@@ -202,12 +208,6 @@ class UcbPolicy(IndexPolicy):
         super().__init__(n_arms)
         check_alpha(alpha)
         self.alpha = alpha
-
-    def _choose(self, t: int, load: float, rng=None) -> int:
-        return self._argmax_index(t, self.alpha * math.log(t))
-
-    def _normalizer(self, quantiles):
-        return lambda i1, loads: np.zeros(len(loads))
 
 
 class AdaUcbPolicy(IndexPolicy):
@@ -434,10 +434,6 @@ class ThompsonPolicy(Policy):
         else:
             self.b[arm] += 1.0
 
-    @property
-    def pulls(self) -> np.ndarray:
-        return (self.a + self.b - 2.0).astype(int)
-
 
 class LinUcbDisjointPolicy(Policy):
     """Contextual baseline: disjoint linear model per arm over the feature
@@ -537,7 +533,7 @@ class RoundRobinGreedyPolicy(IndexPolicy):
             arm = self._next
             self._next = (arm + 1) % self.n_arms
             return arm
-        return self._argmax_index(t, 0.0)  # greedy: mean + sqrt(0) is the mean
+        return self._argmax_index(0.0)  # greedy: mean + sqrt(0) is the mean
 
     def exploration_schedule(self, quantiles=None) -> Schedule:
         """Greedy (``c_t = 0``) on loaded slots; on free slots a forced

@@ -60,6 +60,7 @@ from .core import (
     check_checkpoints,
     default_checkpoints,
     derive_stream_id,
+    log_steps,
     margin_down,
     margin_up,
 )
@@ -69,7 +70,6 @@ from .policies import IndexPolicy, Policy, RunningQuantiles, ThompsonPolicy
 __all__ = [
     "ReplicationTrace",
     "RegretTrace",
-    "default_checkpoints",
     "replication_streams",
     "run_once",
     "run_experiment",
@@ -171,19 +171,11 @@ SCREEN_STREAK = 8
 SCREEN_WINDOW = 16
 
 
-def _log_steps(t0: int, t1: int) -> np.ndarray:
-    """ln t for t in [t0, t1), with ``math.log`` as in ``select``: ``np.log``
-    is not correctly rounded everywhere (numpy 2.4 on x86-64 differs from
-    ``math.log`` at 8 of the t below 2e5), and one flipped argmax changes a
-    run's output."""
-    return np.fromiter(map(math.log, range(t0, t1)), dtype=float, count=t1 - t0)
-
-
 @lru_cache(maxsize=1)
 def _log_table(horizon: int) -> np.ndarray:
     """ln t for t in [1, horizon]: one table for every run of the most
     recent horizon (8 bytes a step), read-only, sliced chunk by chunk."""
-    table = _log_steps(1, horizon + 1)
+    table = log_steps(range(1, horizon + 1))
     table.flags.writeable = False
     return table
 

@@ -21,7 +21,7 @@ from opbandit.bounds import (
     pull_count_log_bound,
     pull_rate_floor,
 )
-from opbandit.core import BanditInstance, RngStream, derive_stream_id
+from opbandit.core import BanditInstance, RngStream, default_checkpoints, derive_stream_id
 from opbandit.environments import (
     BetaLoad,
     BinaryRandomLoad,
@@ -29,7 +29,6 @@ from opbandit.environments import (
     PeriodicSquareWaveLoad,
     UniformLoad,
 )
-from opbandit.simulator import default_checkpoints
 
 
 class TestDeterministicPullUpper:
@@ -307,3 +306,37 @@ class TestEvaluateBounds:
         assert "regret_log_term" in report.columns
         assert report.params["conditional_load_mean"] == pytest.approx(0.3125, abs=0.002)
         assert report.params["l_minus"] == 0.5
+
+    # the t below 2e5 where numpy 2.4's np.log on x86-64 differs from
+    # math.log: every column must still be its public function's value
+    NP_LOG_DIFFERS = (9170, 19143, 94869, 102327, 136085, 136837, 141614, 147674)
+
+    @pytest.mark.filterwarnings("ignore:alpha=:RuntimeWarning")
+    @pytest.mark.parametrize("scenario", ["binary", "continuous", "deterministic"])
+    def test_columns_are_the_public_functions(self, scenario):
+        pts = np.union1d(default_checkpoints(150_000), self.NP_LOG_DIFFERS)
+        alpha, threshold = 0.51, None
+        if scenario == "binary":
+            bandit, load, reward = BanditInstance((0.05, 0.1, 0.15, 0.2, 0.25)), BinaryRandomLoad(0.05, 0.01, 0.5), None
+            coeff = binary_regret_coeff(alpha, 0.05, bandit.suboptimal_gaps(), eps1=0.01)
+        elif scenario == "continuous":
+            bandit, load, reward, threshold = BanditInstance((0.6, 0.5, 0.4)), BetaLoad(2, 2), None, 0.5
+            coeff = continuous_regret_coeff(alpha, conditional_load_mean(load, threshold), bandit.suboptimal_gaps())
+        else:
+            bandit, load, reward = BanditInstance((0.6, 0.4)), PeriodicSquareWaveLoad(0.05, 0.05), DiracReward((0.6, 0.4))
+        report = evaluate_bounds(bandit, load, reward, alpha, pts, single_threshold=threshold)
+        want = {
+            f"pull_log_bound_arm_{k + 1}": [pull_count_log_bound(t, alpha, gap) if t >= 2 else None for t in pts.tolist()]
+            for k, gap in enumerate(bandit.gaps)
+            if k != bandit.best_arm
+        }
+        if scenario == "deterministic":
+            gap = bandit.min_gap
+            want["pull_upper"] = [deterministic_pull_upper(t, alpha, gap) for t in pts.tolist()]
+            want["regret_log_term"] = [deterministic_regret_log_term(t, alpha, gap, 0.05) for t in pts.tolist()]
+        else:
+            want["regret_log_term"] = [coeff * math.log(t) for t in pts.tolist()]
+        assert want.keys() <= report.columns.keys()
+        for name, values in want.items():
+            got = report.columns[name].tolist()
+            assert [None if math.isnan(v) else v for v in got] == values, name

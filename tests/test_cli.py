@@ -435,6 +435,41 @@ class TestCompare:
         assert "pulls_arm_2" not in out
         assert "OVERALL: PASS" in out
 
+    def test_bounds_at_another_alpha_is_config_error(self, tmp_path, capsys):
+        # the run's adaucb has alpha 2.0; envelopes for 0.5 judge none of it
+        run_dir, bounds_dir = tmp_path / "run", tmp_path / "bounds"
+        assert run_cli(["run", "dirac-square-wave", "-o", run_dir, "--horizon", "3000"]) == 0
+        assert run_cli(["bounds", "dirac-square-wave", "-o", bounds_dir, "--horizon", "3000", "--alpha", "0.5"]) == 0
+        capsys.readouterr()
+        assert run_cli(["compare", run_dir, bounds_dir]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert err.startswith("config error: alpha: ") and "alpha 0.5" in err and "alpha 2.0" in err
+        assert captured.out == ""
+
+    def test_pull_envelopes_cover_adaucb_at_the_bounds_alpha(self, tmp_path, capsys):
+        cfg = tmp_path / "two-alphas.yaml"
+        cfg.write_text(
+            "name: two-alphas\nhorizon: 3000\nbase_seed: 20180301\n"
+            "load: {kind: square-wave, eps0: 0.05, eps1: 0.05}\n"
+            "reward: {kind: dirac, means: [0.6, 0.4]}\n"
+            "policies:\n"
+            "  - {name: ada-2, kind: adaucb, alpha: 2.0, thresholds: binary}\n"
+            "  - {name: ada-half, kind: adaucb, alpha: 0.5, thresholds: binary}\n"
+        )
+        run_dir = tmp_path / "run"
+        assert run_cli(["run", cfg, "-o", run_dir]) == 0
+        for alpha, checked, other in [("2.0", "ada-2", "ada-half"), ("0.5", "ada-half", "ada-2")]:
+            bounds_dir = tmp_path / f"bounds-{alpha}"
+            assert run_cli(["bounds", cfg, "-o", bounds_dir, "--alpha", alpha]) == 0
+            capsys.readouterr()
+            assert run_cli(["compare", run_dir, bounds_dir]) == 0
+            out = capsys.readouterr().out
+            assert f"{checked} t=3000 pulls_arm_2=" in out
+            assert f"{other} t=" not in out
+            assert f"{other} regret/log-term ratio" in out
+            assert out.endswith("OVERALL: PASS\n")
+
 
 class TestTracePipeline:
     def test_one_reward_column_names_reward(self, tmp_path, capsys):

@@ -109,6 +109,9 @@ def test_bundled_configs_parse_equal_under_both_loaders(path):
         (lambda d: d["policies"][1].update(name="ucb,fast"), "policies[1].name"),
         (lambda d: d["policies"][1].update(name="ucb\nfast"), "policies[1].name"),
         (lambda d: d["policies"][1].update(name="ucb\rfast"), "policies[1].name"),
+        # the experiment's name titles the plot and metadata.json: a string
+        (lambda d: d.update(name=[1, 2]), "name"),
+        (lambda d: d.update(name=5), "name"),
     ],
 )
 def test_errors_name_offending_field(mutate, field):

@@ -19,7 +19,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from opbandit import simulator
-from opbandit.core import BanditInstance, RngStream, Thresholds
+from opbandit.core import BanditInstance, RngStream, Thresholds, default_checkpoints, log_steps
 from opbandit.environments import (
     BernoulliReward,
     BetaLoad,
@@ -43,7 +43,7 @@ from opbandit.policies import (
     ThompsonPolicy,
     UcbPolicy,
 )
-from opbandit.simulator import default_checkpoints, replication_streams, run_experiment, run_once
+from opbandit.simulator import replication_streams, run_experiment, run_once
 
 KINDS = ("ucb", "adaucb", "eadaucb", "eadaucb-window", "rr-greedy", "ts")
 INDEX_KINDS = KINDS[:-1]
@@ -259,7 +259,7 @@ class TestKernelMatchesPerStepLoop:
         differ = ts[np.log(ts.astype(float)) != np.fromiter(map(math.log, ts.tolist()), float)]
         t = int(differ[0]) if len(differ) else 9170
         schedule = UcbPolicy(3, 0.51).exploration_schedule()
-        assert schedule(t, np.zeros(1), simulator._log_steps(t, t + 1))[0] == 0.51 * math.log(t)
+        assert schedule(t, np.zeros(1), log_steps(range(t, t + 1)))[0] == 0.51 * math.log(t)
         for kind in ("ucb", "adaucb"):
             ref, fast, _, _ = run_both(
                 lambda: make_policy(kind, 3, 0.2, 0.8),
@@ -709,6 +709,57 @@ class TestBatchMatchesRunOnce:
             for label in stayed:
                 assert results[label].regret.tobytes() == stayed[label].regret.tobytes(), label
                 assert results[label].pulls.tobytes() == stayed[label].pulls.tobytes(), label
+
+
+class TestUcbIsTheIndexAtLoadZero:
+    """Plain UCB is the index at normalized load 0: an AdaUCB whose band
+    sits at the top of the load range, where every load normalizes to 0,
+    pulls the arms UCB pulls, by every path."""
+
+    MEANS = (0.3, 0.5, 0.45, 0.5, 0.48)
+    HORIZON = 2 * simulator.CHUNK + 31
+
+    @staticmethod
+    def pair():
+        return UcbPolicy(5, 0.51), AdaUcbPolicy(5, 0.51, Thresholds(1.0, 1.0))
+
+    @pytest.mark.parametrize("per_step", [True, False], ids=["per-step", "run_once"])
+    def test_one_cell(self, per_step):
+        traces = []
+        for policy in self.pair():
+            streams = replication_streams(6, "zero-load", 0)
+            traces.append(
+                run_once(
+                    BanditInstance(self.MEANS),
+                    BetaLoad(2.0, 2.0),
+                    BernoulliReward(self.MEANS),
+                    PerStep(policy) if per_step else policy,
+                    self.HORIZON,
+                    every_step(self.HORIZON),
+                    streams["load"],
+                    streams["reward"],
+                    streams["policy"],
+                )
+            )
+        assert_same_bytes(*traces)
+
+    def test_batched_under_one_label(self):
+        sc = dict(
+            reward=BernoulliReward(self.MEANS),
+            load=BetaLoad(2.0, 2.0),
+            horizon=self.HORIZON,
+            replications=simulator.BATCH_ROWS,
+            checkpoints=every_step(self.HORIZON),
+            realized=False,
+        )
+        results = []
+        for policy in self.pair():
+            with mock.patch.object(simulator, "_run_rows", wraps=simulator._run_rows) as engine:
+                results.append(experiment({"x": policy}, sc, simulator.BATCH_ROWS)["x"])
+            assert [len(call.args[2]) for call in engine.call_args_list] == [simulator.BATCH_ROWS]
+        ucb, ada = results
+        assert ucb.regret.tobytes() == ada.regret.tobytes()
+        assert ucb.pulls.tobytes() == ada.pulls.tobytes()
 
 
 class LocalUcb(UcbPolicy):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from opbandit.core import BanditInstance, RngStream, Thresholds
+from opbandit.core import BanditInstance, RngStream, Thresholds, default_checkpoints
 from opbandit.environments import (
     BernoulliReward,
     BetaLoad,
@@ -18,7 +18,6 @@ from opbandit.environments import (
 from opbandit.policies import AdaUcbPolicy, OraclePolicy, ThompsonPolicy, UcbPolicy
 from opbandit.simulator import (
     _Ledger,
-    default_checkpoints,
     replication_streams,
     run_experiment,
     run_once,
