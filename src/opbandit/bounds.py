@@ -320,7 +320,7 @@ def evaluate_bounds(
         params={"quadrature_step": DEFAULT_QUADRATURE_STEP},
     )
     for k, gap in enumerate(bandit.gaps):
-        if k == bandit.best_arm:
+        if gap <= 0.0:  # a best arm, or one tied with it
             continue
         report.columns[f"pull_log_bound_arm_{k + 1}"] = np.array(  # defined from t = 2 on
             [pull_count_log_bound(t, alpha, gap) if t >= 2 else np.nan for t in pts.tolist()]

@@ -101,7 +101,7 @@ def _cmd_run(args) -> int:
 
     for label, trace in results.items():
         final = trace.mean_regret[-1]
-        print(f"{cfg.name}: {label}: regret(T={cfg.horizon}) = {final:.4f} "
+        print(f"{cfg.name}: {label}: regret(T={trace.checkpoints[-1]}) = {final:.4f} "
               f"(std {trace.std_regret[-1]:.4f}, R={cfg.replications})")
     print(f"wrote {csv_path}")
     return 0
@@ -138,6 +138,11 @@ def _cmd_bounds(args) -> int:
         ConfigError.check("--alpha", check_alpha, args.alpha)
     cfg = _apply_overrides(_resolve_config(args.config), horizon=args.horizon)
     plan = build_plan(cfg)
+    if not plan.bandit.suboptimal_gaps():
+        raise ConfigError(
+            "reward.path" if cfg.reward.kind == "trace" else "reward.means",
+            "every arm ties for the best mean: no arm is suboptimal, so no envelope applies",
+        )
     alpha = _pick_alpha(plan, args.alpha)
     field, threshold = _single_threshold(plan)
     try:
@@ -184,10 +189,15 @@ def _cmd_compare(args) -> int:
     results_path = Path(args.run) / "results.csv"
     bounds_path = Path(args.bounds) / "bounds.csv"
     results = read_results_csv(results_path)
-    policies = load_metadata(Path(args.run) / "metadata.json").get("resolved", {}).get("policies", {})
+    run_meta, bounds_meta = Path(args.run) / "metadata.json", Path(args.bounds) / "metadata.json"
+    run_doc, bounds_doc = load_metadata(run_meta), load_metadata(bounds_meta)
+    for section in ("load", "reward"):
+        # envelopes hold for the scenario they were evaluated on
+        if run_doc.get("config", {}).get(section) != bounds_doc.get("config", {}).get(section):
+            raise ConfigError(section, f"{run_meta} and {bounds_meta} describe different {section} models")
+    policies = run_doc.get("resolved", {}).get("policies", {})
     adaptive = {label: info.get("alpha") for label, info in policies.items() if info.get("kind") == "adaucb"}
-    bounds_meta = Path(args.bounds) / "metadata.json"
-    alpha = load_metadata(bounds_meta).get("resolved", {}).get("alpha")
+    alpha = bounds_doc.get("resolved", {}).get("alpha")
     bounds = read_bounds_csv(bounds_path)
     ts = _column(bounds, "t", bounds_path).astype(int)
     if "pull_upper" in bounds:

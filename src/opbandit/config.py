@@ -70,12 +70,12 @@ class ConfigError(ValueError):
 
     @classmethod
     def check(cls, fieldpath: str, rule, *args):
-        """``rule(*args)``, a rule that :mod:`core` states once: its
-        ValueError becomes a ConfigError on ``fieldpath`` with the rule's
-        own message."""
+        """``rule(*args)``, a rule that :mod:`core` states once (or a file
+        read): its ValueError (or OSError) becomes a ConfigError on
+        ``fieldpath`` with the rule's own message."""
         try:
             return rule(*args)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise cls(fieldpath, str(exc)) from None
 
 
@@ -215,7 +215,7 @@ _READERS = {
     int | None: _as_optional_int,
     tuple[float, ...]: _as_means,
     Thresholds: ThresholdSpec.from_value,
-    TraceData: lambda value, fieldpath: str(value),
+    TraceData: lambda value, fieldpath: _as_type(value, str, fieldpath, "a string"),
 }
 
 
@@ -292,8 +292,8 @@ class _Spec:
             for p in _parameters(cls):
                 if p.name in _PLANNED:
                     args[p.name] = planned[p.name]
-                elif p.annotation is TraceData:
-                    args[p.name] = (read_trace or load_trace)(self.params["path"])
+                elif p.annotation is TraceData:  # a file that cannot be read is named by its path
+                    args[p.name] = ConfigError.check(f"{ctx}.path", read_trace or load_trace, self.params["path"])
                 elif p.annotation is Thresholds:
                     args[p.name] = self.params[p.name].resolve(load_model, f"{ctx}.{p.name}")
                 else:

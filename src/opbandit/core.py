@@ -86,21 +86,20 @@ class BanditInstance:
         check_means(means, "a bandit instance")
         best_mean = max(means)
         best_arm = means.index(best_mean)  # lowest index wins ties
-        gaps = tuple(best_mean - u for u in means)
-        positive = [g for g in gaps if g > 0.0]
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "best_arm", best_arm)
         object.__setattr__(self, "best_mean", best_mean)
-        object.__setattr__(self, "gaps", gaps)
-        object.__setattr__(self, "min_gap", min(positive) if positive else 0.0)
+        object.__setattr__(self, "gaps", tuple(best_mean - u for u in means))
+        object.__setattr__(self, "min_gap", min(self.suboptimal_gaps(), default=0.0))
 
     @property
     def n_arms(self) -> int:
         return len(self.means)
 
     def suboptimal_gaps(self) -> tuple[float, ...]:
-        """Gaps of all arms other than the best one, in arm order."""
-        return tuple(g for k, g in enumerate(self.gaps) if k != self.best_arm)
+        """The positive gaps, in arm order: an arm is suboptimal when its
+        gap is positive, so an arm tied with the best one is not."""
+        return tuple(g for g in self.gaps if g > 0.0)
 
 
 @dataclass(frozen=True)

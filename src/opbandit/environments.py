@@ -402,12 +402,18 @@ class SemiPeriodicLoad(LoadModel):
 class RewardModel:
     """Base class for nominal-reward generators; rewards always lie in [0, 1].
 
-    Subclasses hold ``means``, the true expected reward of each arm.
+    Subclasses are frozen dataclasses that hold ``means``, the true
+    expected reward of each arm, as floats checked once here.
     """
 
     #: the config kind of a concrete model
     kind: str
     uses_rng: bool = True
+    means: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "means", tuple(float(u) for u in self.means))
+        check_means(self.means, "reward model")
 
     def reward_rows(self, t0: int, n: int, rng: RngStream | None) -> np.ndarray:
         """Rewards of every arm at steps t0..t0+n-1 as an (n, K) array, from
@@ -423,10 +429,6 @@ class DiracReward(RewardModel):
     kind = "dirac"
     uses_rng = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "means", tuple(float(u) for u in self.means))
-        check_means(self.means, "reward model")
-
     def reward_rows(self, t0: int, n: int, rng=None) -> np.ndarray:
         return np.broadcast_to(self.means, (n, len(self.means)))
 
@@ -437,10 +439,6 @@ class BernoulliReward(RewardModel):
 
     means: tuple[float, ...]
     kind = "bernoulli"
-
-    def __post_init__(self):
-        object.__setattr__(self, "means", tuple(float(u) for u in self.means))
-        check_means(self.means, "reward model")
 
     def reward_rows(self, t0: int, n: int, rng: RngStream) -> np.ndarray:
         return np.where(rng.random(n)[:, None] < self.means, 1.0, 0.0)
@@ -462,8 +460,8 @@ class TraceReward(RewardModel):
     def __post_init__(self):
         if self.data.rewards is None:
             raise ValueError("trace has no reward columns")
-        object.__setattr__(self, "means", tuple(float(m) for m in self.data.rewards.mean(axis=0)))
-        check_means(self.means, "reward model")
+        object.__setattr__(self, "means", tuple(self.data.rewards.mean(axis=0)))
+        super().__post_init__()
 
     def reward_rows(self, t0: int, n: int, rng=None) -> np.ndarray:
         return self.data.rewards[np.arange(t0 - 1, t0 - 1 + n) % self.data.n_rows]

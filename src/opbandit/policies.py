@@ -89,8 +89,11 @@ class Policy:
         if n_arms < 2:
             raise ValueError(f"need at least 2 arms, got {n_arms}")
         self.n_arms = n_arms
+        self.reset()
 
     def reset(self) -> None:
+        """Write the policy's initial state: its only writer, which
+        ``__init__`` ends with."""
         raise NotImplementedError
 
     def select(self, t: int, load: float, rng: RngStream | None = None) -> int:
@@ -137,11 +140,14 @@ class IndexPolicy(Policy):
     a time, on the policy's own statistics.
 
     Here ``c_t = alpha * (1 - ltil_t) * ln t``, with the normalized load
-    ``ltil_t`` of ``_normalized`` (a step) and ``_normalizer`` (a chunk),
-    which AdaUCB and EAdaUCB override.  By default it is 0, where the index
-    is exactly plain UCB(alpha)'s (``1.0 - 0.0`` is 1.0): :class:`UcbPolicy`.
+    ``ltil_t`` of ``_normalized`` (a step) and ``_normalizer`` (a chunk):
+    the load within the truncation band :attr:`thresholds`.  Without a band
+    it is 0, where the index is exactly plain UCB(alpha)'s (``1.0 - 0.0``
+    is 1.0): :class:`UcbPolicy`.
     """
 
+    #: the truncation band [l-, l+] of the normalized load; None: load 0
+    thresholds: Thresholds | None = None
     #: probabilities of the running load quantiles the schedule normalizes
     #: by, over a trailing ``window`` of loads or all of them (EAdaUCB's);
     #: such a schedule reads the whole run's loads up front, through a
@@ -149,10 +155,6 @@ class IndexPolicy(Policy):
     #: loads only.
     quantile_probs: tuple[float, ...] = ()
     window: int | None = None
-
-    def __init__(self, n_arms: int):
-        super().__init__(n_arms)
-        self.reset()
 
     def reset(self) -> None:
         self.arm_states = [ArmState() for _ in range(self.n_arms)]
@@ -175,7 +177,8 @@ class IndexPolicy(Policy):
         return self._argmax_index(self.alpha * (1.0 - self._normalized(load)) * math.log(t))
 
     def _normalized(self, load: float) -> float:
-        return 0.0
+        thresholds = self.thresholds  # one read: EAdaUCB's reads its sketch
+        return 0.0 if thresholds is None else normalize_load(load, thresholds)
 
     def exploration_schedule(self, quantiles: RunningQuantiles | None = None) -> Schedule:
         """``c_t = alpha * (1 - ltil_t) * ln t`` of the steps after the init
@@ -194,7 +197,10 @@ class IndexPolicy(Policy):
     def _normalizer(self, quantiles) -> Callable[[int, np.ndarray], np.ndarray]:
         """``normalized(i1, loads)``: the normalized loads of the chunk
         ending at step ``i1``."""
-        return lambda i1, loads: np.zeros(len(loads))
+        band = self.thresholds
+        if band is None:
+            return lambda i1, loads: np.zeros(len(loads))
+        return lambda i1, loads: normalize_loads(loads, band.lower, band.upper)
 
 
 class UcbPolicy(IndexPolicy):
@@ -222,13 +228,6 @@ class AdaUcbPolicy(IndexPolicy):
         check_alpha(alpha)
         self.alpha = alpha
         self.thresholds = thresholds
-
-    def _normalized(self, load: float) -> float:
-        return normalize_load(load, self.thresholds)
-
-    def _normalizer(self, quantiles):
-        lower, upper = self.thresholds.lower, self.thresholds.upper
-        return lambda i1, loads: normalize_loads(loads, lower, upper)
 
 
 class LoadQuantileSketch:
@@ -373,6 +372,7 @@ class EAdaUcbPolicy(IndexPolicy):
         self.alpha = alpha
         self.lower_quantile = lower_quantile
         self.upper_quantile = upper_quantile
+        self.quantile_probs = (lower_quantile, upper_quantile)
         self.window = window
         super().__init__(n_arms)  # which ends with self.reset()
 
@@ -389,13 +389,6 @@ class EAdaUcbPolicy(IndexPolicy):
 
     def _observe_load(self, load: float) -> None:
         self.load_sketch.insert(load)
-
-    def _normalized(self, load: float) -> float:
-        return normalize_load(load, self.thresholds)
-
-    @property
-    def quantile_probs(self) -> tuple[float, float]:
-        return (self.lower_quantile, self.upper_quantile)
 
     def _normalizer(self, quantiles):
         def normalized(i1: int, loads: np.ndarray) -> np.ndarray:
@@ -415,10 +408,6 @@ class ThompsonPolicy(Policy):
 
     kind = "ts"
     reads_loads = False
-
-    def __init__(self, n_arms: int):
-        super().__init__(n_arms)
-        self.reset()
 
     def reset(self) -> None:
         self.a = np.ones(self.n_arms)
@@ -456,7 +445,6 @@ class LinUcbDisjointPolicy(Policy):
         super().__init__(n_arms)
         check_alpha(alpha)
         self.alpha = alpha
-        self.reset()
 
     def reset(self) -> None:
         self.stats = [(1.0, 0.0, 1.0, 0.0, 0.0)] * self.n_arms
@@ -529,7 +517,7 @@ class RoundRobinGreedyPolicy(IndexPolicy):
         self._next = 0
 
     def _choose(self, t: int, load: float, rng=None) -> int:
-        if normalize_load(load, self.thresholds) == 0.0:
+        if self._normalized(load) == 0.0:
             arm = self._next
             self._next = (arm + 1) % self.n_arms
             return arm
@@ -539,13 +527,13 @@ class RoundRobinGreedyPolicy(IndexPolicy):
         """Greedy (``c_t = 0``) on loaded slots; on free slots a forced
         pull, ``-1 - arm``, of the next arm in the round robin, which starts
         at the policy's own next arm."""
-        lower, upper = self.thresholds.lower, self.thresholds.upper
+        normalized = self._normalizer(quantiles)
         n_arms, cursor = self.n_arms, self._next
 
         def schedule(i1: int, loads: np.ndarray, ln_t) -> np.ndarray:
             nonlocal cursor
             out = np.zeros(len(loads))
-            free = np.flatnonzero(normalize_loads(loads, lower, upper) == 0.0)
+            free = np.flatnonzero(normalized(i1, loads) == 0.0)
             out[free] = -1 - (cursor + np.arange(len(free))) % n_arms
             cursor = (cursor + len(free)) % n_arms
             return out

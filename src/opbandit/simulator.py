@@ -97,17 +97,13 @@ class RegretTrace:
     pulls: np.ndarray  # (R, C, K)
 
     @property
-    def n_replications(self) -> int:
-        return self.regret.shape[0]
-
-    @property
     def mean_regret(self) -> np.ndarray:
         return self.regret.mean(axis=0)
 
     @property
     def std_regret(self) -> np.ndarray:
         # sample (n-1) normalization; a single replication has zero spread
-        if self.n_replications < 2:
+        if len(self.regret) < 2:
             return np.zeros(self.regret.shape[1])
         return self.regret.std(axis=0, ddof=1)
 
@@ -324,12 +320,13 @@ def _thompson_kernel(cells: list, held: list, horizon: int) -> Callable:
     ``update`` would choose, bit for bit, with each chunk's policy uniforms
     drawn at once and most steps decided without a posterior inverse.
 
-    The per-step calls take 1 uniform per init step (the coin of
-    ``update``), then per step K posterior uniforms ``u`` and 1 coin; the
-    kernel draws that many in one call and spends them in the same order,
-    so the posterior (updated in place) and the stream end where the
-    per-step calls would leave them.  A step's arm is the argmax (ties
-    toward the lowest arm) of the draws ``betaincinv(a, b, u)``.
+    The init round runs through the policy's own ``select`` and ``update``
+    (:func:`_select_each_step`), 1 uniform a step (the coin of ``update``).
+    After it the per-step calls take per step K posterior uniforms ``u``
+    and 1 coin; the kernel draws that many in one call and spends them in
+    the same order, so the posterior (updated in place) and the stream end
+    where the per-step calls would leave them.  A step's arm is the argmax
+    (ties toward the lowest arm) of the draws ``betaincinv(a, b, u)``.
 
     The screen.  Once one arm c (the candidate) has won
     :data:`SCREEN_STREAK` steps in a row, the kernel takes a table: lower
@@ -385,6 +382,7 @@ def _thompson_kernel(cells: list, held: list, horizon: int) -> Callable:
     slack = -1  # the rises of the candidate's b the table still covers; -1: no table
     start = until = 0  # the chunk's first and last steps screened
     window = SCREEN_WINDOW  # the steps the next screen covers
+    init_round = _select_each_step(cells, held, horizon)
 
     def take_table() -> None:
         nonlocal slack
@@ -411,16 +409,10 @@ def _thompson_kernel(cells: list, held: list, horizon: int) -> Callable:
 
     def step(i0: int, i1: int, loads: np.ndarray, rewards: np.ndarray, chosen: np.ndarray) -> None:
         nonlocal decided, cand, lead, streak, slack, window
+        if i1 <= n_arms:  # the init round pulls arms 0..K-1 in order
+            return init_round(i0, i1, loads, rewards, chosen)
         flat = rewards.ravel().tolist()  # as in _select_each_step
         rows = range(0, len(flat), n_arms)
-        if i1 <= n_arms:  # the init round pulls arms 0..K-1 in order
-            for arm, coin, row in zip(range(i0, i1), policy_rng.random(i1 - i0).tolist(), rows):
-                if coin < flat[row + arm]:
-                    a[arm] += 1.0
-                else:
-                    b[arm] += 1.0
-            chosen[:, 0] = range(i0, i1)
-            return
         us = policy_rng.random((i1 - i0) * (n_arms + 1)).reshape(-1, n_arms + 1)
         u = us[:, :n_arms]
         decided = screen(u, 0) if slack >= 0 else no_screen

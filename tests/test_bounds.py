@@ -248,6 +248,19 @@ def test_alpha_must_be_finite_and_positive(name, alpha):
 
 
 class TestEvaluateBounds:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("load, threshold", [(BinaryRandomLoad(0.05, 0.01, 0.5), None), (BetaLoad(2, 2), 0.5)])
+    def test_arms_tied_for_the_best_cost_nothing(self, load, threshold):
+        # arms 1 and 2 tie for the best: only arm 3 has a positive gap
+        pts = [1, 2, 10, 100]
+        tied = evaluate_bounds(BanditInstance((0.5, 0.5, 0.2)), load, None, 2.0, pts, single_threshold=threshold)
+        alone = evaluate_bounds(BanditInstance((0.5, 0.2)), load, None, 2.0, pts, single_threshold=threshold)
+        assert sorted(tied.columns) == ["pull_log_bound_arm_3", "regret_log_term"]
+        assert tied.gaps == alone.gaps == pytest.approx((0.3,), rel=1e-15)
+        assert tied.params["regret_log_coeff"] == alone.params["regret_log_coeff"]
+        for name in ("pull_log_bound_arm_3", "regret_log_term"):
+            np.testing.assert_array_equal(tied.columns[name], alone.columns[name.replace("3", "2")])
+
     def test_deterministic_scenario_columns(self):
         report = evaluate_bounds(
             BanditInstance((0.6, 0.4)),

@@ -49,6 +49,19 @@ class TestRun:
         assert texts[0] == name
         assert label in texts
 
+    def test_summary_names_the_last_checkpoint(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "name: early\nhorizon: 1000\ncheckpoints: [10, 100]\n"
+            "load: {kind: square-wave, eps0: 0.05, eps1: 0.05}\n"
+            "reward: {kind: dirac, means: [0.6, 0.4]}\n"
+            "policies: [{kind: ucb, alpha: 2.0}]\n"
+        )
+        out = tmp_path / "o"
+        assert run_cli(["run", cfg, "-o", out]) == 0
+        regret = read_results_csv(out / "results.csv")["ucb"]["mean_regret"][-1]
+        assert capsys.readouterr().out.splitlines()[0].startswith(f"early: ucb: regret(T=100) = {regret:.4f} ")
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run_cli(["run", "fig1a", "-o", a, *TINY]) == 0
@@ -233,6 +246,30 @@ class TestBounds:
 
         cols = read_bounds_csv(out / "bounds.csv")
         np.testing.assert_array_equal(cols["regret_log_term"], 0.0)
+
+    @staticmethod
+    def tied(tmp_path, means):
+        cfg = tmp_path / "tied.yaml"
+        cfg.write_text(
+            "name: tied\nhorizon: 500\n"
+            "load: {kind: binary, eps0: 0.05, eps1: 0.01, rho: 0.5}\n"
+            f"reward: {{kind: dirac, means: {means}}}\n"
+            "policies: [{kind: adaucb, alpha: 20.0, thresholds: binary}]\n"
+        )
+        return cfg
+
+    def test_arms_tied_for_the_best_have_no_envelope(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert run_cli(["bounds", self.tied(tmp_path, [0.5, 0.5, 0.2]), "-o", out]) == 0
+        header = (out / "bounds.csv").read_text().splitlines()[0].split(",")
+        assert header == ["t", "pull_log_bound_arm_3", "regret_log_term"]
+        assert capsys.readouterr().err == ""
+
+    def test_all_arms_tied_names_means(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert run_cli(["bounds", self.tied(tmp_path, [0.5, 0.5, 0.5]), "-o", out]) == 1
+        assert capsys.readouterr().err.startswith("config error: reward.means: every arm ties for the best mean")
+        assert not out.exists()
 
     @pytest.mark.parametrize("config", ["fig1b", "mvno-synthetic", "dirac-square-wave", "fig1a"])
     @pytest.mark.parametrize("alpha", ["-1", "0", "nan", "inf"])
@@ -447,6 +484,27 @@ class TestCompare:
         assert err.startswith("config error: alpha: ") and "alpha 0.5" in err and "alpha 2.0" in err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "section, edit",
+        [("reward", ("means: [0.6, 0.4]", "means: [0.9, 0.1]")), ("load", ("eps0: 0.05", "eps0: 0.1"))],
+    )
+    def test_bounds_of_another_scenario_is_config_error(self, tmp_path, capsys, section, edit):
+        # the run passes its own envelopes, and is not judged by another scenario's
+        text = (Path(opbandit.__file__).parent / "configs" / "dirac-square-wave.yaml").read_text()
+        assert edit[0] in text
+        cfg = tmp_path / "other.yaml"
+        cfg.write_text(text.replace(*edit))
+        run_dir, own, other = tmp_path / "run", tmp_path / "own", tmp_path / "other"
+        assert run_cli(["run", cfg, "-o", run_dir, "--horizon", "4000"]) == 0
+        assert run_cli(["bounds", cfg, "-o", own, "--horizon", "4000"]) == 0
+        assert run_cli(["bounds", "dirac-square-wave", "-o", other, "--horizon", "4000"]) == 0
+        capsys.readouterr()
+        assert run_cli(["compare", run_dir, own]) == 0
+        assert capsys.readouterr().out.endswith("OVERALL: PASS\n")
+        assert run_cli(["compare", run_dir, other]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {section}: ") and captured.out == ""
+
     def test_pull_envelopes_cover_adaucb_at_the_bounds_alpha(self, tmp_path, capsys):
         cfg = tmp_path / "two-alphas.yaml"
         cfg.write_text(
@@ -488,6 +546,25 @@ class TestTracePipeline:
         assert "config error: reward: reward model needs at least 2 arms" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["load", "reward"])
+    @pytest.mark.parametrize(
+        "path, message", [("5", "expected a string, got 5"), ("missing.csv", "No such file or directory: 'missing.csv'")]
+    )
+    def test_trace_path_is_named(self, tmp_path, capsys, monkeypatch, section, path, message):
+        other = "{kind: dirac, means: [0.6, 0.4]}" if section == "load" else "{kind: uniform}"
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "name: t\nhorizon: 50\n"
+            f"{section}: {{kind: trace, path: {path}}}\n"
+            f"{'reward' if section == 'load' else 'load'}: {other}\n"
+            "policies: [{kind: ucb, alpha: 0.51}]\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "5").write_text("0.5,0.6,0.4\n")  # a file named 5 is not read
+        assert run_cli(["run", cfg, "-o", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"config error: {section}.path: ") and err.endswith(message)
 
     def test_trace_config_end_to_end(self, tmp_path):
         trace = tmp_path / "trace.csv"

@@ -171,6 +171,12 @@ class TestBanditInstance:
     def test_tie_breaks_to_lowest_index(self):
         assert BanditInstance((0.7, 0.7, 0.1)).best_arm == 0
 
+    def test_arm_tied_with_the_best_is_not_suboptimal(self):
+        bandit = BanditInstance((0.7, 0.7, 0.1))
+        assert bandit.suboptimal_gaps() == pytest.approx((0.6,), rel=1e-15)
+        assert bandit.min_gap == bandit.suboptimal_gaps()[0]
+        assert BanditInstance((0.4, 0.4)).suboptimal_gaps() == ()
+
 
 class TestRngStream:
     def test_replay_is_bit_identical(self):

@@ -831,15 +831,17 @@ class TestRoute:
         rows = simulator.BATCH_ROWS
         if kind in INDEX_KINDS:
             assert (runs, alone) == ([("_index_step", rows)], 0)
+        elif kind == "ts":  # the kernel runs its init round through the per-step way
+            assert (runs, alone) == ([("_thompson_kernel", 1), ("_select_each_step", 1)] * rows, rows)
         else:
-            step = "_thompson_kernel" if kind == "ts" else "_select_each_step"
-            assert (runs, alone) == ([(step, 1)] * rows, rows)
+            assert (runs, alone) == ([("_select_each_step", 1)] * rows, rows)
 
     def test_index_kinds_share_one_run(self):
         _, runs, alone = routed(BUILT_IN)
         rows = simulator.BATCH_ROWS
         assert runs[0] == ("_index_step", len(INDEX_KINDS) * rows)
-        assert sorted(runs[1:]) == sorted([("_thompson_kernel", 1)] * rows + [("_select_each_step", 1)] * 2 * rows)
+        # linucb's and oracle's cells, and each ts cell's init round
+        assert sorted(runs[1:]) == sorted([("_thompson_kernel", 1)] * rows + [("_select_each_step", 1)] * 3 * rows)
         assert alone == 3 * rows
 
     @pytest.mark.parametrize("replications", [simulator.BATCH_ROWS - 1, simulator.BATCH_ROWS])
@@ -1103,6 +1105,17 @@ def run_screened(sc):
             every_step(sc["horizon"]),
             policy_grid=sc["grid"],
         )
+
+
+class TestThompsonInitRound:
+    @pytest.mark.parametrize("reward", [BernoulliReward((0.3, 0.6, 0.9)), DiracReward((0.2, 0.5, 0.7))])
+    def test_run_of_exactly_k_steps(self, reward):
+        # the whole run is the init round: one coin a step, through select and update
+        ref, fast, p_ref, p_fast = run_both(lambda: ThompsonPolicy(3), BetaLoad(2.0, 2.0), reward, 3, every_step(3))
+        assert_same_bytes(ref, fast)
+        assert_same_state(p_ref, p_fast)
+        assert arms_of(fast).tolist() == [0, 1, 2]
+        assert (p_fast.a + p_fast.b).tolist() == [3.0, 3.0, 3.0]
 
 
 class TestThompsonScreenMatchesPerStepLoop:

@@ -2,6 +2,7 @@
 bookkeeping, and determinism."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from opbandit.policies import (
     LinUcbDisjointPolicy,
     LoadQuantileSketch,
     OraclePolicy,
+    POLICY_KINDS,
     Policy,
     RoundRobinGreedyPolicy,
     ThompsonPolicy,
@@ -48,6 +50,45 @@ NAN_PARAMETERS = {
     "semiperiodic-noise-a": lambda: SemiPeriodicLoad(noise_a=NAN),
     "semiperiodic-noise-b": lambda: SemiPeriodicLoad(noise_b=NAN),
 }
+
+
+#: one constructor per kind of POLICY_KINDS
+BUILD = {
+    "ucb": lambda: UcbPolicy(3, 2.0),
+    "adaucb": lambda: AdaUcbPolicy(3, 2.0, Thresholds(0.2, 0.8)),
+    "eadaucb": lambda: EAdaUcbPolicy(3, 2.0, window=4),
+    "ts": lambda: ThompsonPolicy(3),
+    "linucb": lambda: LinUcbDisjointPolicy(3, 1.0),
+    "oracle": lambda: OraclePolicy(3, 1),
+    "rr-greedy": lambda: RoundRobinGreedyPolicy(3, Thresholds(0.2, 0.8)),
+}
+
+
+class TestInitialState:
+    def test_every_kind_is_built(self):
+        assert set(BUILD) == set(POLICY_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(BUILD))
+    def test_construction_leaves_the_state_reset_writes(self, kind):
+        policy = BUILD[kind]()
+        built = pickle.dumps(policy)
+        rng = RngStream(3, 0)
+        for t in range(1, 20):
+            policy.update(policy.select(t, rng.random(), rng), rng.random(), rng)
+        assert kind == "oracle" or pickle.dumps(policy) != built  # the oracle holds no state
+        policy.reset()
+        assert pickle.dumps(policy) == built
+
+    def test_subclass_without_reset_fails_at_construction(self):
+        class NoReset(Policy):
+            def _choose(self, t, load, rng=None):
+                return 0
+
+            def _update(self, arm, reward, rng=None):
+                pass
+
+        with pytest.raises(NotImplementedError):
+            NoReset(2)
 
 
 @pytest.mark.parametrize("case", NAN_PARAMETERS)
@@ -269,9 +310,11 @@ class NumpyLinUcb(Policy):
     def __init__(self, n_arms: int, alpha: float):
         super().__init__(n_arms)
         self.alpha = alpha
-        self.A = [np.eye(2) for _ in range(n_arms)]
-        self.b = [np.zeros(2) for _ in range(n_arms)]
-        self._A_inv = [np.eye(2) for _ in range(n_arms)]
+
+    def reset(self) -> None:
+        self.A = [np.eye(2) for _ in range(self.n_arms)]
+        self.b = [np.zeros(2) for _ in range(self.n_arms)]
+        self._A_inv = [np.eye(2) for _ in range(self.n_arms)]
         self._x = np.array([1.0, 0.0])
         self._last_load = 0.0
 

@@ -67,3 +67,14 @@ def test_output_hashes_rejects_unknown_config(tmp_path):
     assert proc.returncode != 0
     assert "unknown config 'no-such-config'" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_line_counts(tmp_path):
+    proc = run_script("line_counts.py", [], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(" ") for line in proc.stdout.splitlines()]
+    modules = sorted(p.stem for p in (SCRIPTS.parent / "src" / "opbandit").glob("*.py"))
+    assert [row[0] for row in rows] == [*modules, "total"]
+    counts = [(int(physical), int(code)) for _, physical, code in rows]
+    assert all(0 < code < physical for physical, code in counts[:-1])
+    assert counts[-1] == tuple(map(sum, zip(*counts[:-1])))
