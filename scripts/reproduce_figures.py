@@ -46,8 +46,10 @@ def main() -> int:
             bcmd = ["bounds", name, "-o", str(bounds_out)]
             if args.quick:
                 bcmd += ["--horizon", "5000"]
-            if opbandit_main(bcmd) == 0:
-                opbandit_main(["compare", str(out), str(bounds_out)])
+            # the first failure, of bounds or of compare (2: an envelope violated)
+            code = opbandit_main(bcmd) or opbandit_main(["compare", str(out), str(bounds_out)])
+            if code != 0:
+                return code
     return 0
 
 

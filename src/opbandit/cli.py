@@ -87,7 +87,6 @@ def _cmd_run(args) -> int:
         cfg.replications,
         cfg.base_seed,
         checkpoints=plan.checkpoints,
-        realized=(cfg.regret == "realized"),
     )
 
     csv_path = out / "results.csv"

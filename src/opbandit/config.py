@@ -64,7 +64,7 @@ class ConfigError(ValueError):
     """A config problem, tagged with the offending field's dotted path."""
 
     def __init__(self, fieldpath: str, message: str):
-        super().__init__(f"{fieldpath}: {message}")
+        super().__init__(f"{fieldpath}: {message}" if fieldpath else message)
         self.fieldpath = fieldpath
         self.message = message
 
@@ -100,6 +100,14 @@ def _as_number(value, fieldpath: str) -> float:
 
 def _as_int(value, fieldpath: str) -> int:
     return int(_as_type(value, int, fieldpath, "an integer"))
+
+
+def _as_document(doc, source: str) -> dict:
+    """``doc`` as a config document, which must be a mapping; ``source``
+    names where it was read from ("": the caller's own value)."""
+    if not isinstance(doc, dict):
+        raise ConfigError(source, f"config must be a mapping, got {type(doc).__name__}")
+    return doc
 
 
 def _unknown_keys(mapping: dict, allowed, ctx: str):
@@ -197,10 +205,6 @@ class ThresholdSpec:
 _PLANNED = ("n_arms", "best_arm")
 
 
-def _as_optional_int(value, fieldpath: str) -> int | None:
-    return None if value is None else _as_int(value, fieldpath)
-
-
 def _as_means(value, fieldpath: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) < 2:
         raise ConfigError(fieldpath, "expected a list of at least 2 means")
@@ -212,7 +216,6 @@ def _as_means(value, fieldpath: str) -> list[float]:
 _READERS = {
     float: _as_number,
     int: _as_int,
-    int | None: _as_optional_int,
     tuple[float, ...]: _as_means,
     Thresholds: ThresholdSpec.from_value,
     TraceData: lambda value, fieldpath: _as_type(value, str, fieldpath, "a string"),
@@ -274,8 +277,7 @@ class _Spec:
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
         for key, value in self.params.items():
-            if value is not None:
-                out[key] = value.to_value() if isinstance(value, ThresholdSpec) else value
+            out[key] = value.to_value() if isinstance(value, ThresholdSpec) else value
         return out
 
     def build(self, ctx: str, read_trace=None, load_model: LoadModel | None = None, **planned):
@@ -364,7 +366,6 @@ class ExperimentConfig:
     reward: RewardSpec
     policies: tuple[PolicySpec, ...]
     checkpoints: tuple[int, ...] | None = None
-    regret: str = "pseudo"
 
     def to_dict(self) -> dict:
         out = {
@@ -372,7 +373,6 @@ class ExperimentConfig:
             "horizon": self.horizon,
             "replications": self.replications,
             "base_seed": self.base_seed,
-            "regret": self.regret,
             "load": self.load.to_dict(),
             "reward": self.reward.to_dict(),
             "policies": [p.to_dict() for p in self.policies],
@@ -384,8 +384,7 @@ class ExperimentConfig:
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a raw config mapping and turn it into dataclasses."""
-    if not isinstance(doc, dict):
-        raise ConfigError("", f"config must be a mapping, got {type(doc).__name__}")
+    _as_document(doc, "")
     _unknown_keys(doc, [f.name for f in fields(ExperimentConfig)], "")
     name = _as_type(_require(doc, "name", ""), str, "name", "a string")
     horizon = _as_int(_require(doc, "horizon", ""), "horizon")
@@ -397,9 +396,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     base_seed = _as_int(doc.get("base_seed", 0), "base_seed")
     if not 0 <= base_seed < 2**64:
         raise ConfigError("base_seed", "must be a 64-bit unsigned integer")
-    regret = doc.get("regret", "pseudo")
-    if regret not in ("pseudo", "realized"):
-        raise ConfigError("regret", f'must be "pseudo" or "realized", got {regret!r}')
 
     checkpoints = doc.get("checkpoints")
     if checkpoints is not None:
@@ -420,7 +416,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         dup = next(n for n in names if names.count(n) > 1)
         raise ConfigError("policies", f"duplicate policy name {dup!r}")
 
-    return ExperimentConfig(name, horizon, replications, base_seed, load, reward, policies, checkpoints, regret)
+    return ExperimentConfig(name, horizon, replications, base_seed, load, reward, policies, checkpoints)
 
 
 #: PyYAML's safe loader, on libyaml where PyYAML was built with it: the
@@ -447,7 +443,8 @@ def load_config(path) -> ExperimentConfig:
     """Parse the config file at ``path``, a file path or a package resource."""
     if isinstance(path, str):
         path = Path(path)
-    return parse_config(_read_yaml(path.read_text(encoding="utf-8"), str(path)))
+    source = str(path)
+    return parse_config(_as_document(_read_yaml(path.read_text(encoding="utf-8"), source), source))
 
 
 @dataclass

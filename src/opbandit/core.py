@@ -254,13 +254,15 @@ def log_steps(ts) -> np.ndarray:
 
 def check_checkpoints(checkpoints, horizon: int) -> np.ndarray:
     """``checkpoints`` as an int array; rejects an empty list, and steps
-    that are not strictly increasing or lie outside [1, ``horizon``]."""
+    that are not whole, not strictly increasing or outside [1, ``horizon``]."""
     try:
         pts = np.asarray(checkpoints, dtype=int)
     except OverflowError:  # a step no int64 holds
         raise ValueError(f"checkpoints must lie within [1, {horizon}]") from None
     if pts.ndim != 1 or len(pts) == 0:
         raise ValueError("checkpoints must be a non-empty 1-D sequence")
+    if np.any(pts != np.asarray(checkpoints, dtype=float)):  # the int cast truncates
+        raise ValueError("checkpoints must be whole steps")
     if np.any(np.diff(pts) <= 0):
         raise ValueError("checkpoints must be strictly increasing")
     if pts[0] < 1 or pts[-1] > horizon:

@@ -29,8 +29,7 @@ here does, so no choice depends on the host's BLAS build.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
-from collections import deque
+from bisect import insort
 from typing import Callable
 
 import numpy as np
@@ -81,8 +80,7 @@ class Policy:
     kind: str = "abstract"
     #: whether the arms chosen depend on the loads: a fact about the class.
     #: Where not, the simulator computes a load only where the regret reads
-    #: it: at the pulls of an arm with a positive gap, or at every step for
-    #: realized regret
+    #: it: at the pulls of an arm with a positive gap
     reads_loads: bool = True
 
     def __init__(self, n_arms: int):
@@ -148,13 +146,11 @@ class IndexPolicy(Policy):
 
     #: the truncation band [l-, l+] of the normalized load; None: load 0
     thresholds: Thresholds | None = None
-    #: probabilities of the running load quantiles the schedule normalizes
-    #: by, over a trailing ``window`` of loads or all of them (EAdaUCB's);
-    #: such a schedule reads the whole run's loads up front, through a
-    #: :class:`RunningQuantiles`.  Any other schedule reads each chunk's
-    #: loads only.
+    #: probabilities of the running load quantiles, over all loads so far,
+    #: that the schedule normalizes by (EAdaUCB's); such a schedule reads
+    #: the whole run's loads up front, through a :class:`RunningQuantiles`.
+    #: Any other schedule reads each chunk's loads only.
     quantile_probs: tuple[float, ...] = ()
-    window: int | None = None
 
     def reset(self) -> None:
         self.arm_states = [ArmState() for _ in range(self.n_arms)]
@@ -231,19 +227,14 @@ class AdaUcbPolicy(IndexPolicy):
 
 
 class LoadQuantileSketch:
-    """Exact streaming quantiles over observed loads (sorted multiset),
-    optionally restricted to a trailing window.
+    """Exact streaming quantiles over every observed load (sorted multiset).
 
     Quantiles follow the nearest-rank rule: the q-quantile of n values is the
     ceil(q*n)-th smallest.
     """
 
-    def __init__(self, window: int | None = None):
-        if window is not None and window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = window
+    def __init__(self):
         self._sorted: list[float] = []
-        self._recent: deque[float] | None = deque() if window is not None else None
 
     def __len__(self) -> int:
         return len(self._sorted)
@@ -251,11 +242,6 @@ class LoadQuantileSketch:
     def insert(self, value: float) -> None:
         if not math.isfinite(value):
             raise ValueError(f"load must be finite, got {value}")
-        if self._recent is not None:
-            if len(self._recent) == self.window:
-                old = self._recent.popleft()
-                del self._sorted[bisect_left(self._sorted, old)]
-            self._recent.append(value)
         insort(self._sorted, value)
 
     def quantile(self, q: float) -> float:
@@ -275,27 +261,24 @@ class RunningQuantiles:
     the same loads one at a time would return, without its O(n) inserts.
 
     The loads are argsorted once, so each owns a rank in sorted order.  Per
-    probability, a bytearray marks the ranks currently held and a pointer
-    holds the rank of the quantile.  ``k = max(1, ceil(q*n))`` changes by at
-    most one per insert or eviction, so the pointer moves at most one held
-    rank: one ``bytearray.find``/``rfind``.  The loads themselves are kept
-    only as sorted values and 32-bit ranks (:meth:`loads`): the simulator's
-    chunk loop reads an EAdaUCB row's loads from here, a chunk at a time,
-    and keeps no copy of its own.
+    probability, a bytearray marks the ranks taken in so far and a pointer
+    holds the rank of the quantile.  ``k = max(1, ceil(q*n))`` grows by at
+    most one per insert, so the pointer moves at most one marked rank: one
+    ``bytearray.find``/``rfind``.  The loads themselves are kept only as
+    sorted values and 32-bit ranks (:meth:`loads`): the simulator's chunk
+    loop reads an EAdaUCB row's loads from here, a chunk at a time, and
+    keeps no copy of its own.
     """
 
-    def __init__(self, values: np.ndarray, probs: tuple[float, ...], window: int | None = None):
+    def __init__(self, values: np.ndarray, probs: tuple[float, ...]):
         if not np.isfinite(values).all():
             raise ValueError("loads must be finite")
-        if window is not None and window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
         n = len(values)
         order = np.argsort(values, kind="stable")
         self._sorted = values[order]
         self._ranks = np.empty(n, dtype=np.int32 if n < 2**31 else np.intp)
         self._ranks[order] = np.arange(n)
         self.probs = probs
-        self.window = n if window is None else window
         self._held = [bytearray(n) for _ in probs]
         self._pointer = [-1] * len(probs)
         self._seen = 0
@@ -310,34 +293,23 @@ class RunningQuantiles:
     def advance(self, stop: int) -> np.ndarray:
         """Take in the loads up to index ``stop`` (exclusive); one row per
         probability holds the quantile in effect after each of them."""
-        start, w = self._seen, self.window
-        steps = np.arange(start, stop)
-        before = np.minimum(steps, w)  # loads held before step i
-        after = np.minimum(steps + 1, w + 1)  # after its insert, before its eviction
+        start = self._seen
+        seen = np.arange(start, stop)  # the loads taken in before each insert
         ranks = self._ranks[start:stop].tolist()
-        evicted = np.where(steps >= w, self._ranks[np.maximum(steps - w, 0)], -1).tolist()
         out = np.empty((len(self.probs), stop - start))
         for j, q in enumerate(self.probs):
-            # k grows on an insert exactly when it shrinks back on the eviction
-            grows = (_nearest_rank(q, after) > _nearest_rank(q, before)).tolist()
+            grows = (_nearest_rank(q, seen + 1) > _nearest_rank(q, seen)).tolist()
             held = self._held[j]
             find, rfind = held.find, held.rfind
             p = self._pointer[j]
             at = []
-            for r, up, e in zip(ranks, grows, evicted):
+            for r, up in zip(ranks, grows):
                 held[r] = 1
                 if r < p:
                     if not up:
                         p = rfind(1, 0, p)
                 elif up:
                     p = find(1, p + 1)
-                if e >= 0:
-                    held[e] = 0
-                    if up:
-                        if e >= p:
-                            p = rfind(1, 0, p)
-                    elif e <= p:
-                        p = find(1, p + 1)
                 at.append(p)
             self._pointer[j] = p
             out[j] = self._sorted[at]
@@ -352,7 +324,7 @@ class RunningQuantiles:
 class EAdaUcbPolicy(IndexPolicy):
     """AdaUCB with truncation thresholds tracked online as empirical load
     quantiles (recomputed each step from all loads seen so far, including the
-    current one, or from a trailing window when configured)."""
+    current one)."""
 
     kind = "eadaucb"
 
@@ -362,7 +334,6 @@ class EAdaUcbPolicy(IndexPolicy):
         alpha: float,
         lower_quantile: float = 0.05,
         upper_quantile: float = 0.95,
-        window: int | None = None,
     ):
         check_alpha(alpha)
         check_prob(lower_quantile)
@@ -373,12 +344,11 @@ class EAdaUcbPolicy(IndexPolicy):
         self.lower_quantile = lower_quantile
         self.upper_quantile = upper_quantile
         self.quantile_probs = (lower_quantile, upper_quantile)
-        self.window = window
         super().__init__(n_arms)  # which ends with self.reset()
 
     def reset(self) -> None:
         super().reset()
-        self.load_sketch = LoadQuantileSketch(self.window)
+        self.load_sketch = LoadQuantileSketch()
 
     @property
     def thresholds(self) -> Thresholds:

@@ -16,10 +16,9 @@ them).  A row whose choice reads loads draws them a chunk at a time before
 the step; an EAdaUCB row reads them from the running quantiles that hold
 its whole run.  Every other row (``ucb``, ``ts``) draws each chunk's loads
 after the step, and computes only the charged steps' loads
-(:meth:`_Ledger.charged`; every step for realized regret).  The load stream
-takes the same uniforms either way, and an uncharged step's cost is
-``0 * gap = +0.0`` instead of ``load * 0 = +0.0``, so the outputs are the
-same bytes.
+(:meth:`_Ledger.charged`).  The load stream takes the same uniforms either
+way, and an uncharged step's cost is ``0 * gap = +0.0`` instead of
+``load * 0 = +0.0``, so the outputs are the same bytes.
 
 :func:`run_once` is a one-row run of the chunk loop, and
 :func:`run_experiment` runs every cell that does not batch through it.  One
@@ -31,10 +30,9 @@ depend neither on which path ran nor on the chunk length.  Every cell runs
 on a reset copy of its policy: the policies given to :func:`run_experiment`
 are not changed.
 
-Regret is expected pseudo-regret by default: each step adds
+Regret is expected pseudo-regret: each step adds
 ``load * (best_mean - mean[chosen])`` using the true arm means, which is the
-unbiased low-variance estimator of the load-weighted regret.  A realized
-variant (``load * (best_mean - drawn_reward)``) is available behind a flag.
+unbiased low-variance estimator of the load-weighted regret.
 
 Each (policy, replication) pair owns three private random streams (load,
 reward, policy) derived from the base seed by label hashing, so replications
@@ -205,39 +203,31 @@ class _Ledger:
     pass, whatever the number of its checkpoints, so a per-step trace is
     ``checkpoints=np.arange(1, horizon + 1)``."""
 
-    def __init__(self, bandit, checkpoints, horizon, n_rows, realized):
+    def __init__(self, bandit, checkpoints, horizon, n_rows):
         n_arms = bandit.n_arms
         if horizon < n_arms:
             raise ValueError(f"horizon {horizon} is shorter than the init round of {n_arms} arms")
         self.pts = check_checkpoints(checkpoints, horizon)
         self.gaps = np.array(bandit.gaps)
         self.suboptimal = self.gaps > 0.0
-        self.best_mean = bandit.best_mean
-        self.realized = realized
         self.regret = np.zeros(n_rows)
         self.pulled = np.zeros((n_rows, n_arms), dtype=np.int64)
         self.next_pt = 0
         self.ck_regret = np.empty((n_rows, len(self.pts)))
         self.ck_pulls = np.empty((n_rows, len(self.pts), n_arms), dtype=np.int64)
 
-    def charged(self, arms: np.ndarray) -> np.ndarray | None:
+    def charged(self, arms: np.ndarray) -> np.ndarray:
         """The steps of one row's ``arms`` whose cost reads the load: the
-        pulls of an arm with a positive gap, or None, every step, for
-        realized regret.  Elsewhere the cost is ``load * 0``, so a load of 0
-        there leaves every sum as it is."""
-        return None if self.realized else self.suboptimal[arms]
+        pulls of an arm with a positive gap.  Elsewhere the cost is
+        ``load * 0``, so a load of 0 there leaves every sum as it is."""
+        return self.suboptimal[arms]
 
-    def add(self, i0: int, arms: np.ndarray, loads: np.ndarray, rewards: np.ndarray) -> None:
-        """Account steps i0+1..i0+n: ``arms`` and ``loads`` are (rows, n),
-        ``rewards`` every arm's reward, (rows, n, K).  ``arms`` is spent:
-        the accounting overwrites it."""
+    def add(self, i0: int, arms: np.ndarray, loads: np.ndarray) -> None:
+        """Account steps i0+1..i0+n: ``arms`` and ``loads`` are (rows, n).
+        ``arms`` is spent: the accounting overwrites it."""
         n_rows, n_arms = self.pulled.shape
         n = arms.shape[1]
-        if self.realized:
-            cost = np.take_along_axis(rewards, arms[:, :, None], axis=2)[:, :, 0]  # drawn
-            np.subtract(self.best_mean, cost, out=cost)
-        else:
-            cost = self.gaps.take(arms)
+        cost = self.gaps.take(arms)
         cost *= loads  # each step's load-weighted regret
         # cumulative sums in step order, row by row, from the regret so far
         cost[:, 0] += self.regret
@@ -274,7 +264,6 @@ def run_once(
     load_rng: RngStream | None,
     reward_rng: RngStream | None,
     policy_rng: RngStream | None,
-    realized: bool = False,
 ) -> ReplicationTrace:
     """Run a single replication and return its checkpointed trace: a
     one-row run of the chunk loop (:func:`_run_rows`).
@@ -285,7 +274,7 @@ def run_once(
     streams.  An index policy is only read; any other policy is left as
     ``select`` and ``update`` at every step would leave it.
     """
-    ledger = _Ledger(bandit, checkpoints, horizon, 1, realized)
+    ledger = _Ledger(bandit, checkpoints, horizon, 1)
     if load_model.uses_rng and load_rng is None:
         raise ValueError("stochastic load model needs a load stream")
     if reward_model.uses_rng and reward_rng is None:
@@ -678,7 +667,7 @@ def _run_rows(
     n_rows, n_arms = len(cells), ledger.pulled.shape[1]
     size = _chunk_steps(n_rows, n_arms)
     held = [  # the whole run's loads, kept only inside its quantiles
-        RunningQuantiles(load_model.sample_loads(horizon, load_rng), policy.quantile_probs, policy.window)
+        RunningQuantiles(load_model.sample_loads(horizon, load_rng), policy.quantile_probs)
         if getattr(policy, "quantile_probs", ())
         else None
         for policy, load_rng, *_ in cells
@@ -710,7 +699,7 @@ def _run_rows(
         step(i0, i1, loads, rewards, chosen)
         for r, load_rng in lazy:
             loads[r] = load_model.sample_loads(n, load_rng, i0 + 1, where=ledger.charged(chosen[:, r]))
-        ledger.add(i0, chosen.T, loads, rewards.transpose(1, 0, 2))
+        ledger.add(i0, chosen.T, loads)
         i0 = i1
 
 
@@ -730,7 +719,6 @@ def run_experiment(
     replications: int,
     base_seed: int,
     checkpoints=None,
-    realized: bool = False,
 ) -> dict[str, RegretTrace]:
     """Run every policy for ``replications`` independent replications and
     aggregate the checkpointed traces.
@@ -773,9 +761,9 @@ def run_experiment(
         cells = [(_fresh(policies[label]), *replication_streams(base_seed, label, rep).values()) for label, rep in keys]
         if len(cells) == 1:
             policy, *streams = cells[0]
-            traces = [run_once(bandit, load_model, reward_model, policy, horizon, pts, *streams, realized=realized)]
+            traces = [run_once(bandit, load_model, reward_model, policy, horizon, pts, *streams)]
         else:
-            ledger = _Ledger(bandit, pts, horizon, len(cells), realized)
+            ledger = _Ledger(bandit, pts, horizon, len(cells))
             _run_rows(load_model, reward_model, cells, horizon, ledger)
             traces = map(ledger.trace, range(len(cells)))
         for (label, rep), trace in zip(keys, traces):

@@ -10,9 +10,11 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+import yaml
 
 import opbandit
 from opbandit.cli import main
+from opbandit.config import ConfigError, parse_config
 from opbandit.core import check_alpha
 from opbandit.report import read_results_csv, sha256_file
 
@@ -133,8 +135,10 @@ class TestRun:
         [
             ("checkpoint_count: 10000000000000\n", "checkpoint_count", "unknown field"),
             ("policies: [{name: 'ucb,fast', kind: ucb, alpha: 0.5}]\n", "policies[0].name", "expected a string"),
+            ("regret: realized\n", "regret", "unknown field"),
+            ("policies: [{kind: eadaucb, alpha: 0.5, window: 5}]\n", "policies[0].window", "unknown field"),
         ],
-        ids=["checkpoint_count", "comma-in-name"],
+        ids=["checkpoint_count", "comma-in-name", "regret", "eadaucb-window"],
     )
     def test_rejected_before_any_output(self, tmp_path, capsys, line, field, message):
         # a removed key, or a policy name that results.csv could not read
@@ -167,6 +171,24 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {bad}: line {line}: malformed YAML: ")
         assert err.rstrip().endswith(start) and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, got",
+        [("", "NoneType"), ("# nothing\n", "NoneType"), ("- 1\n- 2\n", "list")],
+        ids=["empty", "comment-only", "list"],
+    )
+    def test_non_mapping_document_names_file(self, tmp_path, capsys, text, got):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        out = tmp_path / "x"
+        assert run_cli(["run", bad, "-o", out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {bad}: config must be a mapping, got {got}\n"
+        assert not out.exists()
+        # a document given directly has no file to name, and no empty field either
+        with pytest.raises(ConfigError) as direct:
+            parse_config(yaml.safe_load(text))
+        assert str(direct.value) == f"config must be a mapping, got {got}"
 
 
 @pytest.mark.parametrize("command", ["run", "bounds"])

@@ -41,7 +41,7 @@ def test_parse_minimal():
     cfg = parse_config(MINIMAL)
     assert cfg.name == "tiny"
     assert cfg.horizon == 100
-    assert cfg.regret == "pseudo"
+    assert "regret" not in cfg.to_dict()
     assert cfg.policies[0].params["thresholds"].mode == "binary"
 
 
@@ -97,6 +97,14 @@ def test_bundled_configs_parse_equal_under_both_loaders(path):
         (lambda d: d["policies"][1].pop("alpha"), "policies[1].alpha"),
         (lambda d: d["policies"][0].pop("thresholds"), "policies[0].thresholds"),
         (lambda d: d.update(regret="negative"), "regret"),
+        # regret is pseudo-regret, and EAdaUCB's quantiles take every load: no key sets either
+        pytest.param(lambda d: d.update(regret="pseudo"), "regret", id="regret-pseudo"),
+        pytest.param(lambda d: d.update(regret="realized"), "regret", id="regret-realized"),
+        pytest.param(
+            lambda d: d["policies"].append({"kind": "eadaucb", "alpha": 0.5, "window": 5}),
+            "policies[2].window",
+            id="eadaucb-window",
+        ),
         (lambda d: d.update(checkpoints=[5, 5]), "checkpoints"),
         (lambda d: d.update(checkpoints=[5, 200]), "checkpoints"),
         # a key of another kind is unknown to this one
@@ -213,6 +221,17 @@ def test_checkpoints_are_cores_rule(pts):
     streams = replication_streams(7, "ucb", 0).values()
     assert value_error(run_once, *models, plan.policies["ucb"], 100, pts, *streams) == message
     assert value_error(run_experiment, *models, plan.policies, 100, 1, 7, pts) == message
+
+
+def test_non_integral_checkpoints_rejected():
+    # a step is a whole number: 2.5 is not truncated to step 2
+    message = value_error(check_checkpoints, [2.5, 99.9], 100)
+    assert message == "checkpoints must be whole steps"
+    plan = build_plan(parse_config(MINIMAL))
+    models = (plan.bandit, plan.load_model, plan.reward_model)
+    assert value_error(run_experiment, *models, plan.policies, 100, 1, 7, [2.5, 99.9]) == message
+    assert value_error(check_checkpoints, np.array([2.0, 99.5]), 100) == message
+    assert check_checkpoints([2.0, 99.0], 100).tolist() == [2, 99]
 
 
 def test_duplicate_policy_names_rejected():

@@ -45,7 +45,7 @@ from opbandit.policies import (
 )
 from opbandit.simulator import replication_streams, run_experiment, run_once
 
-KINDS = ("ucb", "adaucb", "eadaucb", "eadaucb-window", "rr-greedy", "ts")
+KINDS = ("ucb", "adaucb", "eadaucb", "rr-greedy", "ts")
 INDEX_KINDS = KINDS[:-1]
 
 
@@ -77,8 +77,6 @@ def make_policy(kind, n_arms, lower, upper):
         return AdaUcbPolicy(n_arms, 0.51, Thresholds(lower, upper))
     if kind == "eadaucb":
         return EAdaUcbPolicy(n_arms, 0.51, lower, upper)
-    if kind == "eadaucb-window":
-        return EAdaUcbPolicy(n_arms, 0.51, lower, upper, window=5)
     if kind == "ts":
         return ThompsonPolicy(n_arms)
     return RoundRobinGreedyPolicy(n_arms, Thresholds(lower, upper))
@@ -102,7 +100,7 @@ def every_step(horizon):
     return np.arange(1, horizon + 1)
 
 
-def run_both(make, load_model, reward_model, horizon, checkpoints, realized=False, policy_grid=None):
+def run_both(make, load_model, reward_model, horizon, checkpoints, policy_grid=None):
     """(reference trace, kernel trace, reference policy, kernel policy); the
     two runs must leave the policy stream at the same place.  Compare index
     kinds at :func:`every_step`: their engine leaves the policy as given, so
@@ -126,7 +124,6 @@ def run_both(make, load_model, reward_model, horizon, checkpoints, realized=Fals
                 streams["load"],
                 streams["reward"],
                 streams["policy"],
-                realized=realized,
             )
         )
         next_draws.append(streams["policy"].random())
@@ -188,7 +185,6 @@ def scenarios(draw):
         reward=reward,
         horizon=horizon,
         checkpoints=sorted(pts),
-        realized=draw(st.booleans()),
         every_step=draw(st.booleans()),
         chunk=draw(st.integers(1, 8) | st.integers(1, 50)),  # some below K: init spans chunks
     )
@@ -208,7 +204,6 @@ class TestKernelMatchesPerStepLoop:
                 sc["reward"],
                 sc["horizon"],
                 every_step(sc["horizon"]) if sc["every_step"] or not ts else sc["checkpoints"],
-                sc["realized"],
             )
         assert_same_bytes(ref, fast)
         if ts:
@@ -224,7 +219,6 @@ class TestKernelMatchesPerStepLoop:
             BernoulliReward(means),
             3 * simulator.CHUNK + 17,
             (default_checkpoints if kind == "ts" else every_step)(3 * simulator.CHUNK + 17),
-            realized=kind == "ucb",
         )
         assert_same_bytes(ref, fast)
         if kind == "ts":
@@ -288,7 +282,6 @@ class TestKernelMatchesPerStepLoop:
             horizon=horizon,
             replications=simulator.BATCH_ROWS,
             checkpoints=[horizon],
-            realized=False,
         )
         with mock.patch.object(UcbPolicy, "exploration_schedule", recording):
             experiment({"ucb": UcbPolicy(3, 0.51)}, sc, simulator.BATCH_ROWS)
@@ -366,13 +359,12 @@ class TestKernelMatchesPerStepLoop:
                 None,
             )
 
-    @pytest.mark.parametrize("realized", [False, True], ids=["pseudo", "realized"])
     @pytest.mark.parametrize("means", [(0.6, 0.3, 0.6), (0.3, 0.5, 0.45)], ids=["tied-best", "distinct"])
     @pytest.mark.parametrize("kind", ["ucb", "ts"])
-    def test_lazy_loads_byte_for_byte(self, kind, means, realized):
+    def test_lazy_loads_byte_for_byte(self, kind, means):
         # ucb and ts compute a load only where the regret reads it: at a
         # pull of an arm with a positive gap (never one of two tied best
-        # arms), or at every step for realized regret
+        # arms)
         assert not make_policy(kind, 3, 0.2, 0.8).reads_loads
         horizon = 3 * simulator.CHUNK + 17
         ref, fast, p_ref, p_fast = run_both(
@@ -381,7 +373,6 @@ class TestKernelMatchesPerStepLoop:
             BernoulliReward(means),
             horizon,
             every_step(horizon),
-            realized=realized,
         )
         assert_same_bytes(ref, fast)
         assert ref.regret[-1] > 0.0
@@ -523,7 +514,6 @@ def batches(draw):
         horizon=horizon,
         checkpoints=sorted(pts),
         replications=draw(st.integers(1, 8)),
-        realized=draw(st.booleans()),
         chunk=draw(st.integers(1, 8) | st.integers(1, 50)),  # some below K: init spans chunks
     )
 
@@ -552,7 +542,6 @@ def experiment(policies, sc, batch_rows):
             sc["replications"],
             base_seed=11,
             checkpoints=sc["checkpoints"],
-            realized=sc["realized"],
         )
 
 
@@ -586,7 +575,6 @@ class TestBatchMatchesRunOnce:
                         streams["load"],
                         streams["reward"],
                         streams["policy"],
-                        realized=sc["realized"],
                     )
                     assert batch[label].regret[rep].tobytes() == trace.regret.tobytes(), label
                     assert batch[label].pulls[rep].tobytes() == trace.pulls.tobytes(), label
@@ -599,7 +587,6 @@ class TestBatchMatchesRunOnce:
             horizon=2 * 128 + 31,
             replications=3,
             checkpoints=[1, 3, 128 + 1, 2 * 128 + 31],
-            realized=False,
         )
 
         def make_policies():
@@ -632,7 +619,6 @@ class TestBatchMatchesRunOnce:
             horizon=2 * 128 + 31,
             replications=simulator.BATCH_ROWS // 2 + 1,
             checkpoints=[1, 3, 128 + 1, 2 * 128 + 31],
-            realized=False,
         )
 
         def policies():
@@ -663,7 +649,7 @@ class TestBatchMatchesRunOnce:
             for kind, rep in labels:
                 streams = replication_streams(3, kind, rep)
                 cells.append((make_policy(kind, 4, 0.2, 0.8), streams["load"], streams["reward"], streams["policy"]))
-            ledger = simulator._Ledger(BanditInstance(means), every_step(horizon), horizon, len(cells), False)
+            ledger = simulator._Ledger(BanditInstance(means), every_step(horizon), horizon, len(cells))
             simulator._run_rows(BetaLoad(2.0, 2.0), BernoulliReward(means), cells, horizon, ledger)
         for r, (kind, rep) in enumerate(labels):
             streams = replication_streams(3, kind, rep)
@@ -687,7 +673,6 @@ class TestBatchMatchesRunOnce:
             horizon=2 * 128 + 31,
             replications=simulator.BATCH_ROWS // 2,  # enough for the other rows to batch alone
             checkpoints=[1, 3, 128 + 1, 2 * 128 + 31],
-            realized=False,
         )
         held = RunningQuantiles.held_bytes(sc["horizon"], 2)  # one eadaucb row's
         reps = sc["replications"]
@@ -750,7 +735,6 @@ class TestUcbIsTheIndexAtLoadZero:
             horizon=self.HORIZON,
             replications=simulator.BATCH_ROWS,
             checkpoints=every_step(self.HORIZON),
-            realized=False,
         )
         results = []
         for policy in self.pair():
@@ -896,7 +880,6 @@ def gallops(draw):
         upper=upper,
         reward=reward,
         horizon=horizon,
-        realized=draw(st.booleans()),
         chunk=draw(st.sampled_from((7, 100, simulator.CHUNK))),  # runs cross chunk edges
         block=draw(st.sampled_from((1, 3, simulator.GALLOP_BLOCK))),
     )
@@ -926,7 +909,6 @@ class TestGallopMatchesPerStepLoop:
             upper=0.5,
             reward=DiracReward((0.1, 0.1)),
             horizon=300,
-            realized=False,
             chunk=100,
             block=1,
         )
@@ -942,7 +924,7 @@ class TestGallopMatchesPerStepLoop:
             mock.patch.object(simulator, "GALLOP_BLOCK", sc["block"]),
         ):
             ref, fast, _, _ = run_both(
-                make, FixedLoad(sc["loads"]), sc["reward"], sc["horizon"], every_step(sc["horizon"]), sc["realized"]
+                make, FixedLoad(sc["loads"]), sc["reward"], sc["horizon"], every_step(sc["horizon"])
             )
         assume(sum(won))  # a gallop won steps: the case under test
         assert_same_bytes(ref, fast)
@@ -1227,16 +1209,15 @@ class TestRunningQuantiles:
     @given(
         values=st.lists(st.sampled_from(GRID) | st.floats(-5.0, 5.0), min_size=1, max_size=120),
         q=st.sampled_from((1e-9, 0.01, 0.05, 0.5, 0.95, 0.99, 1 - 1e-9)) | st.floats(0.001, 0.999),
-        window=st.none() | st.integers(1, 20),
         chunk=st.integers(1, 30),
     )
-    def test_matches_sorted_sketch(self, values, q, window, chunk):
-        sketch = LoadQuantileSketch(window)
+    def test_matches_sorted_sketch(self, values, q, chunk):
+        sketch = LoadQuantileSketch()
         expected = []
         for v in values:
             sketch.insert(v)
             expected.append(sketch.quantile(q))
-        running = RunningQuantiles(np.array(values), (q, 1.0 - q), window)
+        running = RunningQuantiles(np.array(values), (q, 1.0 - q))
         got = [running.advance(min(i + chunk, len(values)))[0] for i in range(0, len(values), chunk)]
         assert np.concatenate(got).tolist() == expected
 

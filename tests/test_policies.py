@@ -56,7 +56,7 @@ NAN_PARAMETERS = {
 BUILD = {
     "ucb": lambda: UcbPolicy(3, 2.0),
     "adaucb": lambda: AdaUcbPolicy(3, 2.0, Thresholds(0.2, 0.8)),
-    "eadaucb": lambda: EAdaUcbPolicy(3, 2.0, window=4),
+    "eadaucb": lambda: EAdaUcbPolicy(3, 2.0),
     "ts": lambda: ThompsonPolicy(3),
     "linucb": lambda: LinUcbDisjointPolicy(3, 1.0),
     "oracle": lambda: OraclePolicy(3, 1),
@@ -434,13 +434,6 @@ class TestQuantileSketch:
         assert sketch.quantile(0.05) == 0.42
         assert sketch.quantile(0.95) == 0.42
 
-    def test_window_evicts_oldest(self):
-        sketch = LoadQuantileSketch(window=3)
-        for v in (10.0, 1.0, 2.0, 3.0):
-            sketch.insert(v)
-        assert len(sketch) == 3
-        assert sketch.quantile(0.99) == 3.0
-
     def test_empty_sketch_rejected(self):
         with pytest.raises(ValueError):
             LoadQuantileSketch().quantile(0.5)
@@ -487,7 +480,7 @@ class TestEAdaUcb:
         assert asked == [policy.lower_quantile, policy.upper_quantile]
 
     def test_reset_clears_sketch(self):
-        policy = EAdaUcbPolicy(2, alpha=1.0, window=5)
+        policy = EAdaUcbPolicy(2, alpha=1.0)
         policy._observe_load(0.2)
         policy.reset()
         assert len(policy.load_sketch) == 0

@@ -1,11 +1,14 @@
 """The scripts under ``scripts/`` run from a bare checkout: as subprocesses,
 without ``PYTHONPATH``, at tiny scale."""
 
+import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -26,6 +29,25 @@ def test_reproduce_figures(tmp_path):
     run, bounds = tmp_path / "results" / "dirac-square-wave", tmp_path / "results" / "dirac-square-wave-bounds"
     assert {p.name for p in run.iterdir()} == {"results.csv", "metadata.json", "regret.svg"}
     assert {p.name for p in bounds.iterdir()} == {"bounds.csv", "metadata.json"}
+
+
+@pytest.mark.parametrize("failing, code", [("bounds", 1), ("compare", 2)])
+def test_reproduce_figures_returns_failed_envelope_check(tmp_path, monkeypatch, failing, code):
+    # the dirac envelope check's exit code is the script's: a failed `bounds`,
+    # or `compare`'s OVERALL: FAIL (2), is not an exit 0
+    spec = importlib.util.spec_from_file_location("reproduce_figures", SCRIPTS / "reproduce_figures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    commands = []
+
+    def opbandit_main(argv):
+        commands.append(argv[0])
+        return code if argv[0] == failing else 0
+
+    monkeypatch.setattr(module, "opbandit_main", opbandit_main)
+    monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", "--only", "dirac-square-wave", "--out", str(tmp_path)])
+    assert module.main() == code
+    assert commands == ["run", "bounds", "compare"][: commands.index(failing) + 1]
 
 
 def test_mvno_demo(tmp_path):

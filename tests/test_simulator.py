@@ -118,27 +118,10 @@ class TestRegretAccounting:
         trace = dirac_run(UcbPolicy(2, 2.0))
         np.testing.assert_array_equal(trace.pulls.sum(axis=1), trace.checkpoints)
 
-    def test_realized_equals_pseudo_for_dirac_rewards(self):
-        a = dirac_run(UcbPolicy(2, 2.0))
-        streams = replication_streams(1, "x", 0)
-        b = run_once(
-            DIRAC_2ARM,
-            SQUARE,
-            DiracReward((0.6, 0.4)),
-            UcbPolicy(2, 2.0),
-            2000,
-            default_checkpoints(2000),
-            streams["load"],
-            streams["reward"],
-            streams["policy"],
-            realized=True,
-        )
-        np.testing.assert_allclose(a.regret, b.regret, rtol=1e-12)
-
 
 @st.composite
 def ledger_runs(draw):
-    """Chosen arms, loads and rewards of 1-12 rows, split into chunks of
+    """Chosen arms and loads of 1-12 rows, split into chunks of
     random sizes (1-step chunks among them), with checkpoints at every
     step or at a random set that may hold step 1, the chunk edges and the
     horizon."""
@@ -158,10 +141,8 @@ def ledger_runs(draw):
         bandit=BanditInstance(draw(st.lists(st.floats(0.0, 1.0), min_size=n_arms, max_size=n_arms))),
         arms=rng.integers(0, n_arms, (n_rows, horizon)),
         loads=rng.choice((0.0, 0.05, 0.5, 1.0, *rng.random(4)), (n_rows, horizon)),
-        rewards=rng.random((n_rows, horizon, n_arms)),
         ends=ends,
         checkpoints=sorted(pts),
-        realized=draw(st.booleans()),
     )
 
 
@@ -170,22 +151,18 @@ class TestLedgerMatchesReference:
     def test_chunked_accounting_byte_for_byte(self, run):
         # the reference: whole-run cumulative sums of the cost and of the
         # one-hot pulls, read at the checkpoints
-        bandit, arms, loads, rewards = run["bandit"], run["arms"], run["loads"], run["rewards"]
+        bandit, arms, loads = run["bandit"], run["arms"], run["loads"]
         n_rows, horizon = arms.shape
-        if run["realized"]:
-            drawn = np.take_along_axis(rewards, arms[:, :, None], axis=2)[:, :, 0]
-            cost = loads * (bandit.best_mean - drawn)
-        else:
-            cost = loads * np.array(bandit.gaps)[arms]
+        cost = loads * np.array(bandit.gaps)[arms]
         pts = np.array(run["checkpoints"])
-        # + 0.0: a run's regret starts at +0.0, and a realized cost can be -0.0
+        # + 0.0: a run's regret starts at +0.0
         regret = np.cumsum(cost, axis=1)[:, pts - 1] + 0.0
         pulls = np.cumsum(np.eye(bandit.n_arms, dtype=np.int64)[arms], axis=1)[:, pts - 1]
 
-        ledger = _Ledger(bandit, pts, horizon, n_rows, run["realized"])
+        ledger = _Ledger(bandit, pts, horizon, n_rows)
         i0 = 0
         for i1 in run["ends"]:
-            ledger.add(i0, arms[:, i0:i1], loads[:, i0:i1], rewards[:, i0:i1])
+            ledger.add(i0, arms[:, i0:i1], loads[:, i0:i1])
             i0 = i1
         for row in range(n_rows):
             trace = ledger.trace(row)
