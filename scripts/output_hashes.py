@@ -1,6 +1,28 @@
 #!/usr/bin/env python3
-"""Print the sha256 of every file ``opbandit run`` and ``opbandit bounds``
-write for each bundled config, one ``<config> <file> <sha256>`` line each.
+"""Run every bundled config once: ``opbandit run --plot``, ``opbandit
+bounds`` and ``opbandit compare``; print the sha256 of every file ``run``
+and ``bounds`` write, one ``<config> <file> <sha256>`` line each.
+
+One full-scale pass reproduces the results and figures, checks the
+envelopes, and checks the byte gate:
+
+    python scripts/output_hashes.py --out results | diff - tests/output_hashes/default.txt
+
+``--out DIR`` keeps the outputs as ``DIR/<config>/run`` (``results.csv``,
+``metadata.json``, ``regret.svg``) and ``DIR/<config>/bounds``
+(``bounds.csv``, ``metadata.json``); without it they go to a temporary
+directory, which is removed afterwards.  The figure is not hashed, and
+``--plot`` does not change ``metadata.json``.  A quick sweep at reduced
+scale:
+
+    python scripts/output_hashes.py --horizon 5000 --replications 5 --out results
+
+``bounds`` runs only for configs whose bound alpha can be inferred (one
+adaptive policy's); the others print no bounds lines and get no
+``compare``.  ``--seed`` and ``--replications`` go to ``run`` only, since
+the bounds depend on neither.  The script exits with the first nonzero
+exit code of a command (2: ``compare`` found a violated pull envelope) and
+writes that command's output to stderr.
 
 Two checkouts whose outputs must be byte-identical print the same lines:
 
@@ -26,7 +48,7 @@ arms, and inverts only the arms the table leaves open (five arms):
 
     python scripts/output_hashes.py --only fig2b-beta square-wave-bernoulli mvno-synthetic --horizon 10000 --replications 10
 
-``--only NAME`` (repeatable, or several names after one flag) hashes just
+``--only NAME`` (repeatable, or several names after one flag) runs just
 those configs, for a quick diff of the ones a change touches:
 
     python scripts/output_hashes.py --only mvno-synthetic --horizon 600 --replications 1
@@ -35,19 +57,13 @@ The lines of the ``--horizon 2100``, ``--horizon 30000`` and Thompson
 checks, and of the default scale, are committed under
 ``tests/output_hashes/``; ``tests/test_byte_gates.py`` runs the first three
 in-process against them.
-
-``--seed`` and ``--replications`` go to ``run`` only: ``bounds`` takes
-neither, since its output depends on neither.  ``bounds`` runs only for
-configs whose bound alpha can be inferred (one adaptive policy's); the
-others print no bounds lines.  The files are written to a temporary
-directory, which is removed afterwards.
 """
 
 import argparse
 import io
 import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -66,10 +82,11 @@ def quiet(argv: list[str]) -> tuple[int, str, str]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", default=None, help="keep the outputs under this directory")
     parser.add_argument("--horizon", type=int, default=None, help="override every config's horizon")
     parser.add_argument("--replications", type=int, default=None, help="override the replication count of `run`")
     parser.add_argument("--seed", type=int, default=None, help="override the base seed of `run`")
-    parser.add_argument("--only", action="extend", nargs="+", metavar="NAME", help="hash only these configs")
+    parser.add_argument("--only", action="extend", nargs="+", metavar="NAME", help="run only these configs")
     args = parser.parse_args()
 
     overrides = [] if args.horizon is None else ["--horizon", str(args.horizon)]
@@ -86,18 +103,23 @@ def main() -> int:
         if unknown:
             parser.error(f"unknown config {unknown[0]!r}; bundled: {', '.join(names)}")
         names = [name for name in names if name in args.only]
-    with tempfile.TemporaryDirectory() as tmp:
+    with nullcontext(args.out) if args.out else tempfile.TemporaryDirectory() as root:
         for name in names:
-            for command, extra in (("run", run_overrides), ("bounds", overrides)):
-                out = Path(tmp) / name / command
-                code, _, err = quiet([command, name, "-o", str(out), *extra])
-                if code != 0 and command == "bounds" and "cannot infer the bound alpha" in err:
-                    continue
+            run, bounds = Path(root) / name / "run", Path(root) / name / "bounds"
+            commands = [  # each command, and the files it writes that are hashed (not the figure)
+                (["run", name, "-o", str(run), "--plot", *run_overrides], ("metadata.json", "results.csv")),
+                (["bounds", name, "-o", str(bounds), *overrides], ("bounds.csv", "metadata.json")),
+                (["compare", str(run), str(bounds)], ()),
+            ]
+            for argv, hashed in commands:
+                code, out, err = quiet(argv)
+                if code != 0 and argv[0] == "bounds" and "cannot infer the bound alpha" in err:
+                    break
                 if code != 0:
-                    sys.stderr.write(f"{command} {name} exited {code}:\n{err}")
+                    sys.stderr.write(f"{argv[0]} {name} exited {code}:\n{out}{err}")
                     return code
-                for path in sorted(out.iterdir()):
-                    print(f"{name} {command}/{path.name} {sha256_file(path)}", flush=True)
+                for file in hashed:
+                    print(f"{name} {argv[0]}/{file} {sha256_file(Path(argv[3]) / file)}", flush=True)
     return 0
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, check_alpha, check_eps, derive_stream_id, log_steps, margin_up
+from .core import RngStream, check_alpha, check_checkpoints, check_eps, derive_stream_id, log_steps, margin_up
 from .environments import (
     BetaLoad,
     BinaryRandomLoad,
@@ -312,7 +312,7 @@ def evaluate_bounds(
     only ``pull_lower`` is read off its quadrature grid.
     """
     check_alpha(alpha)
-    pts = np.asarray(checkpoints, dtype=int)
+    pts = check_checkpoints(checkpoints, np.iinfo(np.int64).max)  # no horizon: any step an int64 holds
     report = BoundReport(
         alpha=alpha,
         gaps=bandit.suboptimal_gaps(),

@@ -91,12 +91,9 @@ def _cmd_run(args) -> int:
 
     csv_path = out / "results.csv"
     write_results_csv(csv_path, results, plan.bandit.n_arms)
-    extras = {"results_sha256": sha256_file(csv_path)}
     if args.plot:
-        svg_path = out / "regret.svg"
-        write_regret_svg(svg_path, results, title=cfg.name)
-        extras["plot"] = svg_path.name
-    write_metadata(out / "metadata.json", cfg.to_dict(), plan.resolved, extras)
+        write_regret_svg(out / "regret.svg", results, title=cfg.name)
+    write_metadata(out / "metadata.json", cfg.to_dict(), plan.resolved, {"results_sha256": sha256_file(csv_path)})
 
     for label, trace in results.items():
         final = trace.mean_regret[-1]

@@ -390,6 +390,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     horizon = _as_int(_require(doc, "horizon", ""), "horizon")
     if horizon < 2:
         raise ConfigError("horizon", f"must be >= 2, got {horizon}")
+    if horizon > np.iinfo(np.int64).max:  # the steps are int64 arrays
+        raise ConfigError("horizon", f"must be <= {np.iinfo(np.int64).max}, got {horizon}")
     replications = _as_int(doc.get("replications", 1), "replications")
     if replications < 1:
         raise ConfigError("replications", f"must be >= 1, got {replications}")

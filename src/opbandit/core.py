@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,14 +255,19 @@ def log_steps(ts) -> np.ndarray:
 
 def check_checkpoints(checkpoints, horizon: int) -> np.ndarray:
     """``checkpoints`` as an int array; rejects an empty list, and steps
-    that are not whole, not strictly increasing or outside [1, ``horizon``]."""
+    that are not whole numbers (NaN and strings included), not strictly
+    increasing or outside [1, ``horizon``]."""
+    steps = np.asarray(checkpoints)
+    if steps.ndim != 1 or len(steps) == 0:
+        raise ValueError("checkpoints must be a non-empty 1-D sequence")
+    # the int cast reads "3" as 3, and fails on NaN (unequal to itself) in numpy's words
+    if not all(isinstance(t, numbers.Real) and t == t for t in steps.tolist()):
+        raise ValueError("checkpoints must be whole steps")
     try:
         pts = np.asarray(checkpoints, dtype=int)
     except OverflowError:  # a step no int64 holds
         raise ValueError(f"checkpoints must lie within [1, {horizon}]") from None
-    if pts.ndim != 1 or len(pts) == 0:
-        raise ValueError("checkpoints must be a non-empty 1-D sequence")
-    if np.any(pts != np.asarray(checkpoints, dtype=float)):  # the int cast truncates
+    if np.any(pts != steps.astype(float)):  # the int cast truncates
         raise ValueError("checkpoints must be whole steps")
     if np.any(np.diff(pts) <= 0):
         raise ValueError("checkpoints must be strictly increasing")

@@ -204,7 +204,7 @@ def test_out_of_range_seed_names_field(tmp_path, capsys, command, seed):
 
 
 @pytest.mark.parametrize("command", ["run", "bounds"])
-@pytest.mark.parametrize(("option", "value"), [("--replications", 0), ("--horizon", 1)])
+@pytest.mark.parametrize(("option", "value"), [("--replications", 0), ("--horizon", 1), ("--horizon", 10**30)])
 def test_out_of_range_override_names_field(tmp_path, capsys, command, option, value):
     # checked by parse_config, as in a config file, before any output directory
     out = tmp_path / "o"
@@ -216,6 +216,26 @@ def test_out_of_range_override_names_field(tmp_path, capsys, command, option, va
         expected = f"config error: {option[2:]}: must be"
     assert expected in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_horizon_past_int64_in_config_names_field(tmp_path, capsys, command):
+    # the steps are int64 arrays: a larger horizon in a config file is a
+    # config error before any output directory, as it is on the command line
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        f"name: x\nhorizon: {10**30}\nload: {{kind: uniform}}\nreward: {{kind: bernoulli, means: [0.6, 0.4]}}\n"
+        "policies: [{name: u, kind: adaucb, alpha: 0.5, thresholds: {lower: 0.2, upper: 0.8}}]\n"
+    )
+    out = tmp_path / "o"
+    assert run_cli([command, cfg, "-o", out]) == 1
+    assert capsys.readouterr().err == f"config error: horizon: must be <= {2**63 - 1}, got {10**30}\n"
+    assert not out.exists()
+    # the bound is int64's largest value; only parsed, never run
+    doc = yaml.safe_load(cfg.read_text())
+    assert parse_config({**doc, "horizon": 2**63 - 1}).horizon == 2**63 - 1
+    with pytest.raises(ConfigError, match="^horizon: must be <= "):
+        parse_config({**doc, "horizon": 2**63})
 
 
 @pytest.mark.parametrize(

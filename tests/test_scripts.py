@@ -20,34 +20,46 @@ def run_script(name, args, cwd, **env_vars):
     )
 
 
-def test_reproduce_figures(tmp_path):
-    proc = run_script("reproduce_figures.py", ["--quick", "--only", "dirac-square-wave"], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "== dirac-square-wave =="
-    assert lines[-1] == "OVERALL: PASS"
-    run, bounds = tmp_path / "results" / "dirac-square-wave", tmp_path / "results" / "dirac-square-wave-bounds"
-    assert {p.name for p in run.iterdir()} == {"results.csv", "metadata.json", "regret.svg"}
-    assert {p.name for p in bounds.iterdir()} == {"bounds.csv", "metadata.json"}
+def test_output_hashes_keeps_outputs(tmp_path):
+    # --out keeps each config's results, figure and bounds, and changes no line
+    args = ["--only", "dirac-square-wave", "--horizon", "5000", "--replications", "5"]
+    kept, plain = (run_script("output_hashes.py", [*args, *out], tmp_path) for out in (["--out", "results"], []))
+    assert kept.returncode == 0, kept.stderr
+    assert len(kept.stdout.splitlines()) == 4
+    assert kept.stdout == plain.stdout
+    root = tmp_path / "results" / "dirac-square-wave"
+    assert {p.name for p in (root / "run").iterdir()} == {"results.csv", "metadata.json", "regret.svg"}
+    assert {p.name for p in (root / "bounds").iterdir()} == {"bounds.csv", "metadata.json"}
+
+
+FAIL_LINE = "adaucb t=2 pulls_arm_2=1.000 in [0.000, 0.500]: FAIL"
 
 
 @pytest.mark.parametrize("failing, code", [("bounds", 1), ("compare", 2)])
-def test_reproduce_figures_returns_failed_envelope_check(tmp_path, monkeypatch, failing, code):
-    # the dirac envelope check's exit code is the script's: a failed `bounds`,
-    # or `compare`'s OVERALL: FAIL (2), is not an exit 0
-    spec = importlib.util.spec_from_file_location("reproduce_figures", SCRIPTS / "reproduce_figures.py")
+def test_output_hashes_returns_first_failure(tmp_path, monkeypatch, capsys, failing, code):
+    # a failed `bounds`, or `compare`'s OVERALL: FAIL (2), is the script's exit
+    # code, and the failing command's output is shown on stderr
+    spec = importlib.util.spec_from_file_location("output_hashes", SCRIPTS / "output_hashes.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    commands = []
+    real, commands = module.opbandit_main, []
 
     def opbandit_main(argv):
         commands.append(argv[0])
-        return code if argv[0] == failing else 0
+        if argv[0] != failing:
+            return real(argv)
+        print(FAIL_LINE)
+        print("error: the failure", file=sys.stderr)
+        return code
 
     monkeypatch.setattr(module, "opbandit_main", opbandit_main)
-    monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", "--only", "dirac-square-wave", "--out", str(tmp_path)])
+    args = ["--only", "dirac-square-wave", "--horizon", "300", "--replications", "1", "--out", str(tmp_path)]
+    monkeypatch.setattr(sys, "argv", ["output_hashes.py", *args])
     assert module.main() == code
-    assert commands == ["run", "bounds", "compare"][: commands.index(failing) + 1]
+    assert commands == ["list-configs", "run", "bounds", "compare"][: commands.index(failing) + 1]
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == {"bounds": 2, "compare": 4}[failing]  # the lines of `run`, and of `bounds`
+    assert err == f"{failing} dirac-square-wave exited {code}:\n{FAIL_LINE}\nerror: the failure\n"
 
 
 def test_mvno_demo(tmp_path):
