@@ -240,8 +240,9 @@ def default_checkpoints(horizon: int) -> np.ndarray:
     itself."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    pts = np.unique(np.round(np.geomspace(1, horizon, 50)).astype(int))
-    return np.unique(np.append(pts, horizon))
+    pts = np.round(np.geomspace(1, horizon, 50))
+    # the horizon comes last anyway; a float at or past it may not fit an int
+    return np.append(np.unique(pts[pts < horizon].astype(int)), horizon)
 
 
 def log_steps(ts) -> np.ndarray:
@@ -255,13 +256,15 @@ def log_steps(ts) -> np.ndarray:
 
 def check_checkpoints(checkpoints, horizon: int) -> np.ndarray:
     """``checkpoints`` as an int array; rejects an empty list, and steps
-    that are not whole numbers (NaN and strings included), not strictly
-    increasing or outside [1, ``horizon``]."""
+    that are not whole numbers (NaN, strings and booleans included), not
+    strictly increasing or outside [1, ``horizon``]."""
     steps = np.asarray(checkpoints)
     if steps.ndim != 1 or len(steps) == 0:
         raise ValueError("checkpoints must be a non-empty 1-D sequence")
-    # the int cast reads "3" as 3, and fails on NaN (unequal to itself) in numpy's words
-    if not all(isinstance(t, numbers.Real) and t == t for t in steps.tolist()):
+    # the int cast reads "3" as 3 and True as 1, and fails on NaN (unequal to
+    # itself) in numpy's words; an object array keeps each step as given
+    given = np.asarray(checkpoints, dtype=object).tolist()
+    if not all(isinstance(t, numbers.Real) and not isinstance(t, bool) and t == t for t in given):
         raise ValueError("checkpoints must be whole steps")
     try:
         pts = np.asarray(checkpoints, dtype=int)

@@ -289,7 +289,7 @@ class TraceLoad(LoadModel):
     uses_rng = False
 
     def _bulk(self, ts: np.ndarray, us=None) -> np.ndarray:
-        return self.data.loads[(ts - 1) % self.data.n_rows]
+        return self.data.loads.take(ts - 1, mode="wrap")
 
     def wraps(self, horizon: int) -> int:
         """How many times a run of ``horizon`` steps starts the trace again
@@ -464,7 +464,7 @@ class TraceReward(RewardModel):
         super().__post_init__()
 
     def reward_rows(self, t0: int, n: int, rng=None) -> np.ndarray:
-        return self.data.rewards[np.arange(t0 - 1, t0 - 1 + n) % self.data.n_rows]
+        return self.data.rewards.take(np.arange(t0 - 1, t0 - 1 + n), axis=0, mode="wrap")
 
 
 LOAD_KINDS = {

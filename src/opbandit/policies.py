@@ -250,9 +250,21 @@ class LoadQuantileSketch:
         return nearest_rank_quantile(self._sorted, q)
 
 
-def _nearest_rank(q: float, n: np.ndarray) -> np.ndarray:
-    # core.nearest_rank over an array of n, and 0 for n = 0
-    return np.where(n > 0, np.maximum(1.0, np.ceil(q * n)), 0.0)
+def _walk(held: bytearray, p: int, ranks: list, grows: list) -> list:
+    """Mark each of ``ranks`` in ``held`` in turn and move the pointer ``p``
+    (the k-th marked rank; -1: none) as it goes: k rises by one at the
+    steps where ``grows``.  The pointer after each step."""
+    find, rfind = held.find, held.rfind
+    at = []
+    for r, up in zip(ranks, grows):
+        held[r] = 1
+        if r < p:
+            if not up:
+                p = rfind(1, 0, p)
+        elif up:
+            p = find(1, p + 1)
+        at.append(p)
+    return at
 
 
 class RunningQuantiles:
@@ -260,21 +272,33 @@ class RunningQuantiles:
     advance: after each load, the values a :class:`LoadQuantileSketch` fed
     the same loads one at a time would return, without its O(n) inserts.
 
-    The loads are argsorted once, so each owns a rank in sorted order.  Per
-    probability, a bytearray marks the ranks taken in so far and a pointer
-    holds the rank of the quantile.  ``k = max(1, ceil(q*n))`` grows by at
-    most one per insert, so the pointer moves at most one marked rank: one
-    ``bytearray.find``/``rfind``.  The loads themselves are kept only as
-    sorted values and 32-bit ranks (:meth:`loads`): the simulator's chunk
-    loop reads an EAdaUCB row's loads from here, a chunk at a time, and
-    keeps no copy of its own.
+    The loads are argsorted once, so each owns a rank in sorted order; the
+    quantiles are values, and equal loads are equal values, so the order
+    the sort gives ties changes no output.  Per probability, a bytearray
+    marks the ranks taken in so far and a pointer holds the rank of the
+    quantile.  ``k = max(1, ceil(q*n))`` grows by at most one per insert,
+    so the pointer moves at most one marked rank (:func:`_walk`).  For
+    q > 1/2 the marks and the pointer are kept on mirrored ranks: the k-th
+    smallest of m values is the (m - k + 1)-th largest, whose k grows at
+    the inserts where q's does not.
+
+    A chunk walks only the steps that can move the pointer: those where k
+    grows, and those whose rank lies below ``hi``, the (k + d)-th smallest
+    marked rank before the chunk when k grows d times in it.  The k-th
+    smallest of a larger set is never larger, so the pointer stays at or
+    below ``hi`` all chunk, and a rank above it is marked in one numpy
+    write.  ``advance`` takes a chunk in segments no longer than the loads
+    taken in before them, so that ``hi`` binds in a run's first chunk too.
+    The loads themselves are kept only as sorted values and 32-bit ranks
+    (:meth:`loads`): the simulator's chunk loop reads an EAdaUCB row's
+    loads from here, a chunk at a time, and keeps no copy of its own.
     """
 
     def __init__(self, values: np.ndarray, probs: tuple[float, ...]):
         if not np.isfinite(values).all():
             raise ValueError("loads must be finite")
         n = len(values)
-        order = np.argsort(values, kind="stable")
+        order = np.argsort(values)
         self._sorted = values[order]
         self._ranks = np.empty(n, dtype=np.int32 if n < 2**31 else np.intp)
         self._ranks[order] = np.arange(n)
@@ -293,26 +317,33 @@ class RunningQuantiles:
     def advance(self, stop: int) -> np.ndarray:
         """Take in the loads up to index ``stop`` (exclusive); one row per
         probability holds the quantile in effect after each of them."""
-        start = self._seen
-        seen = np.arange(start, stop)  # the loads taken in before each insert
-        ranks = self._ranks[start:stop].tolist()
+        parts = [np.empty((len(self.probs), 0))]
+        while self._seen < stop:  # segments no longer than the loads before them
+            parts.append(self._segment(min(stop, 2 * self._seen + 1)))
+        return np.hstack(parts)
+
+    def _segment(self, stop: int) -> np.ndarray:
+        start, top = self._seen, len(self._sorted) - 1
+        seen = np.arange(start, stop + 1)  # the loads taken in before each insert, and after the last
+        some = seen > 0
         out = np.empty((len(self.probs), stop - start))
         for j, q in enumerate(self.probs):
-            grows = (_nearest_rank(q, seen + 1) > _nearest_rank(q, seen)).tolist()
-            held = self._held[j]
-            find, rfind = held.find, held.rfind
-            p = self._pointer[j]
-            at = []
-            for r, up in zip(ranks, grows):
-                held[r] = 1
-                if r < p:
-                    if not up:
-                        p = rfind(1, 0, p)
-                elif up:
-                    p = find(1, p + 1)
-                at.append(p)
-            self._pointer[j] = p
-            out[j] = self._sorted[at]
+            held, p, ranks, values = self._held[j], self._pointer[j], self._ranks[start:stop], self._sorted
+            k = np.maximum(np.ceil(q * seen), some)  # core.nearest_rank, and 0 before the first load
+            if q > 0.5:
+                ranks, k, values = top - ranks, seen + some - k, values[::-1]
+            grows = k[1:] > k[:-1]
+            hi = p  # the highest rank the pointer can reach: as many marks up as k rises
+            for _ in range(np.count_nonzero(grows)):
+                hi = held.find(1, hi + 1)
+                if hi < 0:  # fewer marks than that: any rank
+                    hi = top + 1
+                    break
+            walked = grows | (ranks < hi)
+            np.frombuffer(held, np.uint8)[ranks[~walked]] = 1
+            at = np.array([p, *_walk(held, p, ranks[walked].tolist(), grows[walked].tolist())])
+            self._pointer[j] = int(at[-1])
+            out[j] = values[at[np.cumsum(walked)]]
         self._seen = stop
         return out
 

@@ -47,7 +47,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Callable, Iterator
 
 import numpy as np
@@ -285,14 +285,14 @@ def run_once(
 
 def _select_each_step(cells: list, held: list, horizon: int) -> Callable:
     """The reference step of one row: ``select`` and ``update`` at every
-    step.  The rewards go to ``update`` as Python floats, from one flat list
-    per chunk (a nested list per step costs the garbage collector more than
-    the steps)."""
+    step.  The rewards go to ``update`` as Python floats, read through one
+    flat memoryview per chunk (a nested list per step costs the garbage
+    collector more than the steps)."""
     [(policy, _, _, policy_rng)] = cells
     select, update = policy.select, policy.update
 
     def step(i0: int, i1: int, loads: np.ndarray, rewards: np.ndarray, chosen: np.ndarray) -> None:
-        flat = rewards.ravel().tolist()
+        flat = memoryview(rewards.ravel())
         n_arms = rewards.shape[2]
         arms = []
         for t, load, row in zip(range(i0 + 1, i1 + 1), loads[0].tolist(), range(0, len(flat), n_arms)):
@@ -400,7 +400,7 @@ def _thompson_kernel(cells: list, held: list, horizon: int) -> Callable:
         nonlocal decided, cand, lead, streak, slack, window
         if i1 <= n_arms:  # the init round pulls arms 0..K-1 in order
             return init_round(i0, i1, loads, rewards, chosen)
-        flat = rewards.ravel().tolist()  # as in _select_each_step
+        flat = memoryview(rewards.ravel())  # as in _select_each_step
         rows = range(0, len(flat), n_arms)
         us = policy_rng.random((i1 - i0) * (n_arms + 1)).reshape(-1, n_arms + 1)
         u = us[:, :n_arms]
@@ -484,7 +484,10 @@ def _python_step(n_arms: int) -> Callable:
     ahead before the next forced pull or the chunk's end, the step checks
     all of those steps in one numpy block (:func:`_gallop`) and takes the
     plain loop again at the step the leader loses.  The leader and its
-    streak carry over from chunk to chunk.
+    streak carry over from chunk to chunk.  The loop reads the chunk's
+    ``c_t`` and rewards through memoryviews and a gallop writes its wins
+    to ``chosen`` as one slice, so no step a gallop wins is touched in
+    Python.
     """
     means, pulls, sums = [0.0] * n_arms, [0] * n_arms, [0.0] * n_arms
     lead, streak = -1, 0
@@ -495,14 +498,14 @@ def _python_step(n_arms: int) -> Callable:
 
     def step(coeff: np.ndarray, rewards: np.ndarray, chosen: np.ndarray) -> None:
         nonlocal lead, streak
-        c_row, x_row = coeff[:, 0, 0], rewards[:, 0]
+        c_row, x_row, out = coeff[:, 0, 0], rewards[:, 0], chosen[:, 0]
         # where a gallop must stop: each forced pull, and the chunk's end
         stops = [*np.flatnonzero(c_row < 0.0).tolist(), len(c_row)]
-        flat = x_row.ravel().tolist()
-        steps = zip(c_row.tolist(), range(0, len(flat), n_arms))
-        arms = []
+        cs, flat = memoryview(c_row), memoryview(x_row.ravel())
+        i = 0  # the first step of the loop
         while True:
-            for c, row in steps:
+            arms = []
+            for c, row in zip(cs[i:], range(i * n_arms, len(flat), n_arms)):
                 if c < 0.0:  # forced pull of arm -1 - c
                     arm = -1 - int(c)
                 elif c == 0.0:  # greedy: each index is its mean (max keeps the first)
@@ -527,18 +530,18 @@ def _python_step(n_arms: int) -> Callable:
                 else:
                     streak += 1
                     if streak >= block:
-                        i = row // n_arms + 1  # the steps done
-                        ahead = stops[bisect_left(stops, i)] - i
+                        j = row // n_arms + 1  # the steps done
+                        ahead = stops[bisect_left(stops, j)] - j
                         if ahead >= block:
                             break
             else:  # the chunk is done
+                out[i:] = arms
                 break
-            won = _gallop(means, pulls, sums, lead, c_row[i : i + ahead], x_row[i : i + ahead])
-            if won:
-                arms += [lead] * won
-                streak += won
-                next(islice(steps, won, won), None)  # skip the steps won
-        chosen[:, 0] = arms
+            out[i:j] = arms
+            won = _gallop(means, pulls, sums, lead, c_row[j : j + ahead], x_row[j : j + ahead])
+            out[j : j + won] = lead
+            streak += won
+            i = j + won
 
     return step
 

@@ -226,15 +226,16 @@ def test_checkpoints_are_cores_rule(pts):
 
 def test_non_integral_checkpoints_rejected():
     # a step is a whole number: 2.5 is not truncated to step 2, NaN is no
-    # step, and the string "3" is not read as step 3
+    # step, and neither the string "3" nor True is read as a step
     message = "checkpoints must be whole steps"
     plan = build_plan(parse_config(MINIMAL))
     models = (plan.bandit, plan.load_model, plan.reward_model)
-    for pts in ([2.5, 99.9], [float("nan"), 50], ["3", 5]):
+    for pts in ([2.5, 99.9], [float("nan"), 50], ["3", 5], [True, 5], [np.True_, 5]):
         assert value_error(check_checkpoints, pts, 100) == message
         assert value_error(run_experiment, *models, plan.policies, 100, 1, 7, pts) == message
         assert value_error(evaluate_bounds, *models, 0.51, pts) == message
     assert value_error(check_checkpoints, np.array([2.0, 99.5]), 100) == message
+    assert value_error(check_checkpoints, np.array([False, True]), 100) == message
     assert check_checkpoints([2.0, 99.0], 100).tolist() == [2, 99]
     # evaluate_bounds has no horizon, but the rest of the rule holds there too
     assert value_error(evaluate_bounds, *models, 0.51, [10, 5]) == "checkpoints must be strictly increasing"

@@ -8,6 +8,7 @@ batch rule, and the rank-pointer running quantiles against the sorted-list
 sketch."""
 
 import copy
+import itertools
 import math
 import pickle
 from unittest import mock
@@ -19,7 +20,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from opbandit import simulator
-from opbandit.core import BanditInstance, RngStream, Thresholds, default_checkpoints, log_steps
+from opbandit.core import BanditInstance, RngStream, Thresholds, default_checkpoints, log_steps, nearest_rank
 from opbandit.environments import (
     BernoulliReward,
     BetaLoad,
@@ -42,6 +43,7 @@ from opbandit.policies import (
     RunningQuantiles,
     ThompsonPolicy,
     UcbPolicy,
+    _walk,
 )
 from opbandit.simulator import replication_streams, run_experiment, run_once
 
@@ -1205,21 +1207,60 @@ class TestThompsonScreenMatchesPerStepLoop:
         assert min(opened) < n_arms and np.mean(opened) < 0.75 * n_arms
 
 
+@st.composite
+def load_sequences(draw):
+    """Up to 2500 loads, long enough for chunks past the first to walk
+    only part of their steps: fractional draws, a few levels with many
+    ties, or a monotone run up or down."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 2500))
+    shape = draw(st.sampled_from(("draws", "ties", "rising", "falling")))
+    values = rng.choice(GRID, n) if shape == "ties" else rng.uniform(-5.0, 5.0, n)
+    if shape == "rising":
+        values.sort()
+    elif shape == "falling":
+        values = -np.sort(values)
+    return values
+
+
 class TestRunningQuantiles:
     @given(
-        values=st.lists(st.sampled_from(GRID) | st.floats(-5.0, 5.0), min_size=1, max_size=120),
-        q=st.sampled_from((1e-9, 0.01, 0.05, 0.5, 0.95, 0.99, 1 - 1e-9)) | st.floats(0.001, 0.999),
-        chunk=st.integers(1, 30),
+        values=load_sequences(),
+        probs=st.lists(
+            st.sampled_from((0.0, 1e-9, 0.01, 0.05, 0.5, 0.51, 0.95, 0.99, 1 - 1e-9, 1.0)) | st.floats(0.0, 1.0),
+            min_size=1,
+            max_size=3,
+        ),
+        chunks=st.lists(st.integers(1, 1100), min_size=1, max_size=4),
     )
-    def test_matches_sorted_sketch(self, values, q, chunk):
+    def test_matches_sorted_sketch(self, values, probs, chunks):
+        # every row against its own sketch, read at core.nearest_rank as
+        # LoadQuantileSketch.quantile does, without its check that 0 < q < 1
         sketch = LoadQuantileSketch()
         expected = []
-        for v in values:
+        for v in values.tolist():
             sketch.insert(v)
-            expected.append(sketch.quantile(q))
-        running = RunningQuantiles(np.array(values), (q, 1.0 - q))
-        got = [running.advance(min(i + chunk, len(values)))[0] for i in range(0, len(values), chunk)]
-        assert np.concatenate(got).tolist() == expected
+            expected.append([sketch._sorted[nearest_rank(q, len(sketch)) - 1] for q in probs])
+        running = RunningQuantiles(values, tuple(probs))
+        got, stop = [], 0
+        for chunk in itertools.cycle(chunks):
+            if stop == len(values):
+                break
+            stop = min(stop + chunk, len(values))
+            got.append(running.advance(stop))
+        assert np.hstack(got).T.tolist() == expected
+
+    def test_walks_few_steps(self):
+        # on Beta(2, 2) loads in the simulator's chunks, each tail walks
+        # the steps where its k rises (1 in 20) and those below its reach
+        n = 10_000
+        running = RunningQuantiles(np.random.default_rng(0).beta(2.0, 2.0, n), (0.05, 0.95))
+        with mock.patch("opbandit.policies._walk", side_effect=_walk) as walk:
+            for stop in range(simulator.CHUNK, n + simulator.CHUNK, simulator.CHUNK):
+                running.advance(min(stop, n))
+        for held in running._held:
+            # a walk's arguments: the marks, the pointer, the ranks walked and their rises
+            assert sum(len(c.args[2]) for c in walk.call_args_list if c.args[0] is held) < 0.2 * n
 
     @pytest.mark.parametrize("probs", [(0.05, 0.95), (0.5,)])
     def test_held_bytes_counts_what_it_holds(self, probs):

@@ -1,6 +1,8 @@
 """Run-loop semantics: regret accounting, checkpointing, replication
 independence, and determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -52,6 +54,14 @@ class TestDefaultCheckpoints:
     def test_small_horizon(self):
         pts = default_checkpoints(3)
         assert pts[-1] == 3
+
+    def test_int64_horizon(self):
+        # the top log-spaced point rounds to the float 2**63, past any int64
+        horizon = 2**63 - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = default_checkpoints(horizon)
+        assert pts[0] == 1 and np.all(np.diff(pts) > 0) and pts[-1] == horizon
 
     def test_validation(self):
         with pytest.raises(ValueError):
